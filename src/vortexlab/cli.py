@@ -90,9 +90,11 @@ def load_config(path: str) -> dict:
             raise ConfigError("config is missing %r" % key)
     if not isinstance(raw["phi"], dict) or "p" not in raw["phi"]:
         raise ConfigError("phi must be an object with coefficient array p")
-    _coeffs(raw["phi"]["p"], "phi.p")
-    if "q" in raw["phi"]:
-        _coeffs(raw["phi"]["q"], "phi.q")
+    try:
+        phi = EntireFunction(_coeffs(raw["phi"]["p"], "phi.p"),
+                             _coeffs(raw["phi"].get("q", [[0.0, 0.0]]), "phi.q"))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     k = raw["k"]
     if not isinstance(k, int) or k < 2:
         raise ConfigError("k must be an integer >= 2")
@@ -114,6 +116,9 @@ def load_config(path: str) -> dict:
     for st in stages:
         if st not in STAGES:
             raise ConfigError("unknown stage %r (choose from %s)" % (st, STAGES))
+    if "two-solutions" in stages and phi.is_polynomial():
+        raise ConfigError("phi is a polynomial: the complete solution is unique, "
+                          "there is no second one")
     solve_stages = {"solve-complete", "solve-incomplete", "two-solutions"}
     seen_solve = False
     seen_develop = False
@@ -371,8 +376,8 @@ def run(cfg: dict) -> int:
     except solver.ConvergenceError as exc:
         status, error = EXIT_SOLVER, str(exc)
     except (ValueError, ArithmeticError) as exc:
-        # precondition violations (polynomial phi in two-solutions, zeros on
-        # the ring, normalization residual) are config-class errors
+        # precondition violations (zeros on the ring, roots of P that will not
+        # resolve, normalization residual) are config-class errors
         status, error = EXIT_CONFIG, str(exc)
     if status != EXIT_CONFIG:
         state.report(status, error, time.perf_counter() - t0)
@@ -422,22 +427,6 @@ def compare(cfg_a: dict, cfg_b: dict) -> int:
     return EXIT_OK
 
 
-def _cap_threads() -> None:
-    raw = os.environ.get("VORTEXLAB_THREADS")
-    if not raw:
-        return
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        raise ConfigError("VORTEXLAB_THREADS must be an integer")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        os.environ.setdefault("OMP_NUM_THREADS", str(limit))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vortexlab", description="planar vortex equation laboratory"
@@ -450,7 +439,6 @@ def main(argv=None) -> int:
     p_cmp.add_argument("config_b")
     args = parser.parse_args(argv)
     try:
-        _cap_threads()
         if args.command == "run":
             return run(load_config(args.config))
         return compare(load_config(args.config_a), load_config(args.config_b))

@@ -113,6 +113,6 @@ class EntireFunction:
             corr = np.where(np.isfinite(corr), corr, 0.05 * radius * np.exp(1j * ang))
             z = z - np.where(ok, 0.0, corr)
         if not np.all(ok):
-            raise RuntimeError("root iteration did not reach the residual target")
+            raise ValueError("root iteration did not reach the residual target")
         order = np.lexsort((np.round(z.imag, 12), np.round(z.real, 12)))
         return z[order]

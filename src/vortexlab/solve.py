@@ -3,7 +3,8 @@
 Two routes to a solution, used in complementary roles:
 
 * a damped Newton iteration (authoritative): fast, quadratic near the
-  solution, inner linear systems solved by preconditioned CG;
+  solution, inner linear systems solved by a sparse LU that later steps
+  reuse as a CG preconditioner;
 * a monotone fixed-point iteration (certifying): started from the
   supersolution end of an ordered band [w_minus, w_plus] it descends
   one-sidedly, so it cross-checks the Newton answer on cases where a band
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spilu
+from scipy.sparse.linalg import splu
 
 from .grid import GridDomain, VortexProblem, interior_max_norm
 
@@ -151,11 +152,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _FactorCache:
-    """Holds the last ILU factor so successive Newton steps can share it.
+    """Holds the last LU factor so successive Newton steps can share it.
 
     The Jacobian diagonal drifts slowly along a Newton path (and along the
-    continuation ladder), so a slightly stale factor still preconditions CG
-    well; refactoring only when CG slows down saves most of the spilu time.
+    continuation ladder), so a stale factor still preconditions CG well;
+    refactoring only when that CG stalls saves most of the factor time.
     """
 
     __slots__ = ("apply",)
@@ -164,44 +165,31 @@ class _FactorCache:
         self.apply = None
 
 
-# a stale preconditioner gets this many CG iterations before a refactor
+# a stale factor gets this many CG iterations before a refactor
 STALE_CG_CAP = 60
 
 
-def _pcg(A: sp.csc_matrix, b: np.ndarray, tol: float = 1e-10, max_iter: int = 500, cache=None):
-    """Preconditioned CG with an incomplete-LU preconditioner.
+def _lu(A: sp.spmatrix):
+    """Exact sparse LU of diag(D) - L: the one place that matrix is factored."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    A must be symmetric positive definite, which diag(F') - L always is.
-    Returns (x, iterations).
+
+def _solve(A: sp.csc_matrix, b: np.ndarray, cache: _FactorCache, tol: float = 1e-10):
+    """Solve A x = b for the SPD A = diag(F') - L.
+
+    A factor cached by an earlier step preconditions CG for at most
+    STALE_CG_CAP iterations; if that does not reach tol * |b|, A is factored
+    afresh, the factor cached and x taken from the direct solve.
+    Returns (x, CG iterations spent).
     """
-    bnorm = np.sqrt(_dot(b, b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    atol = tol * bnorm
-    total = 0
-    if cache is not None and cache.apply is not None:
+    atol = tol * np.sqrt(_dot(b, b))
+    it = 0
+    if cache.apply is not None and atol > 0.0:
         x, it, ok = _cg_loop(A, b, cache.apply, atol, STALE_CG_CAP)
-        total += it
         if ok:
-            return x, total
-    for factor in (_ilu_factor, splu):
-        apply = factor(A).solve
-        if cache is not None:
-            cache.apply = apply
-        x, it, ok = _cg_loop(A, b, apply, atol, max_iter)
-        total += it
-        if ok:
-            return x, total
-    raise ConvergenceError("inner CG did not converge in %d iterations" % total)
-
-
-def _ilu_factor(A: sp.csc_matrix):
-    # Natural ordering, no pivoting: the matrix is symmetric and diagonally
-    # dominant, and SuperLU's default column permutation plus threshold
-    # pivoting yields a visibly unsymmetric preconditioner that stalls CG.
-    return spilu(
-        A, drop_tol=1e-5, fill_factor=20, permc_spec="NATURAL", diag_pivot_thresh=0.0
-    )
+            return x, it
+    cache.apply = _lu(A).solve
+    return cache.apply(b), it
 
 
 def _cg_loop(A, b, apply_prec, atol: float, max_iter: int):
@@ -271,7 +259,7 @@ def solve_newton(
             return w, NewtonReport(it - 1, gnorm, cg_total, backtracks, bkind, history)
         D = problem.rhs_prime(w)[1:-1, 1:-1].ravel()
         A = sp.diags(D) - L
-        delta, cg_it = _pcg(A.tocsc(), g[1:-1, 1:-1].ravel(), cache=cache)
+        delta, cg_it = _solve(A.tocsc(), g[1:-1, 1:-1].ravel(), cache)
         cg_total += cg_it
         step = 1.0
         for _ in range(41):
@@ -342,11 +330,12 @@ def monotone_solve(
     L = interior_operator(dom)
     ring = _ring_term(dom, bnd)
 
-    def factor(lam_full):
+    def factor(*fields):
+        lam_full = 1.1 * np.maximum.reduce([problem.rhs_prime(v) for v in fields])
         lam = lam_full[1:-1, 1:-1].ravel()
-        return lam, splu((sp.diags(lam) - L).tocsc())
+        return lam, _lu(sp.diags(lam) - L)
 
-    lam, lu = factor(1.1 * np.maximum(problem.rhs_prime(w_minus), problem.rhs_prime(w_plus)))
+    lam, lu = factor(w_minus, w_plus)
 
     w = _set_ring(np.array(w_plus, dtype=float), bnd)
     nonmono = 0
@@ -371,16 +360,7 @@ def monotone_solve(
         history.append(res)
         if stall >= 25:
             # iterate escaped the band; widen Lambda around where it actually is
-            lam, lu = factor(
-                1.1
-                * np.maximum.reduce(
-                    [
-                        problem.rhs_prime(w_minus),
-                        problem.rhs_prime(w_plus),
-                        problem.rhs_prime(w),
-                    ]
-                )
-            )
+            lam, lu = factor(w_minus, w_plus, w)
             stall = 0
     else:
         raise ConvergenceError("monotone iteration stalled at residual %.3e" % res)

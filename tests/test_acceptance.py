@@ -289,8 +289,7 @@ def test_criterion_10_deterministic_artifacts(tmp_path, criterion_log):
         # the child runs in rundir, where a relative PYTHONPATH finds nothing;
         # the BLAS thread variables only act if set before numpy loads
         paths = [SRC_DIR, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, VORTEXLAB_THREADS=threads,
-                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(p for p in paths if p))
         proc = subprocess.run(
             [sys.executable, "-c",

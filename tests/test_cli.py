@@ -1,11 +1,17 @@
 """Config validation, pipeline runs, artifact layout, field comparison."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vortexlab import cli
+
+SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
 
 def make_cfg(tmp_path, name="cfg.json", *, p=((2.0, 0.0),), q=None, k=2, R=4.0,
@@ -114,12 +120,30 @@ def test_dichotomy_run_reports_divergent_ray(tmp_path):
 
 
 def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
-    cfg = make_cfg(tmp_path, p=((0.0, 0.0), (1.0, 0.0)),
-                   pipeline=("two-solutions",))
-    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
-    # precondition failures are refused before any artifact is written
-    assert not (tmp_path / "out" / "report.json").exists()
-    assert "polynomial" in capsys.readouterr().err
+    # one test id, both pipelines: a solve stage ahead of two-solutions must
+    # not get to write its field either
+    for i, pipeline in enumerate([("two-solutions",), ("solve-complete", "two-solutions")]):
+        out = "out%d" % i
+        cfg = make_cfg(tmp_path, "cfg%d.json" % i, p=((0.0, 0.0), (1.0, 0.0)),
+                       pipeline=pipeline, out=out)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG, pipeline
+        # precondition failures are refused before any artifact is written
+        assert not (tmp_path / out).exists() or not any((tmp_path / out).iterdir()), pipeline
+        assert "polynomial" in capsys.readouterr().err
+
+
+def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
+    # Wilkinson's prod_{j=1..20} (z - j): Aberth never meets its residual target
+    wilkinson = np.polynomial.polynomial.polyfromroots(np.arange(1.0, 21.0))
+    cfg = make_cfg(tmp_path, p=[(c, 0.0) for c in wilkinson], q=((0.0, 0.0), (1.0, 0.0)),
+                   k=3, R=24.0, n=41, pipeline=("solve-incomplete",))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC_DIR, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-m", "vortexlab.cli", "run", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "residual target" in proc.stderr
 
 
 def test_compare_identical_runs(tmp_path, capsys):

@@ -83,6 +83,14 @@ def test_root_round_trip(roots, scale):
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
+def test_zeros_unresolved_is_a_precondition_error():
+    # Wilkinson's prod_{j=1..20} (z - j): the Aberth iterates never reach the
+    # residual target, which is a precondition of phi, not a solver failure
+    f = EntireFunction.from_roots(list(range(1, 21)), q=(0.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        f.zeros()
+
+
 def test_zeros_of_constant_is_empty():
     assert len(EntireFunction(p=(3.0,)).zeros()) == 0
 

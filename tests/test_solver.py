@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.entire import EntireFunction
@@ -69,6 +70,37 @@ def test_newton_report_history_is_decreasing_to_tolerance():
     hist = rep.residual_history
     assert hist[-1] <= solve.TOL_NEWTON
     assert all(b < a for a, b in zip(hist, hist[1:]))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Records every sparse LU factorization the solver makes."""
+    calls = []
+    real_splu = solve.splu
+    monkeypatch.setattr(solve, "splu", lambda *a, **kw: calls.append(1) or real_splu(*a, **kw))
+    return calls
+
+
+def test_ladder_reuses_lu_factor_across_newton_steps(splu_calls):
+    prob = VortexProblem(EXP_Z, 3, GridDomain(4.0, 81))
+    _, rep = solve.solve_complete(prob)
+    steps = sum(e["newton_iterations"] for e in rep.trace)
+    assert 1 <= len(splu_calls) < steps
+
+
+def test_stale_factor_gives_up_and_refactors(splu_calls):
+    L = solve.interior_operator(GridDomain(4.0, 81))
+    N = L.shape[0]
+    A = (sp.diags(np.full(N, 1e-3)) - L).tocsc()
+    # a factor of a far-off diagonal preconditions A like a scalar: plain CG
+    # on the Laplacian needs hundreds of iterations, more than the stale cap
+    cache = solve._FactorCache()
+    cache.apply = stale = solve._lu(sp.diags(np.full(N, 1e4)) - L).solve
+    b = np.sin(np.arange(N, dtype=float))
+    x, cg_it = solve._solve(A, b, cache)
+    assert cg_it == solve.STALE_CG_CAP
+    assert len(splu_calls) == 2 and cache.apply is not stale  # stale factor, then refactor
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_newton_and_monotone_agree_away_from_small_grids():
