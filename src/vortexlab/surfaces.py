@@ -23,12 +23,21 @@ from the origin, then vertically along each column.  Traversing an edge
 backwards integrates the reversed ODE (it is not the matrix inverse of the
 forward step); the mismatch accumulated around a plaquette is the measured
 holonomy defect.
+
+Coefficients and transfers are stored component-first, as (d, d, ...) stacks
+of grid planes, and multiplied by ``_mul``, which sums plane products; the
+full-grid work runs a few grid rows at a time so its temporaries stay in
+cache.  The transfers are built once per ``NormalizedSolution``, on first
+use (``NormalizedSolution.transfers``), and shared by the development and
+``holonomy_defect``.  ``DevelopedSurface.frames`` keeps the node-first
+(n, n, rows, 3) layout.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -82,6 +91,16 @@ class NormalizedSolution:
 
     def residual_norm(self) -> float:
         return float(np.max(np.abs(self.residual()[1:-1, 1:-1])))
+
+    @cached_property
+    def transfers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edge transfers (tx, tx_rev, ty, ty_rev) of this w, built on first use.
+
+        Development and ``holonomy_defect`` given the same solution share
+        them, so ``w`` must not be changed in place afterwards; a modified
+        field belongs in a new ``NormalizedSolution``.
+        """
+        return _edge_transfers(self)
 
     def restrict_half(self) -> "NormalizedSolution":
         sub, vals = self.domain.restrict_half(self.w)
@@ -166,37 +185,100 @@ def _grad(domain: GridDomain, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wx, wy
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of component-first stacks: (d, e, ...) times (e, f, ...).
+
+    Entry (i, k) of the result is the plane sum over j of a[i, j] * b[j, k],
+    with the trailing grid axes broadcast.  One call multiplies a whole grid
+    of small matrices in e vectorized plane products, where numpy's batched
+    ``@`` on (..., d, d) stacks makes one BLAS call per matrix.
+    """
+    out = a[:, 0, None] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[j]
+    return out
+
+
+def _shift(k: np.ndarray, c: float) -> np.ndarray:
+    """I + c k for a component-first stack."""
+    out = c * k
+    for i in range(k.shape[0]):
+        out[i, i] += 1.0
+    return out
+
+
+# matrices per block in _by_rows: the temporaries of one block stay in cache
+_BLOCK = 4096
+
+
+def _by_rows(fn, *stacks: np.ndarray) -> np.ndarray:
+    """fn applied to blocks of grid rows of component-first (p, q, rows, cols) stacks.
+
+    The stacks share one grid shape, and fn maps each block of them to the
+    same rows of its result.  Working a few rows at a time keeps fn's
+    temporaries in cache instead of streaming full-grid planes through memory.
+    """
+    rows, cols = stacks[0].shape[2:]
+    step = max(1, _BLOCK // cols)
+    out = None
+    for r in range(0, rows, step):
+        part = fn(*(x[:, :, r:r + step] for x in stacks))
+        if out is None:
+            out = np.empty(part.shape[:2] + (rows, cols), dtype=part.dtype)
+        out[:, :, r:r + step] = part
+    return out
+
+
 def _rk4_transfer(ma, mm, mb, s: float) -> np.ndarray:
-    """One-step RK4 transfer matrix for S' = M(t) S across one edge."""
-    d = ma.shape[-1]
-    eye = np.eye(d, dtype=ma.dtype)
+    """One-step RK4 transfer matrix for S' = M(t) S across one edge.
+
+    The coefficients at the start, middle and end of the edge are
+    component-first stacks; s = -h steps the same stacks backwards, which
+    integrates the reversed ODE.
+    """
     k1 = ma
-    k2 = mm @ (eye + (0.5 * s) * k1)
-    k3 = mm @ (eye + (0.5 * s) * k2)
-    k4 = mb @ (eye + s * k3)
-    return eye + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _mul(mm, _shift(k1, 0.5 * s))
+    k3 = _mul(mm, _shift(k2, 0.5 * s))
+    k4 = _mul(mb, _shift(k3, s))
+    return _shift(k1 + 2.0 * k2 + 2.0 * k3 + k4, s / 6.0)
 
 
 def _wang_mats(w, wz, uval) -> tuple[np.ndarray, np.ndarray]:
-    """d/dx and d/dy coefficient matrices for the stacked (f, f_z, f_zbar)."""
+    """d/dx and d/dy coefficient planes (3, 3, ...) for the stacked (f, f_z, f_zbar).
+
+    The frame system reads d/dz = A, d/dzbar = B with
+    A = [[0, 1, 0], [0, w_z, U e^{-w}], [e^w/2, 0, 0]] and
+    B = [[0, 0, 1], [e^w/2, 0, 0], [0, conj(U) e^{-w}, conj(w_z)]],
+    so d/dx = A + B and d/dy = i (A - B).
+    """
     shape = np.shape(w)
-    A = np.zeros(shape + (3, 3), dtype=complex)
-    B = np.zeros(shape + (3, 3), dtype=complex)
+    mx = np.zeros((3, 3) + shape, dtype=complex)
+    my = np.zeros((3, 3) + shape, dtype=complex)
     half_ew = 0.5 * np.exp(w)
     ue = uval * np.exp(-w)
-    A[..., 0, 1] = 1.0
-    A[..., 1, 1] = wz
-    A[..., 1, 2] = ue
-    A[..., 2, 0] = half_ew
-    B[..., 0, 2] = 1.0
-    B[..., 1, 0] = half_ew
-    B[..., 2, 1] = np.conj(ue)
-    B[..., 2, 2] = np.conj(wz)
-    return A + B, 1j * (A - B)
+    cue = np.conj(ue)
+    cwz = np.conj(wz)
+    mx[0, 1] = 1.0
+    mx[0, 2] = 1.0
+    mx[1, 0] = half_ew
+    mx[1, 1] = wz
+    mx[1, 2] = ue
+    mx[2, 0] = half_ew
+    mx[2, 1] = cue
+    mx[2, 2] = cwz
+    my[0, 1] = 1j
+    my[0, 2] = -1j
+    my[1, 0] = -1j * half_ew
+    my[1, 1] = 1j * wz
+    my[1, 2] = 1j * ue
+    my[2, 0] = 1j * half_ew
+    my[2, 1] = -1j * cue
+    my[2, 2] = -1j * cwz
+    return mx, my
 
 
 def _cmc_mats(w, wx, wy, qval) -> tuple[np.ndarray, np.ndarray]:
-    """d/dx and d/dy matrices for the stacked (f, f_x, f_y, N) in R^{2,1},
+    """d/dx and d/dy planes (4, 4, ...) for the stacked (f, f_x, f_y, N) in R^{2,1},
     written in the conformally rescaled frame (f, e^{-w}f_x, e^{-w}f_y, N).
 
     Second fundamental form b11 = e^{2w} + Re q, b22 = e^{2w} - Re q,
@@ -218,27 +300,31 @@ def _cmc_mats(w, wx, wy, qval) -> tuple[np.ndarray, np.ndarray]:
     be1 = ew + qval.real * emw  # b11 e^{-w}
     be2 = -qval.imag * emw     # b12 e^{-w}
     be3 = ew - qval.real * emw  # b22 e^{-w}
-    Cx = np.zeros(shape + (4, 4), dtype=float)
-    Cy = np.zeros(shape + (4, 4), dtype=float)
-    Cx[..., 0, 1] = ew
-    Cx[..., 1, 2] = -wy
-    Cx[..., 1, 3] = -be1
-    Cx[..., 2, 1] = wy
-    Cx[..., 2, 3] = -be2
-    Cx[..., 3, 1] = -be1
-    Cx[..., 3, 2] = -be2
-    Cy[..., 0, 2] = ew
-    Cy[..., 1, 2] = wx
-    Cy[..., 1, 3] = -be2
-    Cy[..., 2, 1] = -wx
-    Cy[..., 2, 3] = -be3
-    Cy[..., 3, 1] = -be2
-    Cy[..., 3, 2] = -be3
+    Cx = np.zeros((4, 4) + shape, dtype=float)
+    Cy = np.zeros((4, 4) + shape, dtype=float)
+    Cx[0, 1] = ew
+    Cx[1, 2] = -wy
+    Cx[1, 3] = -be1
+    Cx[2, 1] = wy
+    Cx[2, 3] = -be2
+    Cx[3, 1] = -be1
+    Cx[3, 2] = -be2
+    Cy[0, 2] = ew
+    Cy[1, 2] = wx
+    Cy[1, 3] = -be2
+    Cy[2, 1] = -wx
+    Cy[2, 3] = -be3
+    Cy[3, 1] = -be2
+    Cy[3, 2] = -be3
     return Cx, Cy
 
 
 def _edge_transfers(sol: NormalizedSolution):
-    """Forward and reverse RK4 transfer matrices for every grid edge."""
+    """Forward and reverse RK4 transfers for every grid edge, as (d, d, ...) planes.
+
+    tx and tx_rev are (d, d, n-1, n): edge (i, j) -> (i+1, j) and back;
+    ty and ty_rev are (d, d, n, n-1): edge (i, j) -> (i, j+1) and back.
+    """
     dom = sol.domain
     h = dom.h
     w = sol.w
@@ -273,10 +359,12 @@ def _edge_transfers(sol: NormalizedSolution):
             0.5 * (wy[:, :-1] + wy[:, 1:]),
             qmy,
         )
-    tx = _rk4_transfer(mx[:-1, :], mmx, mx[1:, :], h)
-    tx_rev = _rk4_transfer(-mx[1:, :], -mmx, -mx[:-1, :], h)
-    ty = _rk4_transfer(my[:, :-1], mmy, my[:, 1:], h)
-    ty_rev = _rk4_transfer(-my[:, 1:], -mmy, -my[:, :-1], h)
+    fwd = partial(_rk4_transfer, s=h)
+    rev = partial(_rk4_transfer, s=-h)
+    tx = _by_rows(fwd, mx[:, :, :-1], mmx, mx[:, :, 1:])
+    tx_rev = _by_rows(rev, mx[:, :, 1:], mmx, mx[:, :, :-1])
+    ty = _by_rows(fwd, my[..., :-1], mmy, my[..., 1:])
+    ty_rev = _by_rows(rev, my[..., 1:], mmy, my[..., :-1])
     return tx, tx_rev, ty, ty_rev
 
 
@@ -295,19 +383,20 @@ class DevelopedSurface:
 
 
 def _sweep(transfers, s0: np.ndarray, n: int) -> np.ndarray:
+    """Frames on the fill tree, returned in the (n, n, rows, 3) layout."""
     tx, tx_rev, ty, ty_rev = transfers
-    S = np.zeros((n, n) + s0.shape, dtype=s0.dtype)
+    S = np.zeros(s0.shape + (n, n), dtype=s0.dtype)
     c = (n - 1) // 2
-    S[c, c] = s0
+    S[:, :, c, c] = s0
     for i in range(c, n - 1):
-        S[i + 1, c] = tx[i, c] @ S[i, c]
+        S[:, :, i + 1, c] = _mul(tx[:, :, i, c], S[:, :, i, c])
     for i in range(c - 1, -1, -1):
-        S[i, c] = tx_rev[i, c] @ S[i + 1, c]
+        S[:, :, i, c] = _mul(tx_rev[:, :, i, c], S[:, :, i + 1, c])
     for j in range(c, n - 1):
-        S[:, j + 1] = np.matmul(ty[:, j], S[:, j])
+        S[..., j + 1] = _mul(ty[..., j], S[..., j])
     for j in range(c - 1, -1, -1):
-        S[:, j] = np.matmul(ty_rev[:, j], S[:, j + 1])
-    return S
+        S[..., j] = _mul(ty_rev[..., j], S[..., j + 1])
+    return np.ascontiguousarray(S.transpose(2, 3, 0, 1))
 
 
 def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
@@ -335,7 +424,7 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
         ],
         dtype=complex,
     )
-    S = _sweep(_edge_transfers(sol), s0, n)
+    S = _sweep(sol.transfers, s0, n)
     if not np.all(np.isfinite(S.view(float))):
         raise ArithmeticError("frame propagation produced non-finite values")
     imag_max = float(np.max(np.abs(S[:, :, 0, :].imag)))
@@ -366,7 +455,7 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
         raise ValueError("w does not solve the harmonic-map equation closely enough")
     n = sol.domain.n
     s0 = np.eye(4, 3, k=-1, dtype=float)  # f = 0, e1, e2, N at the origin
-    S = _sweep(_edge_transfers(sol), s0, n)
+    S = _sweep(sol.transfers, s0, n)
     if not np.all(np.isfinite(S)):
         raise ArithmeticError("frame propagation produced non-finite values")
     ew = np.exp(sol.w)
@@ -380,6 +469,11 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
     return surf, N
 
 
+def _loop_defect(down, left, up, right, S):
+    """(I - loop) S for the plaquette loop right, up, left, down from the corner."""
+    return _mul(_shift(_mul(_mul(_mul(down, left), up), right), -1.0), S)
+
+
 def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float:
     """Worst relative frame mismatch around an elementary plaquette.
 
@@ -389,18 +483,19 @@ def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float
     max-norms.  Plaquettes touching the region rim are excluded: the rim's
     one-sided gradient stencils would otherwise dominate the measurement.
     """
-    tx, tx_rev, ty, ty_rev = _edge_transfers(sol)
-    loop = ty_rev[:-1, :] @ tx_rev[:, 1:] @ ty[1:, :] @ tx[:, :-1]
+    tx, tx_rev, ty, ty_rev = sol.transfers
     frames = surface.frames
     if sol.mode is SurfaceMode.HARMONIC_K2:
         frames = frames.copy()
         emw = np.exp(-sol.w)
         frames[:, :, 1, :] *= emw[:, :, None]  # transfers act on the rescaled frame
         frames[:, :, 2, :] *= emw[:, :, None]
-    S = frames[:-1, :-1]
-    delta = (loop - np.eye(loop.shape[-1], dtype=loop.dtype)) @ S
-    num = np.max(np.abs(delta), axis=(-2, -1))
-    den = np.max(np.abs(S), axis=(-2, -1))
+    S = frames.transpose(2, 3, 0, 1)[..., :-1, :-1]
+    delta = _by_rows(
+        _loop_defect, ty_rev[..., :-1, :], tx_rev[..., 1:], ty[..., 1:, :], tx[..., :-1], S
+    )
+    num = np.max(np.abs(delta), axis=(0, 1))
+    den = np.max(np.abs(S), axis=(0, 1))
     rel = num / den
     if rel.shape[0] > 2:
         rel = rel[1:-1, 1:-1]

@@ -129,6 +129,82 @@ def test_corrupted_solution_flags_holonomy(wang_z_family):
     assert dev.holonomy_defect(st.surface, broken) > 1e-2
 
 
+def test_transfers_built_once_per_solution(wang_z_family, monkeypatch):
+    st = wang_z_family[161]
+    calls = []
+    build = dev._edge_transfers
+
+    def counted(sol):
+        calls.append(sol)
+        return build(sol)
+
+    monkeypatch.setattr(dev, "_edge_transfers", counted)
+    sol = dev.NormalizedSolution(st.sol.mode, st.sol.differential, st.sol.domain, st.sol.w)
+    surf = dev.develop_affine_sphere(sol)
+    assert dev.holonomy_defect(surf, sol) == pytest.approx(st.defect, rel=1e-12)
+    assert len(calls) == 1 and calls[0] is sol
+    dom = sol.domain
+    bump = 0.1 * np.exp(-np.abs(dom.zz()) ** 2 / (2 * 0.05**2))
+    broken = dev.NormalizedSolution(sol.mode, sol.differential, dom, sol.w + bump)
+    assert dev.holonomy_defect(surf, broken) > 1e-2
+    assert len(calls) == 2 and calls[1] is broken
+
+
+def _plane(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+def _matmul_planes(a, b):
+    """Reference product through np.matmul on the (..., d, d) layout."""
+    prod = np.matmul(np.moveaxis(a, (0, 1), (-2, -1)), np.moveaxis(b, (0, 1), (-2, -1)))
+    return np.moveaxis(prod, (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("d, dtype", [(3, complex), (4, float)])
+def test_plane_product_matches_matmul(d, dtype):
+    rng = np.random.default_rng(7)
+    shapes = [
+        ((d, d, 5, 6), (d, d, 5, 6)),  # full grid stacks (transfers, holonomy loop)
+        ((d, d, 7), (d, 3, 7)),        # one column of transfers times one column of frames
+        ((d, d), (d, 3)),              # one node on the axis walk
+    ]
+    for sa, sb in shapes:
+        a, b = _plane(rng, sa, dtype), _plane(rng, sb, dtype)
+        got = dev._mul(a, b)
+        want = _matmul_planes(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _small_grid_mats(mode):
+    dom = GridDomain(1.0, 9)
+    zz = dom.zz()
+    w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
+    wx, wy = dev._grad(dom, w)
+    val = (0.5 + 0.25j) + zz * (1.0 - 0.5j)
+    if mode is WANG:
+        return dom.h, dev._wang_mats(w, 0.5 * (wx - 1j * wy), val)
+    return dom.h, dev._cmc_mats(w, wx, wy, val)
+
+
+@pytest.mark.parametrize("mode", [WANG, HARMONIC])
+def test_reverse_transfer_is_a_backward_step(mode):
+    # stepping the unnegated stacks with s = -h is the reversed ODE with
+    # negated coefficients, bit for bit
+    h, (mx, my) = _small_grid_mats(mode)
+    for ma, mm, mb in (
+        (mx[:, :, :-1], 0.5 * (mx[:, :, :-1] + mx[:, :, 1:]), mx[:, :, 1:]),
+        (my[..., :-1], 0.5 * (my[..., :-1] + my[..., 1:]), my[..., 1:]),
+    ):
+        back = dev._rk4_transfer(mb, mm, ma, -h)
+        negated = dev._rk4_transfer(-mb, -mm, -ma, h)
+        assert np.array_equal(back, negated)
+        assert not np.array_equal(back, dev._rk4_transfer(ma, mm, mb, h))
+
+
 def test_minkowski_product_signature():
     e1 = np.array([1.0, 0.0, 0.0])
     e3 = np.array([0.0, 0.0, 1.0])
