@@ -7,7 +7,7 @@ curvature spacelike surfaces in Minkowski 3-space (k=2).
 """
 
 from .entire import EntireFunction
-from .grid import GridDomain, ScalarField, VortexProblem
+from .grid import GridDomain, VortexProblem
 from .solve import solve_complete, solve_newton, monotone_solve, two_solutions
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EntireFunction",
     "GridDomain",
-    "ScalarField",
     "VortexProblem",
     "solve_complete",
     "solve_newton",

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .entire import EntireFunction
-from .grid import GridDomain, VortexProblem, write_field_csv
+from .grid import GridDomain, VortexProblem, read_field_csv, write_field_csv
 from . import solve as solver
 from . import invariants as verify
 from . import surfaces as develop
@@ -153,33 +153,17 @@ def _problem(cfg: dict) -> tuple[VortexProblem, EntireFunction]:
 
 def _solve_report_json(rep) -> dict:
     """Pinned report schema shared by all solve branches."""
-    out = {
-        "iterations": 0,
+    ladder = isinstance(rep, solver.ContinuationReport)
+    newton = rep.newton if ladder else rep
+    return {
+        "iterations": newton.iterations,
         "converged": True,
-        "final_residual": None,
-        "residual_history": [],
-        "boundary_kind": None,
+        "final_residual": newton.residual,
+        "residual_history": list(newton.residual_history),
+        "boundary_kind": newton.boundary_kind,
         "monotone_violations": 0,
-        "continuation_trace": [],
+        "continuation_trace": [dict(entry) for entry in rep.trace] if ladder else [],
     }
-    if isinstance(rep, solver.ContinuationReport):
-        out["iterations"] = rep.newton.iterations
-        out["final_residual"] = rep.newton.residual
-        out["residual_history"] = list(rep.newton.residual_history)
-        out["boundary_kind"] = rep.newton.boundary_kind
-        out["continuation_trace"] = [dict(entry) for entry in rep.trace]
-    elif isinstance(rep, solver.MonotoneReport):
-        out["iterations"] = rep.iterations
-        out["final_residual"] = rep.residual
-        out["residual_history"] = list(rep.residual_history)
-        out["boundary_kind"] = rep.boundary_kind
-        out["monotone_violations"] = rep.band_violations
-    elif rep is not None:  # NewtonReport
-        out["iterations"] = rep.iterations
-        out["final_residual"] = rep.residual
-        out["residual_history"] = list(rep.residual_history)
-        out["boundary_kind"] = rep.boundary_kind
-    return out
 
 
 def _json_default(obj):
@@ -248,6 +232,7 @@ class _Run:
         dom = prob.domain
         fields = [("complete", self.w_complete), ("incomplete", self.w_incomplete)]
         fields = [(tag, w) for tag, w in fields if w is not None]
+        profiles = {}
         for tag, w in fields:
             sub = verify.subunity_check(w, prob)
             sub.name = "subunity_%s" % tag
@@ -271,7 +256,7 @@ class _Run:
             )
             if not diag.identity_passed:
                 self.failures.append("identity_%s" % tag)
-            profiles = verify.completeness_probe(dom, w, thetas=RAY_ANGLES)
+            profiles[tag] = verify.completeness_probe(dom, w, thetas=RAY_ANGLES)
             self.rays[tag] = [
                 {
                     "theta": p.theta,
@@ -279,7 +264,7 @@ class _Run:
                     "verdict": p.verdict,
                     "limit_estimate": p.limit_estimate,
                 }
-                for p in profiles
+                for p in profiles[tag]
             ]
         if self.w_complete is not None:
             delta = float(self.tol.get("no_gap_delta", 0.5))
@@ -287,9 +272,8 @@ class _Run:
             self._record(gap)
         if self.w_complete is not None and self.w_incomplete is not None:
             self._record(verify.ordering_check(self.w_complete, self.w_incomplete, dom))
-        primary = self.w_complete if self.w_complete is not None else self.w_incomplete
-        profiles = verify.completeness_probe(dom, primary, thetas=RAY_ANGLES)
-        verify.write_rays_csv(self.path("rays.csv"), profiles)
+        # rays.csv holds the rays of the primary (complete if solved) field
+        verify.write_rays_csv(self.path("rays.csv"), profiles[fields[0][0]])
 
     def develop(self) -> None:
         mode = develop.SurfaceMode(self.cfg["mode"])
@@ -392,16 +376,13 @@ def compare(cfg_a: dict, cfg_b: dict) -> int:
         raise ConfigError("compare needs identical phi and k")
     runs = []
     for cfg in (cfg_a, cfg_b):
-        problem, _ = _problem(cfg)
-        if "solve-incomplete" in cfg["pipeline"] and "solve-complete" not in cfg["pipeline"]:
-            boundary = solver.make_boundary_subsolution(problem)
-            w0 = solver.profile_field(problem, clip=solver.PROFILE_CLIP)
-            w, _rep = solver.solve_newton(problem, w0, boundary)
-            branch = "incomplete"
-        else:
-            w, _rep = solver.solve_complete(problem)
-            branch = "complete"
-        runs.append((problem.domain, w, branch))
+        status = run(cfg)
+        if status != EXIT_OK:
+            return status
+        solved = {"solve-complete", "two-solutions"} & set(cfg["pipeline"])
+        branch = "complete" if solved else "incomplete"
+        dom, w = read_field_csv(os.path.join(cfg["output_dir"], "w_%s.csv" % branch))
+        runs.append((dom, w, branch))
     (dom_a, wa, br_a), (dom_b, wb, br_b) = runs
     if abs(dom_a.h - dom_b.h) > 1e-12 * max(dom_a.h, dom_b.h):
         raise ConfigError("compare needs matching grid spacing (got h=%g vs %g)" % (dom_a.h, dom_b.h))

@@ -13,7 +13,6 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,51 +87,28 @@ class GridDomain:
         return sub, np.array(values[sl, sl])
 
 
-@dataclass
-class ScalarField:
-    """A real field on a grid, finite everywhere by construction."""
-
-    domain: GridDomain
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.domain.n, self.domain.n):
-            raise ValueError("field shape does not match the grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-    def bilinear(self, xs, ys) -> np.ndarray:
-        """Bilinear interpolation at points inside the square."""
-        d = self.domain
-        gx = (np.asarray(xs, dtype=float) + d.R) / d.h
-        gy = (np.asarray(ys, dtype=float) + d.R) / d.h
-        i0 = np.clip(np.floor(gx).astype(int), 0, d.n - 2)
-        j0 = np.clip(np.floor(gy).astype(int), 0, d.n - 2)
-        t = gx - i0
-        u = gy - j0
-        v = self.values
-        return (
-            (1 - t) * (1 - u) * v[i0, j0]
-            + t * (1 - u) * v[i0 + 1, j0]
-            + (1 - t) * u * v[i0, j0 + 1]
-            + t * u * v[i0 + 1, j0 + 1]
-        )
-
-
 def interior_max_norm(domain: GridDomain, values: np.ndarray) -> float:
     """Max absolute value over interior nodes."""
     return float(np.max(np.abs(values[1:-1, 1:-1])))
 
 
+def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
+    """Text table: an optional header line, then one line fmt % row per row.
+
+    Row r holds entry r of every column, each column taken in C order
+    (``.ravel()``).  The CSV artifacts end their lines in CRLF, the default;
+    mode "a" appends a second table to the same file.
+    """
+    rows = zip(*(np.asarray(c).ravel().tolist() for c in columns))
+    with open(path, mode, newline="") as fh:
+        if header is not None:
+            fh.write(header + newline)
+        fh.writelines(fmt % row + newline for row in rows)
+
+
 def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:
-    ax = ["%.17g" % t for t in domain.axis]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["x", "y", "value"])
-        for i in range(domain.n):
-            for j in range(domain.n):
-                out.writerow([ax[i], ax[j], "%.17g" % values[i, j]])
+    x, y = np.meshgrid(domain.axis, domain.axis, indexing="ij")
+    write_table(path, "x,y,value", "%.17g,%.17g,%.17g", (x, y, values))
 
 
 def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:

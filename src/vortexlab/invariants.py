@@ -12,12 +12,11 @@ sigma = log h, and eta = w1 - w2 for solution pairs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .grid import GridDomain, ScalarField, VortexProblem
+from .grid import GridDomain, VortexProblem, write_table
 
 EPS_RAY = 1e-3
 
@@ -191,6 +190,23 @@ def diagnostics(
 # completeness probes along rays
 
 
+def _bilinear(domain: GridDomain, values: np.ndarray, xs, ys) -> np.ndarray:
+    """Bilinear interpolation of a nodal field at points inside the square."""
+    gx = (np.asarray(xs, dtype=float) + domain.R) / domain.h
+    gy = (np.asarray(ys, dtype=float) + domain.R) / domain.h
+    i0 = np.clip(np.floor(gx).astype(int), 0, domain.n - 2)
+    j0 = np.clip(np.floor(gy).astype(int), 0, domain.n - 2)
+    t = gx - i0
+    u = gy - j0
+    v = values
+    return (
+        (1 - t) * (1 - u) * v[i0, j0]
+        + t * (1 - u) * v[i0 + 1, j0]
+        + (1 - t) * u * v[i0, j0 + 1]
+        + t * u * v[i0 + 1, j0 + 1]
+    )
+
+
 @dataclass
 class RayProfile:
     theta: float
@@ -222,7 +238,9 @@ def completeness_probe(
     exponential type it recovers the infinite-ray length from a modest
     domain.
     """
-    fld = ScalarField(domain, w)
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("field contains non-finite entries")
     n = domain.n
     step = 0.5 * domain.h
     r = step * np.arange(n)
@@ -233,7 +251,7 @@ def completeness_probe(
     for theta in thetas:
         xs = r * np.cos(theta)
         ys = r * np.sin(theta)
-        g = np.exp(0.5 * fld.bilinear(xs, ys))
+        g = np.exp(0.5 * _bilinear(domain, w, xs, ys))
         length = np.concatenate([[0.0], np.cumsum(0.5 * step * (g[1:] + g[:-1]))])
         d_last = float(length[-1] - length[j_half])
         d_prev = float(length[j_half] - length[j_quarter])
@@ -254,10 +272,7 @@ def completeness_probe(
 
 
 def write_rays_csv(path, profiles: list[RayProfile]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["theta", "r", "length"])
-        for p in profiles:
-            th = "%.17g" % p.theta
-            for rv, lv in zip(p.r, p.length):
-                out.writerow([th, "%.17g" % rv, "%.17g" % lv])
+    theta = np.repeat([p.theta for p in profiles], [p.r.size for p in profiles])
+    write_table(path, "theta,r,length", "%.17g,%.17g,%.17g",
+                (theta, np.concatenate([p.r for p in profiles]),
+                 np.concatenate([p.length for p in profiles])))

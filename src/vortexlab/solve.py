@@ -53,11 +53,10 @@ class BoundaryKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet ring data, either by formula (kind + M) or explicit values."""
+    """Dirichlet ring data by formula (kind + M); explicit rings are plain arrays."""
 
     kind: BoundaryKind
     M: float | None = None
-    values: np.ndarray | None = None
 
 
 def make_boundary_subsolution(problem: VortexProblem) -> BoundaryData:
@@ -92,11 +91,6 @@ def profile_field(problem: VortexProblem, clip: float | None = None) -> np.ndarr
 
 def materialize_boundary(problem: VortexProblem, bd: BoundaryData) -> np.ndarray:
     """Boundary data as a full grid array (only the ring is consumed)."""
-    if bd.kind is BoundaryKind.EXPLICIT:
-        vals = np.asarray(bd.values, dtype=float)
-        if vals.shape != (problem.domain.n, problem.domain.n):
-            raise ValueError("explicit boundary values must be a full grid array")
-        return np.array(vals)
     if bd.kind is BoundaryKind.COMPLETE_APPROX:
         return np.maximum(problem.profile(), 0.0) + bd.M
     vals = profile_field(problem, clip=PROFILE_CLIP)
@@ -171,7 +165,10 @@ STALE_CG_CAP = 60
 
 def _lu(A: sp.spmatrix):
     """Exact sparse LU of diag(D) - L: the one place that matrix is factored."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    try:
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except (RuntimeError, MemoryError) as exc:  # SuperLU could not allocate
+        raise ConvergenceError("sparse LU factorization failed: %s" % exc) from exc
 
 
 def _solve(A: sp.csc_matrix, b: np.ndarray, cache: _FactorCache, tol: float = 1e-10):

@@ -42,7 +42,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .entire import EntireFunction
-from .grid import GridDomain, VortexProblem
+from .grid import GridDomain, VortexProblem, write_table
 
 WANG_SHIFT = np.log(2.0)
 RESIDUAL_GATE = 1e-7
@@ -243,15 +243,16 @@ def _rk4_transfer(ma, mm, mb, s: float) -> np.ndarray:
     return _shift(k1 + 2.0 * k2 + 2.0 * k3 + k4, s / 6.0)
 
 
-def _wang_mats(w, wz, uval) -> tuple[np.ndarray, np.ndarray]:
+def _wang_mats(w, wx, wy, uval) -> tuple[np.ndarray, np.ndarray]:
     """d/dx and d/dy coefficient planes (3, 3, ...) for the stacked (f, f_z, f_zbar).
 
-    The frame system reads d/dz = A, d/dzbar = B with
+    With w_z = (w_x - i w_y)/2 the frame system reads d/dz = A, d/dzbar = B with
     A = [[0, 1, 0], [0, w_z, U e^{-w}], [e^w/2, 0, 0]] and
     B = [[0, 0, 1], [e^w/2, 0, 0], [0, conj(U) e^{-w}, conj(w_z)]],
     so d/dx = A + B and d/dy = i (A - B).
     """
     shape = np.shape(w)
+    wz = 0.5 * (wx - 1j * wy)
     mx = np.zeros((3, 3) + shape, dtype=complex)
     my = np.zeros((3, 3) + shape, dtype=complex)
     half_ew = 0.5 * np.exp(w)
@@ -327,38 +328,13 @@ def _edge_transfers(sol: NormalizedSolution):
     """
     dom = sol.domain
     h = dom.h
-    w = sol.w
     zz = dom.zz()
-    wx, wy = _grad(dom, w)
-    if sol.mode is SurfaceMode.WANG_K3:
-        wz = 0.5 * (wx - 1j * wy)
-        un = sol.differential.eval(zz)
-        mx, my = _wang_mats(w, wz, un)
-        umx = sol.differential.eval(zz[:-1, :] + 0.5 * h)
-        umy = sol.differential.eval(zz[:, :-1] + 0.5j * h)
-        mmx, _ = _wang_mats(
-            0.5 * (w[:-1, :] + w[1:, :]), 0.5 * (wz[:-1, :] + wz[1:, :]), umx
-        )
-        _, mmy = _wang_mats(
-            0.5 * (w[:, :-1] + w[:, 1:]), 0.5 * (wz[:, :-1] + wz[:, 1:]), umy
-        )
-    else:
-        qn = sol.differential.eval(zz)
-        mx, my = _cmc_mats(w, wx, wy, qn)
-        qmx = sol.differential.eval(zz[:-1, :] + 0.5 * h)
-        qmy = sol.differential.eval(zz[:, :-1] + 0.5j * h)
-        mmx, _ = _cmc_mats(
-            0.5 * (w[:-1, :] + w[1:, :]),
-            0.5 * (wx[:-1, :] + wx[1:, :]),
-            0.5 * (wy[:-1, :] + wy[1:, :]),
-            qmx,
-        )
-        _, mmy = _cmc_mats(
-            0.5 * (w[:, :-1] + w[:, 1:]),
-            0.5 * (wx[:, :-1] + wx[:, 1:]),
-            0.5 * (wy[:, :-1] + wy[:, 1:]),
-            qmy,
-        )
+    ev = sol.differential.eval
+    mats = _wang_mats if sol.mode is SurfaceMode.WANG_K3 else _cmc_mats
+    fields = (sol.w,) + _grad(dom, sol.w)
+    mx, my = mats(*fields, ev(zz))
+    mmx, _ = mats(*(0.5 * (f[:-1, :] + f[1:, :]) for f in fields), ev(zz[:-1, :] + 0.5 * h))
+    _, mmy = mats(*(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields), ev(zz[:, :-1] + 0.5j * h))
     fwd = partial(_rk4_transfer, s=h)
     rev = partial(_rk4_transfer, s=-h)
     tx = _by_rows(fwd, mx[:, :, :-1], mmx, mx[:, :, 1:])
@@ -525,37 +501,14 @@ def export_mesh(surface: DevelopedSurface, path) -> None:
     if not np.all(np.isfinite(P)):
         raise ValueError("cannot export non-finite positions")
     n = surface.domain.n
-    lines = []
-    for i in range(n):
-        for j in range(n):
-            lines.append("v %.9g %.9g %.9g" % (P[i, j, 0], P[i, j, 1], P[i, j, 2]))
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a = i * n + j + 1
-            b = (i + 1) * n + j + 1
-            cc = (i + 1) * n + j + 2
-            d = i * n + j + 2
-            lines.append("f %d %d %d" % (a, b, cc))
-            lines.append("f %d %d %d" % (a, cc, d))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, None, "v %.9g %.9g %.9g", np.moveaxis(P, -1, 0), "\n")
+    idx = np.arange(1, n * n + 1).reshape(n, n)
+    a, b, cc, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    tris = np.stack([np.stack([a, b, cc], axis=-1), np.stack([a, cc, d], axis=-1)], axis=-2)
+    write_table(path, None, "f %d %d %d", np.moveaxis(tris, -1, 0), "\n", mode="a")
 
 
 def write_gauss_csv(path, domain: GridDomain, normals: np.ndarray) -> None:
-    import csv
-
-    ax = ["%.17g" % t for t in domain.axis]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["x", "y", "N1", "N2", "N3"])
-        for i in range(domain.n):
-            for j in range(domain.n):
-                out.writerow(
-                    [
-                        ax[i],
-                        ax[j],
-                        "%.17g" % normals[i, j, 0],
-                        "%.17g" % normals[i, j, 1],
-                        "%.17g" % normals[i, j, 2],
-                    ]
-                )
+    x, y = np.meshgrid(domain.axis, domain.axis, indexing="ij")
+    write_table(path, "x,y,N1,N2,N3", "%.17g,%.17g,%.17g,%.17g,%.17g",
+                (x, y, normals[..., 0], normals[..., 1], normals[..., 2]))

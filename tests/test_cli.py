@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vortexlab import cli
+from vortexlab import solve as solver
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
@@ -174,6 +175,29 @@ def test_compare_requires_matching_phi(tmp_path):
     a = make_cfg(tmp_path, name="a.json", out="a")
     b = make_cfg(tmp_path, name="b.json", out="b", p=((3.0, 0.0),))
     assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG
+
+
+def test_compare_returns_the_failed_run_status(tmp_path, capsys):
+    # the zero of phi at 3.95 sits within 2h of the ring, a precondition of
+    # the incomplete branch: compare stops at that run and returns its status
+    kw = dict(p=((-3.95, 0.0), (1.0, 0.0)), pipeline=("solve-incomplete",))
+    a = make_cfg(tmp_path, name="a.json", out="a", **kw)
+    b = make_cfg(tmp_path, name="b.json", out="b", **kw)
+    assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+def test_failed_lu_allocation_is_a_solver_failure(tmp_path, monkeypatch, error):
+    # SuperLU raises either, depending on which of its buffers it cannot allocate
+    def no_memory(*args, **kwargs):
+        raise error("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+    monkeypatch.setattr(solver, "splu", no_memory)
+    assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == cli.EXIT_SOLVER
+    assert "SUPERLU_MALLOC" in report["error"]
 
 
 def test_geometric_run_exports_surface(tmp_path):

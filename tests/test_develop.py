@@ -186,7 +186,7 @@ def _small_grid_mats(mode):
     wx, wy = dev._grad(dom, w)
     val = (0.5 + 0.25j) + zz * (1.0 - 0.5j)
     if mode is WANG:
-        return dom.h, dev._wang_mats(w, 0.5 * (wx - 1j * wy), val)
+        return dom.h, dev._wang_mats(w, wx, wy, val)
     return dom.h, dev._cmc_mats(w, wx, wy, val)
 
 
