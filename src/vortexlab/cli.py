@@ -157,6 +157,8 @@ def _solve_report_json(rep) -> dict:
     newton = rep.newton if ladder else rep
     return {
         "iterations": newton.iterations,
+        "cg_iterations": newton.cg_iterations,
+        "backtracks": newton.backtracks,
         "converged": True,
         "final_residual": newton.residual,
         "residual_history": list(newton.residual_history),
@@ -319,7 +321,6 @@ class _Run:
                 "versions": {
                     "vortexlab": __version__,
                     "numpy": np.__version__,
-                    "scipy": __import__("scipy").__version__,
                     "python": "%d.%d.%d" % sys.version_info[:3],
                 },
                 "reports": self.reports,

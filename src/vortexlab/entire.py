@@ -101,8 +101,6 @@ class EntireFunction:
         for _ in range(max_iter):
             pz = npoly.polyval(z, monic)
             ok = np.abs(pz) <= tol * (1.0 + np.abs(z)) ** d
-            if np.all(ok):
-                break
             dpz = npoly.polyval(z, dmonic)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = pz / dpz
@@ -110,6 +108,11 @@ class EntireFunction:
                 np.fill_diagonal(pair, np.inf)
                 repel = np.sum(1.0 / pair, axis=1)
                 corr = newton / (1.0 - newton * repel)
+            if np.all(ok):
+                # the residual target still admits root errors near 1e-8 on
+                # simple roots; one more step on every root squares them
+                z = z - np.where(np.isfinite(corr), corr, 0.0)
+                break
             corr = np.where(np.isfinite(corr), corr, 0.05 * radius * np.exp(1j * ang))
             z = z - np.where(ok, 0.0, corr)
         if not np.all(ok):

@@ -3,8 +3,8 @@
 Two routes to a solution, used in complementary roles:
 
 * a damped Newton iteration (authoritative): fast, quadratic near the
-  solution, inner linear systems solved by a sparse LU that later steps
-  reuse as a CG preconditioner;
+  solution, inner linear systems solved matrix-free by conjugate gradients
+  preconditioned by one geometric multigrid V-cycle;
 * a monotone fixed-point iteration (certifying): started from the
   supersolution end of an ordered band [w_minus, w_plus] it descends
   one-sidedly, so it cross-checks the Newton answer on cases where a band
@@ -12,7 +12,9 @@ Two routes to a solution, used in complementary roles:
 
 The discrete Jacobian L - diag(F') is negative definite because F' > 0
 everywhere, so the discrete Dirichlet problem has exactly one solution and
-both routes must agree.
+both routes must agree.  The same symmetry and positivity make the linear
+systems of both routes, diag(D) - L with D > 0, fit for CG, and multigrid
+keeps the CG iteration count independent of the grid size.
 
 Complete solutions are reached by continuation in the boundary height: solve
 with ring data max(profile, 0) + M for a ladder of M values and stop when the
@@ -24,13 +26,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .grid import GridDomain, VortexProblem, interior_max_norm
+from .grid import VortexProblem, interior_max_norm
 
 TOL_NEWTON = 1e-10
 TOL_MONOTONE = 1e-9
@@ -106,27 +105,6 @@ def _as_boundary_array(problem: VortexProblem, boundary) -> tuple[np.ndarray, st
     return np.asarray(boundary, dtype=float), BoundaryKind.EXPLICIT.value
 
 
-@lru_cache(maxsize=8)
-def interior_operator(domain: GridDomain) -> sp.csc_matrix:
-    """5-point Laplacian on interior nodes, x-major ordering."""
-    m = domain.n - 2
-    ones = np.ones(m)
-    T = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], [-1, 0, 1], format="csr")
-    eye = sp.identity(m, format="csr")
-    L = (sp.kron(T, eye) + sp.kron(eye, T)) / domain.h**2
-    return L.tocsc()
-
-
-def _ring_term(domain: GridDomain, boundary: np.ndarray) -> np.ndarray:
-    """Coupling of the interior equations to the Dirichlet ring, flattened."""
-    b = np.zeros((domain.n, domain.n))
-    b[0, :] = boundary[0, :]
-    b[-1, :] = boundary[-1, :]
-    b[:, 0] = boundary[:, 0]
-    b[:, -1] = boundary[:, -1]
-    return domain.laplacian(b)[1:-1, 1:-1].ravel()
-
-
 def _set_ring(w: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     w[0, :] = boundary[0, :]
     w[-1, :] = boundary[-1, :]
@@ -136,7 +114,15 @@ def _set_ring(w: np.ndarray, boundary: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra helpers
+# linear algebra: (diag(D) - L) x = b by CG, preconditioned by multigrid
+#
+# L is the 5-point Laplacian under zero Dirichlet data.  Nothing is
+# assembled: vectors are full (n, n) grids whose ring is zero.  No BLAS or
+# LAPACK routine is called and every sum is a fixed-order numpy reduction, so
+# results do not depend on the BLAS thread count.
+
+# a PCG solve that has not converged after this many V-cycles raises
+MAX_PCG = 100
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,68 +131,215 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-class _FactorCache:
-    """Holds the last LU factor so successive Newton steps can share it.
+# Stencils work on the flattened grid: node (i, j) is flat index k = i n + j,
+# its neighbours are k +- 1 and k +- n, and every node from k = n + 1 to
+# n^2 - n - 2 is interior except those in the ring columns.  With n odd (true
+# of every level that is smoothed, since only those are coarsened), k has the
+# parity of i + j, so a red-black color is every second flat index.  Flat
+# slices are contiguous or evenly strided, which numpy runs several times
+# faster than the 2-D interior view.
 
-    The Jacobian diagonal drifts slowly along a Newton path (and along the
-    continuation ladder), so a stale factor still preconditions CG well;
-    refactoring only when that CG stalls saves most of the factor time.
+
+def _apply(diag: np.ndarray, h: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (diag(D) - L) u, given diag = D + 4/h^2; u and out zero on the ring.
+
+    Hot-path arrays are written in place: under glibc's default heap
+    trimming, two fresh full-grid temporaries alive at once cost page faults
+    on every call.
+    """
+    n = len(u)
+    m = n * n
+    uf = u.ravel()
+    o = out.ravel()[n + 1 : m - n - 1]
+    np.add(uf[n : m - n - 2], uf[n + 2 : m - n], out=o)
+    o += uf[1 : m - 2 * n - 1]
+    o += uf[2 * n + 1 : m - 1]
+    o /= -(h**2)
+    o += diag.ravel()[n + 1 : m - n - 1] * uf[n + 1 : m - n - 1]
+    out[:, 0] = out[:, -1] = 0.0
+    return out
+
+
+def _relax(u: np.ndarray, r: np.ndarray, inv: np.ndarray, h: float, color: int) -> None:
+    """Gauss-Seidel on the nodes with (i + j) % 2 == color, in place (n odd).
+
+    inv is 1 / (D + 4/h^2) inside and 0 on the ring, which keeps the ring 0.
+    Nodes of one color only see nodes of the other, so a color is one update.
+    """
+    n = len(u)
+    m = n * n
+    uf = u.ravel()
+    k = slice(n + 1 + color, m - n - 1, 2)
+    a, b = k.start, k.stop
+    nb = uf[a - 1 : b - 1 : 2] + uf[a + 1 : b + 1 : 2]
+    nb += uf[a - n : b - n : 2]
+    nb += uf[a + n : b + n : 2]
+    nb /= h**2
+    nb += r.ravel()[k]
+    nb *= inv.ravel()[k]
+    uf[k] = nb
+
+
+def _restrict(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Full weighting onto every second node, 1/4 of P^T; out's ring stays zero."""
+    n = len(f)
+    mid, lo, hi = slice(2, n - 2, 2), slice(1, n - 3, 2), slice(3, n - 1, 2)
+    t = f[lo, :] + f[hi, :]
+    t += f[mid, :]
+    t += f[mid, :]
+    c = out[1:-1, 1:-1]
+    np.add(t[:, lo], t[:, hi], out=c)
+    c += t[:, mid]
+    c += t[:, mid]
+    c /= 16.0
+    return out
+
+
+def _prolong_add(c: np.ndarray, u: np.ndarray) -> None:
+    """u += P c, the bilinear interpolation of c onto the grid of twice its resolution."""
+    u[::2, ::2] += c
+    t = c[:-1] + c[1:]
+    t *= 0.5
+    u[1::2, ::2] += t
+    t = c[:, :-1] + c[:, 1:]
+    t *= 0.5
+    u[::2, 1::2] += t
+    t = t[:-1] + t[1:]
+    t *= 0.5
+    u[1::2, 1::2] += t
+
+
+class _Level:
+    """Operator and work arrays of one multigrid level, all full grids."""
+
+    def __init__(self, D: np.ndarray, h: float):
+        self.h = h
+        self.diag = D + 4.0 / h**2
+        self.inv = np.zeros_like(D)
+        self.inv[1:-1, 1:-1] = 1.0 / self.diag[1:-1, 1:-1]
+        self.red_inv = self.inv.copy()  # the red half-sweep from u = 0
+        self.red_inv.ravel()[1::2] = 0.0
+        # iterate, residual and right-hand side; their rings stay zero
+        self.u, self.res, self.rhs = np.zeros((3,) + D.shape)
+
+
+class _Multigrid:
+    """One symmetric V(1,1) cycle for diag(D) - L: the CG preconditioner.
+
+    Red-then-black Gauss-Seidel before the coarse correction and
+    black-then-red after it, full weighting down and bilinear prolongation
+    up (restriction = P^T / 4), so the cycle is a symmetric operator.  Coarse
+    operators are rediscretized with 2h and the full-weighted D; grids are
+    coarsened while (n - 1) is even and n > 9 (201 -> 101 -> 51 -> 26), and
+    the coarsest is solved exactly by a block LDL^T over its grid lines.
     """
 
-    __slots__ = ("apply",)
+    def __init__(self, D: np.ndarray, h: float):
+        D = _set_ring(np.array(D, dtype=float), np.zeros_like(D))  # no unknowns there
+        self.levels = [_Level(D, h)]
+        while (len(D) - 1) % 2 == 0 and len(D) > 9:
+            D, h = _restrict(D, np.zeros(((len(D) + 1) // 2,) * 2)), 2.0 * h
+            self.levels.append(_Level(D, h))
+        self._coarse = _line_ldl(D, h)
 
-    def __init__(self):
-        self.apply = None
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The V-cycle applied to r (zero ring), as a new array."""
+        return self._cycle(0, r).copy()
+
+    def _cycle(self, k: int, r: np.ndarray) -> np.ndarray:
+        lv = self.levels[k]
+        if k == len(self.levels) - 1:
+            return _line_solve(self._coarse, lv.h, r)
+        u = np.multiply(r, lv.red_inv, out=lv.u)
+        _relax(u, r, lv.inv, lv.h, 1)
+        res = _apply(lv.diag, lv.h, u, lv.res)
+        np.subtract(r, res, out=res)
+        _prolong_add(self._cycle(k + 1, _restrict(res, self.levels[k + 1].rhs)), u)
+        _relax(u, r, lv.inv, lv.h, 1)
+        _relax(u, r, lv.inv, lv.h, 0)
+        return u
 
 
-# a stale factor gets this many CG iterations before a refactor
-STALE_CG_CAP = 60
+def _line_ldl(D: np.ndarray, h: float) -> list:
+    """Inverse pivot blocks P_i of diag(D) - L, one per interior grid line.
 
-
-def _lu(A: sp.spmatrix):
-    """Exact sparse LU of diag(D) - L: the one place that matrix is factored."""
-    try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except (RuntimeError, MemoryError) as exc:  # SuperLU could not allocate
-        raise ConvergenceError("sparse LU factorization failed: %s" % exc) from exc
-
-
-def _solve(A: sp.csc_matrix, b: np.ndarray, cache: _FactorCache, tol: float = 1e-10):
-    """Solve A x = b for the SPD A = diag(F') - L.
-
-    A factor cached by an earlier step preconditions CG for at most
-    STALE_CG_CAP iterations; if that does not reach tol * |b|, A is factored
-    afresh, the factor cached and x taken from the direct solve.
-    Returns (x, CG iterations spent).
+    Line i couples to lines i +- 1 only through -I/h^2, so the block LDL^T
+    pivots are S_1 = T_1 and S_i = T_i - P_{i-1}/h^4 with T_i the line's own
+    tridiagonal block; the coarsest grid is small, so each P_i is dense.
     """
-    atol = tol * np.sqrt(_dot(b, b))
-    it = 0
-    if cache.apply is not None and atol > 0.0:
-        x, it, ok = _cg_loop(A, b, cache.apply, atol, STALE_CG_CAP)
-        if ok:
-            return x, it
-    cache.apply = _lu(A).solve
-    return cache.apply(b), it
+    m = len(D) - 2
+    off = np.eye(m, k=1) + np.eye(m, k=-1)
+    blocks = []
+    prev = np.zeros((m, m))
+    for d in D[1:-1, 1:-1]:
+        prev = _spd_inverse(np.diag(d + 4.0 / h**2) - off / h**2 - prev / h**4)
+        blocks.append(prev)
+    return blocks
 
 
-def _cg_loop(A, b, apply_prec, atol: float, max_iter: int):
+def _spd_inverse(S: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix by Gauss-Jordan sweeps.
+
+    Elementwise numpy only: LAPACK's inverse rounds differently under other
+    BLAS thread counts once the matrix has about 100 rows.
+    """
+    A = np.array(S, dtype=float)
+    for k in range(len(A)):
+        a = A[k].copy()
+        col = a / a[k]
+        A -= col[:, None] * a
+        A[k] = A[:, k] = col
+        A[k, k] = -1.0 / a[k]
+    return -A
+
+
+def _line_solve(blocks: list, h: float, b: np.ndarray) -> np.ndarray:
+    """Exact solve with the factor of _line_ldl; fixed-order matrix-vector sums."""
     x = np.zeros_like(b)
+    u = []
+    y = np.zeros(len(blocks))
+    for P, bi in zip(blocks, b[1:-1, 1:-1]):
+        y = (P * (bi + y / h**2)).sum(axis=1)
+        u.append(y)
+    xi = np.zeros(len(blocks))
+    for i in range(len(blocks) - 1, -1, -1):
+        xi = u[i] + (blocks[i] * xi).sum(axis=1) / h**2
+        x[i + 1, 1:-1] = xi
+    return x
+
+
+def _pcg(mg: _Multigrid, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """Solve (diag(D) - L) x = b, D and h those of mg's finest level.
+
+    CG preconditioned by one V-cycle per iteration, stopped once the residual
+    is within tol * |b| (2-norms).  Returns (x, V-cycles spent); raises
+    ConvergenceError after MAX_PCG iterations.
+    """
+    fine = mg.levels[0]
+    x = np.zeros_like(b)
+    atol = tol * np.sqrt(_dot(b, b))
+    if atol == 0.0:
+        return x, 0
     r = b.copy()
-    z = apply_prec(r)
-    p = z.copy()
+    z = mg(r)
+    p = z
+    Ap = np.zeros_like(b)
     rz = _dot(r, z)
-    for it in range(1, max_iter + 1):
-        Ap = A @ p
+    for it in range(1, MAX_PCG + 1):
+        _apply(fine.diag, fine.h, p, Ap)
         alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
         if np.sqrt(_dot(r, r)) <= atol:
-            return x, it, True
-        z = apply_prec(r)
+            return x, it
+        z = mg(r)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    return x, max_iter, False
+    raise ConvergenceError(
+        "PCG did not reach relative residual %.0e in %d iterations" % (tol, MAX_PCG)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +350,7 @@ def _cg_loop(A, b, apply_prec, atol: float, max_iter: int):
 class NewtonReport:
     iterations: int
     residual: float
-    cg_iterations: int
+    cg_iterations: int  # PCG iterations over all steps, one V-cycle each
     backtracks: int
     boundary_kind: str = BoundaryKind.EXPLICIT.value
     residual_history: list = field(default_factory=list)
@@ -233,18 +366,16 @@ def solve_newton(
     boundary,
     tol: float = TOL_NEWTON,
     max_iter: int = MAX_NEWTON,
-    factor_cache: _FactorCache | None = None,
 ) -> tuple[np.ndarray, NewtonReport]:
     """Damped Newton for L w = F(w) with Dirichlet ring data.
 
-    Steps solve (diag(F') - L) delta = L w - F(w) and are halved (at most 40
-    times) until the sup-norm residual actually drops.
+    Steps solve (diag(F') - L) delta = L w - F(w) by PCG to a relative
+    residual of 1e-10 and are halved (at most 40 times) until the sup-norm
+    residual actually drops.
     """
     dom = problem.domain
-    L = interior_operator(dom)
     bnd, bkind = _as_boundary_array(problem, boundary)
     w = _set_ring(np.array(w0, dtype=float), bnd)
-    cache = _FactorCache() if factor_cache is None else factor_cache
 
     g = problem.residual(w)
     gnorm = interior_max_norm(dom, g)
@@ -254,14 +385,12 @@ def solve_newton(
     for it in range(1, max_iter + 1):
         if gnorm <= tol:
             return w, NewtonReport(it - 1, gnorm, cg_total, backtracks, bkind, history)
-        D = problem.rhs_prime(w)[1:-1, 1:-1].ravel()
-        A = sp.diags(D) - L
-        delta, cg_it = _solve(A.tocsc(), g[1:-1, 1:-1].ravel(), cache)
+        delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), dom.h), g, 1e-10)
         cg_total += cg_it
         step = 1.0
         for _ in range(41):
             trial = w.copy()
-            trial[1:-1, 1:-1] += step * delta.reshape(dom.n - 2, dom.n - 2)
+            trial[1:-1, 1:-1] += step * delta[1:-1, 1:-1]
             g_trial = problem.residual(trial)
             gn_trial = interior_max_norm(dom, g_trial)
             if gn_trial < gnorm:
@@ -307,7 +436,9 @@ def monotone_solve(
 
     Each sweep solves (Lambda - L) w_new = Lambda w - F(w) + ring data, with
     a node-wise Lambda >= dF/dw over [w_minus_i, w_plus_i]; F' is convex in
-    w, so its band max sits at an endpoint.  Lambda - L is an M-matrix, so
+    w, so its band max sits at an endpoint.  The sweep is taken as the
+    correction (Lambda - L)(w_new - w) = L w - F(w), solved by PCG with one
+    multigrid hierarchy per Lambda.  Lambda - L is an M-matrix, so
     sweeps preserve order and walk down toward the solution.  Band exits and
     upward steps are counted, not fatal: near zeros of phi the usual clipped
     bands do not actually contain the solution, and the iteration still
@@ -324,19 +455,17 @@ def monotone_solve(
         bnd, bkind = np.array(w_plus, dtype=float), BoundaryKind.EXPLICIT.value
     else:
         bnd, bkind = _as_boundary_array(problem, boundary)
-    L = interior_operator(dom)
-    ring = _ring_term(dom, bnd)
 
-    def factor(*fields):
-        lam_full = 1.1 * np.maximum.reduce([problem.rhs_prime(v) for v in fields])
-        lam = lam_full[1:-1, 1:-1].ravel()
-        return lam, _lu(sp.diags(lam) - L)
+    def hierarchy(*fields):
+        lam = 1.1 * np.maximum.reduce([problem.rhs_prime(v) for v in fields])
+        return _Multigrid(lam, dom.h)
 
-    lam, lu = factor(w_minus, w_plus)
+    mg = hierarchy(w_minus, w_plus)
 
     w = _set_ring(np.array(w_plus, dtype=float), bnd)
     nonmono = 0
-    res = problem.residual_norm(w)
+    g = problem.residual(w)
+    res = interior_max_norm(dom, g)
     history = [res]
     it = 0
     stall = 0
@@ -344,20 +473,19 @@ def monotone_solve(
         if res <= tol:
             it -= 1
             break
-        wi = w[1:-1, 1:-1].ravel()
-        rhs = lam * wi - problem.rhs(w)[1:-1, 1:-1].ravel() + ring
-        wi_new = lu.solve(rhs)
-        if np.max(wi_new - wi) > 1e-10:
+        delta, _ = _pcg(mg, g, 1e-10)
+        if np.max(delta) > 1e-10:
             nonmono += 1
-        w = _set_ring(np.zeros_like(w), bnd)
-        w[1:-1, 1:-1] = wi_new.reshape(dom.n - 2, dom.n - 2)
-        res_new = problem.residual_norm(w)
+        w = w.copy()
+        w[1:-1, 1:-1] += delta[1:-1, 1:-1]
+        g = problem.residual(w)
+        res_new = interior_max_norm(dom, g)
         stall = stall + 1 if res_new >= res else 0
         res = res_new
         history.append(res)
         if stall >= 25:
             # iterate escaped the band; widen Lambda around where it actually is
-            lam, lu = factor(w_minus, w_plus, w)
+            mg = hierarchy(w_minus, w_plus, w)
             stall = 0
     else:
         raise ConvergenceError("monotone iteration stalled at residual %.3e" % res)
@@ -410,13 +538,18 @@ def solve_complete(
     w_prev = None
     w = None
     rep = None
-    cache = _FactorCache()
     for M in m_values:
         bd = make_boundary_complete(problem, M)
         bnd = materialize_boundary(problem, bd)
         init = bnd if w_prev is None else w_prev
-        w, rep = solve_newton(problem, init, bd, tol=tol, factor_cache=cache)
-        entry = {"M": float(M), "newton_iterations": rep.iterations, "residual": rep.residual}
+        w, rep = solve_newton(problem, init, bd, tol=tol)
+        entry = {
+            "M": float(M),
+            "newton_iterations": rep.iterations,
+            "cg_iterations": rep.cg_iterations,
+            "backtracks": rep.backtracks,
+            "residual": rep.residual,
+        }
         if w_prev is not None:
             change = float(np.max(np.abs((w - w_prev)[inner])))
             entry["inner_change"] = change

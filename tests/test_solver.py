@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.entire import EntireFunction
@@ -72,35 +71,61 @@ def test_newton_report_history_is_decreasing_to_tolerance():
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """Records every sparse LU factorization the solver makes."""
-    calls = []
-    real_splu = solve.splu
-    monkeypatch.setattr(solve, "splu", lambda *a, **kw: calls.append(1) or real_splu(*a, **kw))
-    return calls
+def _newton_system(n):
+    """Jacobian diagonal and a right-hand side at the e^z profile (R = 6).
+
+    The profile is the least diagonally dominant state a Newton path of the
+    dichotomy meets, so the V-cycle's smoothing has the least help there.
+    """
+    prob = VortexProblem(EXP_Z, 3, GridDomain(6.0, n))
+    D = prob.rhs_prime(solve.profile_field(prob, clip=solve.PROFILE_CLIP))
+    b = np.zeros((n, n))
+    b[1:-1, 1:-1] = np.sin(np.arange((n - 2) ** 2)).reshape(n - 2, n - 2)
+    return D, prob.domain.h, b
 
 
-def test_ladder_reuses_lu_factor_across_newton_steps(splu_calls):
-    prob = VortexProblem(EXP_Z, 3, GridDomain(4.0, 81))
-    _, rep = solve.solve_complete(prob)
-    steps = sum(e["newton_iterations"] for e in rep.trace)
-    assert 1 <= len(splu_calls) < steps
+@pytest.mark.parametrize("n", [9, 45, 81])
+def test_pcg_solves_to_its_tolerance(n):
+    # n = 9 is one level, solved exactly by the line LDL^T in one iteration;
+    # n = 45 coarsens 45 -> 23 -> 12 and stops there, on an odd n - 1
+    D, h, b = _newton_system(n)
+    mg = solve._Multigrid(D, h)
+    x, its = solve._pcg(mg, b, 1e-10)
+    r = b - solve._apply(D + 4.0 / h**2, h, x, np.zeros_like(x))
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+    assert np.all(x[0] == 0) and np.all(x[:, -1] == 0)
+    if n == 9:
+        assert (len(mg.levels), its) == (1, 1)
 
 
-def test_stale_factor_gives_up_and_refactors(splu_calls):
-    L = solve.interior_operator(GridDomain(4.0, 81))
-    N = L.shape[0]
-    A = (sp.diags(np.full(N, 1e-3)) - L).tocsc()
-    # a factor of a far-off diagonal preconditions A like a scalar: plain CG
-    # on the Laplacian needs hundreds of iterations, more than the stale cap
-    cache = solve._FactorCache()
-    cache.apply = stale = solve._lu(sp.diags(np.full(N, 1e4)) - L).solve
-    b = np.sin(np.arange(N, dtype=float))
-    x, cg_it = solve._solve(A, b, cache)
-    assert cg_it == solve.STALE_CG_CAP
-    assert len(splu_calls) == 2 and cache.apply is not stale  # stale factor, then refactor
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+def test_pcg_iterations_do_not_grow_with_resolution():
+    # multigrid makes the preconditioned condition number independent of h:
+    # the same count of V-cycles at 79^2, 159^2 and 319^2 unknowns
+    its = {}
+    for n in (81, 161, 321):
+        D, h, b = _newton_system(n)
+        its[n] = solve._pcg(solve._Multigrid(D, h), b, 1e-10)[1]
+    assert max(its.values()) <= 12
+    assert max(its.values()) - min(its.values()) <= 1
+
+
+def test_vcycle_is_symmetric():
+    # CG needs a symmetric preconditioner: <M x, y> = <x, M y> to round-off
+    D, h, _ = _newton_system(161)
+    mg = solve._Multigrid(D, h)
+    rng = np.random.default_rng(0)
+    x, y = np.zeros((2, 161, 161))
+    x[1:-1, 1:-1], y[1:-1, 1:-1] = rng.standard_normal((2, 159, 159))
+    mx, my = mg(x), mg(y)
+    assert abs(solve._dot(mx, y) - solve._dot(x, my)) <= 1e-13 * abs(solve._dot(mx, y))
+    assert solve._dot(mx, x) > 0.0
+
+
+def test_unconverged_pcg_raises(monkeypatch):
+    D, h, b = _newton_system(81)
+    monkeypatch.setattr(solve, "MAX_PCG", 3)
+    with pytest.raises(solve.ConvergenceError, match="PCG"):
+        solve._pcg(solve._Multigrid(D, h), b, 1e-10)
 
 
 def test_newton_and_monotone_agree_away_from_small_grids():
