@@ -240,7 +240,13 @@ class _Multigrid:
         while (len(D) - 1) % 2 == 0 and len(D) > 9:
             D, h = _restrict(D, np.zeros(((len(D) + 1) // 2,) * 2)), 2.0 * h
             self.levels.append(_Level(D, h))
-        self._coarse = _line_ldl(D, h)
+        try:
+            self._coarse = _line_ldl(D, h)
+        except (MemoryError, RuntimeError) as exc:
+            # the dense line blocks grow as the cube of the coarsest grid's side
+            raise ConvergenceError(
+                "coarse-grid factorization failed: %s" % (exc or type(exc).__name__)
+            ) from exc
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The V-cycle applied to r (zero ring), as a new array."""

@@ -193,6 +193,21 @@ def test_compare_returns_the_failed_run_status(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+def test_failed_lu_allocation_is_a_solver_failure(tmp_path, monkeypatch, error):
+    # the coarsest grid's block LDL^T is the solver's one dense factorization;
+    # a failure there, out of memory or otherwise, ends the run as exit 3
+    def no_memory(*args, **kwargs):
+        raise error("cannot allocate the line blocks")
+
+    monkeypatch.setattr(solver, "_line_ldl", no_memory)
+    assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == cli.EXIT_SOLVER
+    assert "coarse-grid factorization failed" in report["error"]
+    assert "cannot allocate the line blocks" in report["error"]
+
+
 def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
     # one V-cycle cannot reach the 1e-10 relative residual of a Newton step
     monkeypatch.setattr(solver, "MAX_PCG", 1)
