@@ -133,11 +133,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 # Stencils work on the flattened grid: node (i, j) is flat index k = i n + j,
 # its neighbours are k +- 1 and k +- n, and every node from k = n + 1 to
-# n^2 - n - 2 is interior except those in the ring columns.  With n odd (true
-# of every level that is smoothed, since only those are coarsened), k has the
-# parity of i + j, so a red-black color is every second flat index.  Flat
-# slices are contiguous or evenly strided, which numpy runs several times
-# faster than the 2-D interior view.
+# n^2 - n - 2 is interior except those in the ring columns.  Every level has
+# n odd, so k has the parity of i + j and a red-black color is every second
+# flat index.  Flat slices are contiguous or evenly strided, which numpy runs
+# several times faster than the 2-D interior view.
 
 
 def _apply(diag: np.ndarray, h: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -210,17 +209,27 @@ def _prolong_add(c: np.ndarray, u: np.ndarray) -> None:
 
 
 class _Level:
-    """Operator and work arrays of one multigrid level, all full grids."""
+    """Operator and work arrays of one multigrid level, all full grids.
 
-    def __init__(self, D: np.ndarray, h: float):
+    The ring sits s h outside the edge of the square (0 <= s < 1).  For s > 0
+    the nodes next to the ring see a ghost node, extrapolated linearly
+    through zero at the edge, that adds s / ((1 - s) h^2) per side to their
+    diagonal: the same Dirichlet problem, rediscretized with its edge where
+    it really is.
+    """
+
+    def __init__(self, D: np.ndarray, h: float, s: float):
         self.h = h
         self.diag = D + 4.0 / h**2
+        for edge in (self.diag[1], self.diag[-2], self.diag[:, 1], self.diag[:, -2]):
+            edge += s / ((1.0 - s) * h**2)
         self.inv = np.zeros_like(D)
         self.inv[1:-1, 1:-1] = 1.0 / self.diag[1:-1, 1:-1]
         self.red_inv = self.inv.copy()  # the red half-sweep from u = 0
         self.red_inv.ravel()[1::2] = 0.0
         # iterate, residual and right-hand side; their rings stay zero
         self.u, self.res, self.rhs = np.zeros((3,) + D.shape)
+        self.pad = None  # see _Multigrid
 
 
 class _Multigrid:
@@ -229,23 +238,32 @@ class _Multigrid:
     Red-then-black Gauss-Seidel before the coarse correction and
     black-then-red after it, full weighting down and bilinear prolongation
     up (restriction = P^T / 4), so the cycle is a symmetric operator.  Coarse
-    operators are rediscretized with 2h and the full-weighted D; grids are
-    coarsened while (n - 1) is even and n > 9 (201 -> 101 -> 51 -> 26), and
-    the coarsest is solved exactly by a block LDL^T over its grid lines.
+    operators are rediscretized with 2h and the full-weighted D.  Grids are
+    halved while n > 9, and every level keeps n odd: a level whose half
+    would have an even n is first padded with one node outside each side
+    (its pad buffer), so the coarse ring moves out by h and the fine ring is
+    masked out of the prolongation (201 -> 101 -> 51 -> 27 -> 15 -> 9,
+    403 -> 203 -> 103 -> 53 -> 27 -> 15 -> 9).  The coarsest grid is solved
+    exactly by a block LDL^T over its grid lines.
     """
 
     def __init__(self, D: np.ndarray, h: float):
         D = _set_ring(np.array(D, dtype=float), np.zeros_like(D))  # no unknowns there
-        self.levels = [_Level(D, h)]
-        while (len(D) - 1) % 2 == 0 and len(D) > 9:
+        self.levels = [_Level(D, h, 0.0)]
+        s = 0.0  # the newest ring lies s h outside the edge
+        while len(D) > 9:
+            pad = len(D) % 4 == 3  # the half would have an even n
+            if pad:
+                self.levels[-1].pad = np.zeros((len(D) + 2,) * 2)
+                D = np.pad(D, 1)
+            s = (s + pad) / 2.0
             D, h = _restrict(D, np.zeros(((len(D) + 1) // 2,) * 2)), 2.0 * h
-            self.levels.append(_Level(D, h))
+            self.levels.append(_Level(D, h, s))
         try:
-            self._coarse = _line_ldl(D, h)
+            self._coarse = _line_ldl(self.levels[-1].diag, h)
         except (MemoryError, RuntimeError) as exc:
-            # the dense line blocks grow as the cube of the coarsest grid's side
             raise ConvergenceError(
-                "coarse-grid factorization failed: %s" % (exc or type(exc).__name__)
+                "coarse-grid factorization failed: %s" % (str(exc) or type(exc).__name__)
             ) from exc
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -260,25 +278,36 @@ class _Multigrid:
         _relax(u, r, lv.inv, lv.h, 1)
         res = _apply(lv.diag, lv.h, u, lv.res)
         np.subtract(r, res, out=res)
-        _prolong_add(self._cycle(k + 1, _restrict(res, self.levels[k + 1].rhs)), u)
+        rhs = self.levels[k + 1].rhs
+        if lv.pad is None:
+            _prolong_add(self._cycle(k + 1, _restrict(res, rhs)), u)
+        else:
+            p = lv.pad
+            p[1:-1, 1:-1] = res
+            c = self._cycle(k + 1, _restrict(p, rhs))
+            p[...] = 0.0
+            _prolong_add(c, p)
+            u[1:-1, 1:-1] += p[2:-2, 2:-2]
         _relax(u, r, lv.inv, lv.h, 1)
         _relax(u, r, lv.inv, lv.h, 0)
         return u
 
 
-def _line_ldl(D: np.ndarray, h: float) -> list:
-    """Inverse pivot blocks P_i of diag(D) - L, one per interior grid line.
+def _line_ldl(diag: np.ndarray, h: float) -> list:
+    """Inverse pivot blocks P_i of a level's operator, one per interior grid line.
 
-    Line i couples to lines i +- 1 only through -I/h^2, so the block LDL^T
-    pivots are S_1 = T_1 and S_i = T_i - P_{i-1}/h^4 with T_i the line's own
-    tridiagonal block; the coarsest grid is small, so each P_i is dense.
+    diag is the operator's diagonal; each node couples to its four
+    neighbours by -1/h^2.  Line i couples to lines i +- 1 only through
+    -I/h^2, so the block LDL^T pivots are S_1 = T_1 and S_i = T_i - P_{i-1}/h^4
+    with T_i the line's own tridiagonal block; the coarsest grid has at most
+    7 x 7 unknowns, so each P_i is dense.
     """
-    m = len(D) - 2
+    m = len(diag) - 2
     off = np.eye(m, k=1) + np.eye(m, k=-1)
     blocks = []
     prev = np.zeros((m, m))
-    for d in D[1:-1, 1:-1]:
-        prev = _spd_inverse(np.diag(d + 4.0 / h**2) - off / h**2 - prev / h**4)
+    for d in diag[1:-1, 1:-1]:
+        prev = _spd_inverse(np.diag(d) - off / h**2 - prev / h**4)
         blocks.append(prev)
     return blocks
 
@@ -314,12 +343,15 @@ def _line_solve(blocks: list, h: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pcg(mg: _Multigrid, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+def _pcg(
+    mg: _Multigrid, b: np.ndarray, tol: float, guess: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Solve (diag(D) - L) x = b, D and h those of mg's finest level.
 
     CG preconditioned by one V-cycle per iteration, stopped once the residual
-    is within tol * |b| (2-norms).  Returns (x, V-cycles spent); raises
-    ConvergenceError after MAX_PCG iterations.
+    is within tol * |b| (2-norms).  A guess (zero ring) starts the iteration
+    from its best multiple in the energy norm.  Returns (x, V-cycles spent);
+    raises ConvergenceError after MAX_PCG iterations.
     """
     fine = mg.levels[0]
     x = np.zeros_like(b)
@@ -327,9 +359,16 @@ def _pcg(mg: _Multigrid, b: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     if atol == 0.0:
         return x, 0
     r = b.copy()
+    Ap = np.zeros_like(b)
+    if guess is not None:
+        _apply(fine.diag, fine.h, guess, Ap)
+        beta = _dot(guess, b) / _dot(guess, Ap)
+        x += beta * guess
+        r -= beta * Ap
+        if np.sqrt(_dot(r, r)) <= atol:
+            return x, 0
     z = mg(r)
     p = z
-    Ap = np.zeros_like(b)
     rz = _dot(r, z)
     for it in range(1, MAX_PCG + 1):
         _apply(fine.diag, fine.h, p, Ap)
@@ -445,7 +484,11 @@ def monotone_solve(
     w, so its band max sits at an endpoint.  The sweep is taken as the
     correction (Lambda - L)(w_new - w) = L w - F(w), solved by PCG with one
     multigrid hierarchy per Lambda.  Lambda - L is an M-matrix, so
-    sweeps preserve order and walk down toward the solution.  Band exits and
+    sweeps preserve order and walk down toward the solution.  The sweeps
+    contract the residual by only a few percent each, so a sweep solved to a
+    relative residual of 1e-4 contracts as an exact one does; it starts from
+    the previous correction, which the slow contraction keeps nearly
+    parallel to the next, and so costs about one V-cycle.  Band exits and
     upward steps are counted, not fatal: near zeros of phi the usual clipped
     bands do not actually contain the solution, and the iteration still
     converges to the unique fixed point.  If the contraction stalls (the
@@ -475,11 +518,12 @@ def monotone_solve(
     history = [res]
     it = 0
     stall = 0
+    delta = None
     for it in range(1, max_outer + 1):
         if res <= tol:
             it -= 1
             break
-        delta, _ = _pcg(mg, g, 1e-10)
+        delta, _ = _pcg(mg, g, 1e-4, guess=delta)
         if np.max(delta) > 1e-10:
             nonmono += 1
         w = w.copy()

@@ -193,19 +193,24 @@ def test_compare_returns_the_failed_run_status(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
-def test_failed_lu_allocation_is_a_solver_failure(tmp_path, monkeypatch, error):
+@pytest.mark.parametrize("error, detail", [
+    pytest.param(RuntimeError, "cannot allocate the line blocks", id="RuntimeError"),
+    pytest.param(MemoryError, "cannot allocate the line blocks", id="MemoryError"),
+    pytest.param(MemoryError, "", id="bare-MemoryError"),
+])
+def test_failed_lu_allocation_is_a_solver_failure(tmp_path, monkeypatch, error, detail):
     # the coarsest grid's block LDL^T is the solver's one dense factorization;
-    # a failure there, out of memory or otherwise, ends the run as exit 3
+    # a failure there, out of memory or otherwise, ends the run as exit 3 and
+    # the report names it, by its type when it carries no message
     def no_memory(*args, **kwargs):
-        raise error("cannot allocate the line blocks")
+        raise error(detail)
 
     monkeypatch.setattr(solver, "_line_ldl", no_memory)
     assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == cli.EXIT_SOLVER
-    assert "coarse-grid factorization failed" in report["error"]
-    assert "cannot allocate the line blocks" in report["error"]
+    assert report["error"].endswith(
+        "coarse-grid factorization failed: %s" % (detail or error.__name__))
 
 
 def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):

@@ -87,7 +87,7 @@ def _newton_system(n):
 @pytest.mark.parametrize("n", [9, 45, 81])
 def test_pcg_solves_to_its_tolerance(n):
     # n = 9 is one level, solved exactly by the line LDL^T in one iteration;
-    # n = 45 coarsens 45 -> 23 -> 12 and stops there, on an odd n - 1
+    # n = 45 pads 23 before halving it (45 -> 23 -> 13 -> 7)
     D, h, b = _newton_system(n)
     mg = solve._Multigrid(D, h)
     x, its = solve._pcg(mg, b, 1e-10)
@@ -109,13 +109,28 @@ def test_pcg_iterations_do_not_grow_with_resolution():
     assert max(its.values()) - min(its.values()) <= 1
 
 
-def test_vcycle_is_symmetric():
-    # CG needs a symmetric preconditioner: <M x, y> = <x, M y> to round-off
-    D, h, _ = _newton_system(161)
+def test_grids_of_either_halving_parity_coarsen_alike():
+    # 403 halves to an even 202, which cannot be halved again; padding keeps
+    # every level odd, so 403 ends on as small a grid as 401 does, with a
+    # coarse ring that follows the true edge and as few V-cycles
+    its = {}
+    for n in (401, 403):
+        D, h, b = _newton_system(n)
+        mg = solve._Multigrid(D, h)
+        assert [len(lv.u) for lv in mg.levels][-3:] == [27, 15, 9]
+        its[n] = solve._pcg(mg, b, 1e-10)[1]
+    assert its[403] <= its[401] + 1 <= 11
+
+
+@pytest.mark.parametrize("n", [161, 163])
+def test_vcycle_is_symmetric(n):
+    # CG needs a symmetric preconditioner: <M x, y> = <x, M y> to round-off;
+    # n = 163 pads its finest level
+    D, h, _ = _newton_system(n)
     mg = solve._Multigrid(D, h)
     rng = np.random.default_rng(0)
-    x, y = np.zeros((2, 161, 161))
-    x[1:-1, 1:-1], y[1:-1, 1:-1] = rng.standard_normal((2, 159, 159))
+    x, y = np.zeros((2, n, n))
+    x[1:-1, 1:-1], y[1:-1, 1:-1] = rng.standard_normal((2, n - 2, n - 2))
     mx, my = mg(x), mg(y)
     assert abs(solve._dot(mx, y) - solve._dot(x, my)) <= 1e-13 * abs(solve._dot(mx, y))
     assert solve._dot(mx, x) > 0.0
