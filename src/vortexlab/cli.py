@@ -6,7 +6,8 @@ Invocation:
     vortexlab compare <a.json> <b.json>
 
 Exit codes: 0 all requested checks passed; 2 config or precondition error;
-3 solver non-convergence; 4 invariant failure (report still written).
+3 solver non-convergence or out of memory in any stage; 4 invariant failure
+(report still written).
 
 A config is a single JSON document:
 
@@ -152,20 +153,29 @@ def _problem(cfg: dict) -> tuple[VortexProblem, EntireFunction]:
 
 
 def _solve_report_json(rep) -> dict:
-    """Pinned report schema shared by all solve branches."""
+    """Pinned report schema shared by all solve branches.
+
+    The complete branch is the M-ladder, whose report also says whether the
+    ladder stabilized; the incomplete branch is one Newton solve on the
+    subsolution profile.
+    """
     ladder = isinstance(rep, solver.ContinuationReport)
     newton = rep.newton if ladder else rep
-    return {
+    out = {
         "iterations": newton.iterations,
         "cg_iterations": newton.cg_iterations,
         "backtracks": newton.backtracks,
         "converged": True,
         "final_residual": newton.residual,
         "residual_history": list(newton.residual_history),
-        "boundary_kind": newton.boundary_kind,
+        "boundary_kind": "COMPLETE_APPROX" if ladder else "SUBSOLUTION_PROFILE",
         "monotone_violations": 0,
         "continuation_trace": [dict(entry) for entry in rep.trace] if ladder else [],
     }
+    if ladder:
+        out["stabilized"] = rep.stabilized
+        out["warning"] = rep.warning
+    return out
 
 
 def _json_default(obj):
@@ -208,9 +218,8 @@ class _Run:
         write_field_csv(self.path("w_complete.csv"), self.problem.domain, w)
 
     def solve_incomplete(self) -> None:
-        boundary = solver.make_boundary_subsolution(self.problem)
-        w0 = solver.profile_field(self.problem, clip=solver.PROFILE_CLIP)
-        w, rep = solver.solve_newton(self.problem, w0, boundary)
+        profile = solver.make_boundary_subsolution(self.problem)
+        w, rep = solver.solve_newton(self.problem, profile, profile)
         self.w_incomplete = w
         self.reports["incomplete"] = _solve_report_json(rep)
         write_field_csv(self.path("w_incomplete.csv"), self.problem.domain, w)
@@ -360,6 +369,9 @@ def run(cfg: dict) -> int:
             error = "invariant checks failed: %s" % ", ".join(sorted(state.failures))
     except solver.ConvergenceError as exc:
         status, error = EXIT_SOLVER, str(exc)
+    except MemoryError as exc:
+        # a grid too large for this machine: the solve, not the config, failed
+        status, error = EXIT_SOLVER, str(exc) or type(exc).__name__
     except (ValueError, ArithmeticError) as exc:
         # precondition violations (zeros on the ring, roots of P that will not
         # resolve, normalization residual) are config-class errors

@@ -24,7 +24,6 @@ barrier that every solution of the complete problem dominates.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,25 +43,13 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-class BoundaryKind(str, enum.Enum):
-    COMPLETE_APPROX = "COMPLETE_APPROX"
-    SUBSOLUTION_PROFILE = "SUBSOLUTION_PROFILE"
-    EXPLICIT = "EXPLICIT"
+def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
+    """Ring data (2/k) log|phi|, clipped at PROFILE_CLIP: the incomplete branch.
 
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Dirichlet ring data by formula (kind + M); explicit rings are plain arrays."""
-
-    kind: BoundaryKind
-    M: float | None = None
-
-
-def make_boundary_subsolution(problem: VortexProblem) -> BoundaryData:
-    """Ring data (2/k) log|phi|: the incomplete branch of the dichotomy.
-
-    Refused when a zero of phi sits within 2h of the ring, where the profile
-    is -inf or uselessly deep.
+    Returned as a full grid (only the ring is consumed), which is also the
+    clipped profile that the incomplete branch starts from.  Refused when a
+    zero of phi sits within 2h of the ring, where the profile is -inf or
+    uselessly deep.
     """
     dom = problem.domain
     zs = problem.phi.zeros()
@@ -70,14 +57,17 @@ def make_boundary_subsolution(problem: VortexProblem) -> BoundaryData:
         dist = dom.R - np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)))
         if dist < 2.0 * dom.h:
             raise ValueError("phi has a zero within 2h of the boundary ring")
-    return BoundaryData(BoundaryKind.SUBSOLUTION_PROFILE)
+    vals = profile_field(problem, clip=PROFILE_CLIP)
+    if not np.all(np.isfinite(vals[dom.ring_mask()])):
+        raise ValueError("profile boundary is not finite on the ring")
+    return vals
 
 
-def make_boundary_complete(problem: VortexProblem, M: float) -> BoundaryData:
-    """Ring data max(profile, 0) + M, emulating the blow-up supersolutions."""
+def make_boundary_complete(problem: VortexProblem, M: float) -> np.ndarray:
+    """Ring data max(profile, 0) + M as a full grid, emulating the blow-up supersolutions."""
     if M < 0:
         raise ValueError("M must be nonnegative")
-    return BoundaryData(BoundaryKind.COMPLETE_APPROX, M=float(M))
+    return np.maximum(problem.profile(), 0.0) + float(M)
 
 
 def profile_field(problem: VortexProblem, clip: float | None = None) -> np.ndarray:
@@ -86,23 +76,6 @@ def profile_field(problem: VortexProblem, clip: float | None = None) -> np.ndarr
     if clip is not None:
         p = np.maximum(p, clip)
     return p
-
-
-def materialize_boundary(problem: VortexProblem, bd: BoundaryData) -> np.ndarray:
-    """Boundary data as a full grid array (only the ring is consumed)."""
-    if bd.kind is BoundaryKind.COMPLETE_APPROX:
-        return np.maximum(problem.profile(), 0.0) + bd.M
-    vals = profile_field(problem, clip=PROFILE_CLIP)
-    ring = problem.domain.ring_mask()
-    if not np.all(np.isfinite(vals[ring])):
-        raise ValueError("profile boundary is not finite on the ring")
-    return vals
-
-
-def _as_boundary_array(problem: VortexProblem, boundary) -> tuple[np.ndarray, str]:
-    if isinstance(boundary, BoundaryData):
-        return materialize_boundary(problem, boundary), boundary.kind.value
-    return np.asarray(boundary, dtype=float), BoundaryKind.EXPLICIT.value
 
 
 def _set_ring(w: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -259,12 +232,7 @@ class _Multigrid:
             s = (s + pad) / 2.0
             D, h = _restrict(D, np.zeros(((len(D) + 1) // 2,) * 2)), 2.0 * h
             self.levels.append(_Level(D, h, s))
-        try:
-            self._coarse = _line_ldl(self.levels[-1].diag, h)
-        except (MemoryError, RuntimeError) as exc:
-            raise ConvergenceError(
-                "coarse-grid factorization failed: %s" % (str(exc) or type(exc).__name__)
-            ) from exc
+        self._coarse = _line_ldl(self.levels[-1].diag, h)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The V-cycle applied to r (zero ring), as a new array."""
@@ -397,39 +365,30 @@ class NewtonReport:
     residual: float
     cg_iterations: int  # PCG iterations over all steps, one V-cycle each
     backtracks: int
-    boundary_kind: str = BoundaryKind.EXPLICIT.value
     residual_history: list = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return True  # solve_newton raises instead of returning unconverged
 
 
 def solve_newton(
-    problem: VortexProblem,
-    w0: np.ndarray,
-    boundary,
-    tol: float = TOL_NEWTON,
-    max_iter: int = MAX_NEWTON,
+    problem: VortexProblem, w0: np.ndarray, boundary: np.ndarray
 ) -> tuple[np.ndarray, NewtonReport]:
-    """Damped Newton for L w = F(w) with Dirichlet ring data.
+    """Damped Newton for L w = F(w) with the ring values of boundary as Dirichlet data.
 
-    Steps solve (diag(F') - L) delta = L w - F(w) by PCG to a relative
+    Returns once the sup-norm residual is within TOL_NEWTON and raises
+    ConvergenceError otherwise, after MAX_NEWTON steps at most.  Steps solve (diag(F') - L) delta = L w - F(w) by PCG to a relative
     residual of 1e-10 and are halved (at most 40 times) until the sup-norm
     residual actually drops.
     """
     dom = problem.domain
-    bnd, bkind = _as_boundary_array(problem, boundary)
-    w = _set_ring(np.array(w0, dtype=float), bnd)
+    w = _set_ring(np.array(w0, dtype=float), boundary)
 
     g = problem.residual(w)
     gnorm = interior_max_norm(dom, g)
     history = [gnorm]
     cg_total = 0
     backtracks = 0
-    for it in range(1, max_iter + 1):
-        if gnorm <= tol:
-            return w, NewtonReport(it - 1, gnorm, cg_total, backtracks, bkind, history)
+    for it in range(1, MAX_NEWTON + 1):
+        if gnorm <= TOL_NEWTON:
+            return w, NewtonReport(it - 1, gnorm, cg_total, backtracks, history)
         delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), dom.h), g, 1e-10)
         cg_total += cg_it
         step = 1.0
@@ -446,8 +405,8 @@ def solve_newton(
             raise ConvergenceError("Newton line search stalled at residual %.3e" % gnorm)
         w, g, gnorm = trial, g_trial, gn_trial
         history.append(gnorm)
-    if gnorm <= tol:
-        return w, NewtonReport(max_iter, gnorm, cg_total, backtracks, bkind, history)
+    if gnorm <= TOL_NEWTON:
+        return w, NewtonReport(MAX_NEWTON, gnorm, cg_total, backtracks, history)
     raise ConvergenceError("Newton did not reach tolerance: residual %.3e" % gnorm)
 
 
@@ -461,21 +420,14 @@ class MonotoneReport:
     residual: float
     band_violations: int
     nonmonotone_steps: int
-    boundary_kind: str = BoundaryKind.EXPLICIT.value
     residual_history: list = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return True
 
 
 def monotone_solve(
     problem: VortexProblem,
     w_minus: np.ndarray,
     w_plus: np.ndarray,
-    boundary=None,
-    tol: float = TOL_MONOTONE,
-    max_outer: int = MAX_OUTER,
+    boundary: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MonotoneReport]:
     """Downward monotone iteration from the supersolution end of a band.
 
@@ -495,15 +447,15 @@ def monotone_solve(
     iterate left the band badly enough that Lambda underestimates F'),
     Lambda is rebuilt around the current iterate and the sweeps continue.
 
-    When no explicit boundary is given, the ring values of w_plus are used.
+    The ring values of boundary, or of w_plus when it is None, are the
+    Dirichlet data.  Stops at a sup-norm residual of TOL_MONOTONE and raises
+    ConvergenceError if MAX_OUTER sweeps do not get there.
     """
     dom = problem.domain
     if np.any(w_minus > w_plus + 1e-10):
         raise ValueError("band is not ordered: w_minus exceeds w_plus")
     if boundary is None:
-        bnd, bkind = np.array(w_plus, dtype=float), BoundaryKind.EXPLICIT.value
-    else:
-        bnd, bkind = _as_boundary_array(problem, boundary)
+        boundary = w_plus
 
     def hierarchy(*fields):
         lam = 1.1 * np.maximum.reduce([problem.rhs_prime(v) for v in fields])
@@ -511,7 +463,7 @@ def monotone_solve(
 
     mg = hierarchy(w_minus, w_plus)
 
-    w = _set_ring(np.array(w_plus, dtype=float), bnd)
+    w = _set_ring(np.array(w_plus, dtype=float), boundary)
     nonmono = 0
     g = problem.residual(w)
     res = interior_max_norm(dom, g)
@@ -519,8 +471,8 @@ def monotone_solve(
     it = 0
     stall = 0
     delta = None
-    for it in range(1, max_outer + 1):
-        if res <= tol:
+    for it in range(1, MAX_OUTER + 1):
+        if res <= TOL_MONOTONE:
             it -= 1
             break
         delta, _ = _pcg(mg, g, 1e-4, guess=delta)
@@ -543,7 +495,7 @@ def monotone_solve(
     viol = int(np.sum((w < w_minus - 1e-10) | (w > w_plus + 1e-10)))
     if len(history) > 200:
         history = history[:100] + history[-100:]
-    return w, MonotoneReport(it, res, viol, nonmono, bkind, history)
+    return w, MonotoneReport(it, res, viol, nonmono, history)
 
 
 # ---------------------------------------------------------------------------
@@ -559,40 +511,30 @@ class ContinuationReport:
     newton: NewtonReport
     warning: str | None = None
 
-    @property
-    def converged(self) -> bool:
-        return True
 
-
-def solve_complete(
-    problem: VortexProblem,
-    m_values: tuple = DEFAULT_M_VALUES,
-    tol_cont: float = TOL_CONT,
-    tol: float = TOL_NEWTON,
-) -> tuple[np.ndarray, ContinuationReport]:
+def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationReport]:
     """Approximate the complete (maximal) solution by raising the ring.
 
     The true complete solution lives on the whole plane; on a fixed square we
     emulate its boundary blow-up with ring data max(profile, 0) + M and raise
-    M until the inner half-square stops responding.  When the ladder is
-    exhausted first, the last field is still the best available proxy for the
-    maximal solution (the rungs increase toward it), so it is returned with
-    stabilized=False and a warning; on grids where |phi| decays somewhere on
-    the ring the layer is subgrid and the inner drift shrinks only like 1/M,
-    so a hard stabilization gate there would reject fields that are already
-    within discretization error of the maximal solution.
+    M over DEFAULT_M_VALUES until the inner half-square moves by at most
+    TOL_CONT from one rung to the next.  When the ladder is exhausted first,
+    the last field is still the best available proxy for the maximal solution
+    (the rungs increase toward it), so it is returned with stabilized=False
+    and a warning; on grids where |phi| decays somewhere on the ring the
+    layer is subgrid and the inner drift shrinks only like 1/M, so a hard
+    stabilization gate there would reject fields that are already within
+    discretization error of the maximal solution.
     """
-    dom = problem.domain
-    inner = dom.inner_mask()
+    m_values = DEFAULT_M_VALUES
+    inner = problem.domain.inner_mask()
     trace = []
     w_prev = None
     w = None
     rep = None
     for M in m_values:
-        bd = make_boundary_complete(problem, M)
-        bnd = materialize_boundary(problem, bd)
-        init = bnd if w_prev is None else w_prev
-        w, rep = solve_newton(problem, init, bd, tol=tol)
+        bnd = make_boundary_complete(problem, M)
+        w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
         entry = {
             "M": float(M),
             "newton_iterations": rep.iterations,
@@ -604,8 +546,8 @@ def solve_complete(
             change = float(np.max(np.abs((w - w_prev)[inner])))
             entry["inner_change"] = change
             trace.append(entry)
-            if change <= tol_cont:
-                return w, ContinuationReport(tuple(m_values), trace, True, float(M), rep)
+            if change <= TOL_CONT:
+                return w, ContinuationReport(m_values, trace, True, float(M), rep)
         else:
             entry["inner_change"] = None
             trace.append(entry)
@@ -616,9 +558,7 @@ def solve_complete(
             trace[-1]["inner_change"],
             m_values[-1],
         )
-    return w, ContinuationReport(
-        tuple(m_values), trace, False, float(m_values[-1]), rep, warning
-    )
+    return w, ContinuationReport(m_values, trace, False, float(m_values[-1]), rep, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -633,11 +573,7 @@ class SolutionPair:
     report_low: NewtonReport
 
 
-def two_solutions(
-    problem: VortexProblem,
-    m_values: tuple = DEFAULT_M_VALUES,
-    clip: float = PROFILE_CLIP,
-) -> SolutionPair:
+def two_solutions(problem: VortexProblem) -> SolutionPair:
     """Produce two distinct solutions for non-polynomial phi.
 
     The first is the complete one (continuation with raised ring); the second
@@ -655,7 +591,7 @@ def two_solutions(
         margin = dom.R - 4.0 * dom.h
         if np.max(np.maximum(np.abs(zeros.real), np.abs(zeros.imag))) > margin:
             raise ValueError("zeros of phi must sit inside the square with a 4h margin")
-    w1, rep1 = solve_complete(problem, m_values=m_values)
-    bd = make_boundary_subsolution(problem)
-    w2, rep2 = solve_newton(problem, profile_field(problem, clip=clip), bd)
+    w1, rep1 = solve_complete(problem)
+    profile = make_boundary_subsolution(problem)
+    w2, rep2 = solve_newton(problem, profile, profile)
     return SolutionPair(w1, w2, rep1, rep2)

@@ -11,6 +11,7 @@ import pytest
 
 from vortexlab import cli
 from vortexlab import solve as solver
+from vortexlab import surfaces as develop
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 
@@ -193,24 +194,49 @@ def test_compare_returns_the_failed_run_status(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("error, detail", [
-    pytest.param(RuntimeError, "cannot allocate the line blocks", id="RuntimeError"),
-    pytest.param(MemoryError, "cannot allocate the line blocks", id="MemoryError"),
-    pytest.param(MemoryError, "", id="bare-MemoryError"),
-])
-def test_failed_lu_allocation_is_a_solver_failure(tmp_path, monkeypatch, error, detail):
-    # the coarsest grid's block LDL^T is the solver's one dense factorization;
-    # a failure there, out of memory or otherwise, ends the run as exit 3 and
-    # the report names it, by its type when it carries no message
-    def no_memory(*args, **kwargs):
-        raise error(detail)
+def test_ladder_report_states_whether_it_stabilized(tmp_path):
+    # e^z leaks through the weakly screened left side of a small square, so
+    # the ladder ends still moving; report.json says so next to each branch's
+    # boundary data, and only the ladder carries the stabilization keys
+    cfg = make_cfg(tmp_path, R=4.0, n=41, pipeline=("two-solutions",), **EXP_Z_KW)
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    reports = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+    complete, incomplete = reports["complete"], reports["incomplete"]
+    assert complete["boundary_kind"] == "COMPLETE_APPROX"
+    assert complete["stabilized"] is False
+    assert "still moving" in complete["warning"]
+    assert incomplete["boundary_kind"] == "SUBSOLUTION_PROFILE"
+    assert "stabilized" not in incomplete and "warning" not in incomplete
+    # phi = 100 screens strongly enough for the ladder to settle by M = 12
+    cfg = make_cfg(tmp_path, "settled.json", p=((100.0, 0.0),), k=3, out="settled",
+                   pipeline=("solve-complete",))
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    complete = json.loads((tmp_path / "settled" / "report.json").read_text())["reports"]["complete"]
+    assert complete["stabilized"] is True and complete["warning"] is None
 
-    monkeypatch.setattr(solver, "_line_ldl", no_memory)
-    assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
+
+WANG_DEVELOP_KW = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
+                       pipeline=("solve-incomplete", "develop"))
+
+
+@pytest.mark.parametrize("module, name, cfg_kw, detail", [
+    pytest.param(solver, "_Multigrid", {}, "cannot allocate the hierarchy", id="solve"),
+    pytest.param(solver, "_Multigrid", {}, "", id="solve-bare"),
+    pytest.param(develop, "_edge_transfers", WANG_DEVELOP_KW, "cannot allocate the transfers",
+                 id="develop"),
+    pytest.param(develop, "_edge_transfers", WANG_DEVELOP_KW, "", id="develop-bare"),
+])
+def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, cfg_kw, detail):
+    # running out of memory in any stage ends the run as exit 3 with a report
+    # that names the error, by its type when it carries no message
+    def no_memory(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(module, name, no_memory)
+    assert cli.main(["run", make_cfg(tmp_path, **cfg_kw)]) == cli.EXIT_SOLVER
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == cli.EXIT_SOLVER
-    assert report["error"].endswith(
-        "coarse-grid factorization failed: %s" % (detail or error.__name__))
+    assert report["error"] == (detail or "MemoryError")
 
 
 def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
