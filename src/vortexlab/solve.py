@@ -3,8 +3,7 @@
 Two routes to a solution, used in complementary roles:
 
 * a damped Newton iteration (authoritative): fast, quadratic near the
-  solution, inner linear systems solved matrix-free by conjugate gradients
-  preconditioned by one geometric multigrid V-cycle;
+  solution;
 * a monotone fixed-point iteration (certifying): started from the
   supersolution end of an ordered band [w_minus, w_plus] it descends
   one-sidedly, so it cross-checks the Newton answer on cases where a band
@@ -12,14 +11,17 @@ Two routes to a solution, used in complementary roles:
 
 The discrete Jacobian L - diag(F') is negative definite because F' > 0
 everywhere, so the discrete Dirichlet problem has exactly one solution and
-both routes must agree.  The same symmetry and positivity make the linear
-systems of both routes, diag(D) - L with D > 0, fit for CG, and multigrid
-keeps the CG iteration count independent of the grid size.
+both routes must agree.  For the same reason every linear system of both
+routes, diag(D) - L with D > 0, is symmetric positive definite, and one
+solver serves them all: matrix-free CG preconditioned by a multigrid
+V-cycle that coarsens down to a single unknown.  It factors nothing, so
+its one failure is a CG solve that does not converge in MAX_PCG steps.
 
-Complete solutions are reached by continuation in the boundary height: solve
-with ring data max(profile, 0) + M for a ladder of M values and stop when the
-inner half-square stops moving.  The profile here is (2/k) log|phi|, the
-barrier that every solution of the complete problem dominates.
+Boundary data are full grids of which only the ring is read.  Complete
+solutions come from continuation in the boundary height: solve with ring
+data max(profile, 0) + M for a ladder of M values and stop when the inner
+half-square stops moving.  The profile is (2/k) log|phi|, the barrier that
+every solution of the complete problem dominates.
 """
 
 from __future__ import annotations
@@ -212,19 +214,20 @@ class _Multigrid:
     black-then-red after it, full weighting down and bilinear prolongation
     up (restriction = P^T / 4), so the cycle is a symmetric operator.  Coarse
     operators are rediscretized with 2h and the full-weighted D.  Grids are
-    halved while n > 9, and every level keeps n odd: a level whose half
+    halved while n > 3, and every level keeps n odd: a level whose half
     would have an even n is first padded with one node outside each side
     (its pad buffer), so the coarse ring moves out by h and the fine ring is
-    masked out of the prolongation (201 -> 101 -> 51 -> 27 -> 15 -> 9,
-    403 -> 203 -> 103 -> 53 -> 27 -> 15 -> 9).  The coarsest grid is solved
-    exactly by a block LDL^T over its grid lines.
+    masked out of the prolongation (201 -> 101 -> 51 -> 27 -> 15 -> 9 -> 5
+    -> 3, 403 -> 203 -> 103 -> 53 -> 27 -> 15 -> 9 -> 5 -> 3).  Every
+    hierarchy thus ends on a 3-node grid, whose one unknown is solved
+    exactly by dividing by its diagonal.
     """
 
     def __init__(self, D: np.ndarray, h: float):
         D = _set_ring(np.array(D, dtype=float), np.zeros_like(D))  # no unknowns there
         self.levels = [_Level(D, h, 0.0)]
         s = 0.0  # the newest ring lies s h outside the edge
-        while len(D) > 9:
+        while len(D) > 3:
             pad = len(D) % 4 == 3  # the half would have an even n
             if pad:
                 self.levels[-1].pad = np.zeros((len(D) + 2,) * 2)
@@ -232,7 +235,6 @@ class _Multigrid:
             s = (s + pad) / 2.0
             D, h = _restrict(D, np.zeros(((len(D) + 1) // 2,) * 2)), 2.0 * h
             self.levels.append(_Level(D, h, s))
-        self._coarse = _line_ldl(self.levels[-1].diag, h)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The V-cycle applied to r (zero ring), as a new array."""
@@ -241,7 +243,7 @@ class _Multigrid:
     def _cycle(self, k: int, r: np.ndarray) -> np.ndarray:
         lv = self.levels[k]
         if k == len(self.levels) - 1:
-            return _line_solve(self._coarse, lv.h, r)
+            return np.multiply(r, lv.inv, out=lv.u)
         u = np.multiply(r, lv.red_inv, out=lv.u)
         _relax(u, r, lv.inv, lv.h, 1)
         res = _apply(lv.diag, lv.h, u, lv.res)
@@ -259,56 +261,6 @@ class _Multigrid:
         _relax(u, r, lv.inv, lv.h, 1)
         _relax(u, r, lv.inv, lv.h, 0)
         return u
-
-
-def _line_ldl(diag: np.ndarray, h: float) -> list:
-    """Inverse pivot blocks P_i of a level's operator, one per interior grid line.
-
-    diag is the operator's diagonal; each node couples to its four
-    neighbours by -1/h^2.  Line i couples to lines i +- 1 only through
-    -I/h^2, so the block LDL^T pivots are S_1 = T_1 and S_i = T_i - P_{i-1}/h^4
-    with T_i the line's own tridiagonal block; the coarsest grid has at most
-    7 x 7 unknowns, so each P_i is dense.
-    """
-    m = len(diag) - 2
-    off = np.eye(m, k=1) + np.eye(m, k=-1)
-    blocks = []
-    prev = np.zeros((m, m))
-    for d in diag[1:-1, 1:-1]:
-        prev = _spd_inverse(np.diag(d) - off / h**2 - prev / h**4)
-        blocks.append(prev)
-    return blocks
-
-
-def _spd_inverse(S: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix by Gauss-Jordan sweeps.
-
-    Elementwise numpy only: LAPACK's inverse rounds differently under other
-    BLAS thread counts once the matrix has about 100 rows.
-    """
-    A = np.array(S, dtype=float)
-    for k in range(len(A)):
-        a = A[k].copy()
-        col = a / a[k]
-        A -= col[:, None] * a
-        A[k] = A[:, k] = col
-        A[k, k] = -1.0 / a[k]
-    return -A
-
-
-def _line_solve(blocks: list, h: float, b: np.ndarray) -> np.ndarray:
-    """Exact solve with the factor of _line_ldl; fixed-order matrix-vector sums."""
-    x = np.zeros_like(b)
-    u = []
-    y = np.zeros(len(blocks))
-    for P, bi in zip(blocks, b[1:-1, 1:-1]):
-        y = (P * (bi + y / h**2)).sum(axis=1)
-        u.append(y)
-    xi = np.zeros(len(blocks))
-    for i in range(len(blocks) - 1, -1, -1):
-        xi = u[i] + (blocks[i] * xi).sum(axis=1) / h**2
-        x[i + 1, 1:-1] = xi
-    return x
 
 
 def _pcg(
@@ -373,10 +325,10 @@ def solve_newton(
 ) -> tuple[np.ndarray, NewtonReport]:
     """Damped Newton for L w = F(w) with the ring values of boundary as Dirichlet data.
 
-    Returns once the sup-norm residual is within TOL_NEWTON and raises
-    ConvergenceError otherwise, after MAX_NEWTON steps at most.  Steps solve (diag(F') - L) delta = L w - F(w) by PCG to a relative
+    Steps solve (diag(F') - L) delta = L w - F(w) by PCG to a relative
     residual of 1e-10 and are halved (at most 40 times) until the sup-norm
-    residual actually drops.
+    residual actually drops.  Returns once that residual is within
+    TOL_NEWTON; raises ConvergenceError if MAX_NEWTON steps do not get there.
     """
     dom = problem.domain
     w = _set_ring(np.array(w0, dtype=float), boundary)
@@ -454,8 +406,6 @@ def monotone_solve(
     dom = problem.domain
     if np.any(w_minus > w_plus + 1e-10):
         raise ValueError("band is not ordered: w_minus exceeds w_plus")
-    if boundary is None:
-        boundary = w_plus
 
     def hierarchy(*fields):
         lam = 1.1 * np.maximum.reduce([problem.rhs_prime(v) for v in fields])
@@ -463,7 +413,7 @@ def monotone_solve(
 
     mg = hierarchy(w_minus, w_plus)
 
-    w = _set_ring(np.array(w_plus, dtype=float), boundary)
+    w = _set_ring(np.array(w_plus, dtype=float), w_plus if boundary is None else boundary)
     nonmono = 0
     g = problem.residual(w)
     res = interior_max_norm(dom, g)

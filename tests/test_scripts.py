@@ -13,13 +13,13 @@ SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-# at --nodes 65 and 81 the CMC demo's default --restrict 3 leaves too coarse
-# a grid, and the Gauss map leaves the hyperboloid; 129 is the smallest size
-# tried that develops cleanly
+# at --nodes 65 and 81 the CMC demo's grid spacing is too coarse for the
+# frame development, and the Gauss map leaves the hyperboloid
 @pytest.mark.parametrize("script, nodes, files", [
-    ("dichotomy_demo.py", 41, ("w_complete.csv", "w_incomplete.csv", "rays.csv")),
-    ("affine_sphere_demo.py", 41, ("affine_sphere.obj",)),
-    ("cmc_gauss_demo.py", 129, ("cmc_surface.obj", "gauss.csv")),
+    pytest.param("dichotomy_demo.py", 41, ("w_complete.csv", "w_incomplete.csv", "rays.csv"),
+                 id="dichotomy"),
+    pytest.param("affine_sphere_demo.py", 41, ("affine_sphere.obj",), id="affine_sphere"),
+    pytest.param("cmc_gauss_demo.py", 129, ("cmc_surface.obj", "gauss.csv"), id="cmc_gauss"),
 ])
 def test_demo_script_runs(tmp_path, script, nodes, files):
     out = tmp_path / "out"
