@@ -4,10 +4,15 @@ Solves the k = 2 equation for phi = 2q with the lifted-boundary ladder,
 restricts to the center of the domain (the lifted ring is not part of any
 immersion statement), integrates the Minkowski frame system, and writes the
 mesh plus the unit normals N into H^2.
+
+A grid the development cannot handle (at 65 or 81 nodes with the default
+three halvings the spacing is too coarse, and the Gauss map leaves the
+hyperboloid) or cannot halve is refused with one line on stderr and exit 2.
 """
 
 import argparse
 import os
+import sys
 
 import numpy as np
 
@@ -55,4 +60,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, ArithmeticError) as exc:
+        print("cmc_gauss_demo: %s" % exc, file=sys.stderr)
+        sys.exit(2)

@@ -26,7 +26,8 @@ Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 (WANG_K3, HARMONIC_K2) "phi" holds the differential (U resp. q) and the
 solver runs on the matching base-equation problem.  Determinism: identical
 configs produce byte-identical artifacts; report.json carries wall-clock
-data only inside the isolated "timing" block.
+data only inside the isolated "timing" block: wall seconds, the seconds of
+each stage run (in pipeline order, a failed one included) and peak RSS in MB.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -206,6 +208,7 @@ class _Run:
         self.rays: dict = {}
         self.develop_info: dict = {}
         self.failures: list = []
+        self.stage_seconds: list = []
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -337,7 +340,8 @@ class _Run:
                 "develop": self.develop_info,
                 "exit_status": status,
                 "error": error,
-                "timing": {"wall_seconds": elapsed},
+                "timing": {"wall_seconds": elapsed, "stages": self.stage_seconds,
+                           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024},
             },
         )
 
@@ -363,7 +367,12 @@ def run(cfg: dict) -> int:
     error = None
     try:
         for stage in cfg["pipeline"]:
-            _STAGE_METHODS[stage](state)
+            t_stage = time.perf_counter()
+            try:
+                _STAGE_METHODS[stage](state)
+            finally:
+                state.stage_seconds.append(
+                    {"stage": stage, "seconds": time.perf_counter() - t_stage})
         if state.failures:
             status = EXIT_INVARIANT
             error = "invariant checks failed: %s" % ", ".join(sorted(state.failures))

@@ -13,6 +13,7 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,23 +93,47 @@ def interior_max_norm(domain: GridDomain, values: np.ndarray) -> float:
     return float(np.max(np.abs(values[1:-1, 1:-1])))
 
 
-def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
-    """Text table: an optional header line, then one line fmt % row per row.
+# one % conversion of a write_table format, such as %.17g or %d
+_CONVERSION = re.compile(r"(%[^a-zA-Z]*[a-zA-Z])")
 
-    Row r holds entry r of every column, each column taken in C order
-    (``.ravel()``).  The CSV artifacts end their lines in CRLF, the default;
-    mode "a" appends a second table to the same file.
+
+def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
+    """Text table: an optional header line, then fmt + newline per grid entry.
+
+    fmt holds one % conversion per column and no other %.  The columns
+    broadcast to one (rows, cols) grid (a 1-d column is one grid row), whose
+    entries are written in C order, one ``write`` per grid row.  A column of
+    shape (rows, 1) is formatted once per grid row, one of shape (1, cols)
+    once per table, and only full columns per entry.  The CSV artifacts end
+    their lines in CRLF, the default; mode "a" appends to the same file.
     """
-    rows = zip(*(np.asarray(c).ravel().tolist() for c in columns))
+    parts = _CONVERSION.split(fmt + newline)  # text, conversion, text, ..., text
+    cols = [np.atleast_2d(c) for c in columns]
+    rows, _ = np.broadcast_shapes(*(c.shape for c in cols))
+    shared = {k: [parts[2 * k + 1] % v for v in c[0].tolist()]
+              for k, c in enumerate(cols) if c.shape[0] == 1 and c.shape[1] > 1}
     with open(path, mode, newline="") as fh:
         if header is not None:
             fh.write(header + newline)
-        fh.writelines(fmt % row + newline for row in rows)
+        for r in range(rows):
+            # the row's format: (rows, 1) columns filled in, %s for the shared
+            # strings, the conversions of the full columns left in place
+            line, varying = parts[:], []
+            for k, c in enumerate(cols):
+                if c.shape[1] == 1:  # r % 1 == 0 reads a (1, 1) column
+                    line[2 * k + 1] %= c[r % c.shape[0], 0].item()
+                elif k in shared:
+                    line[2 * k + 1] = "%s"
+                    varying.append(shared[k])
+                else:
+                    varying.append(c[r].tolist())
+            row_fmt = "".join(line)
+            fh.write("".join(map(row_fmt.__mod__, zip(*varying))) if varying else row_fmt)
 
 
 def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:
-    x, y = np.meshgrid(domain.axis, domain.axis, indexing="ij")
-    write_table(path, "x,y,value", "%.17g,%.17g,%.17g", (x, y, values))
+    ax = domain.axis
+    write_table(path, "x,y,value", "%.17g,%.17g,%.17g", (ax[:, None], ax[None, :], values))
 
 
 def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:

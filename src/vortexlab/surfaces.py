@@ -25,11 +25,14 @@ forward step); the mismatch accumulated around a plaquette is the measured
 holonomy defect.
 
 Coefficients and transfers are stored component-first, as (d, d, ...) stacks
-of grid planes, and multiplied by ``_mul``, which sums plane products; the
-full-grid work runs a few grid rows at a time so its temporaries stay in
-cache.  The transfers are built once per ``NormalizedSolution``, on first
-use (``NormalizedSolution.transfers``), and shared by the development and
-``holonomy_defect``.  ``DevelopedSurface.frames`` keeps the node-first
+of grid planes, and multiplied by ``_mul``, which sums plane products.  The
+transfers are built a few grid rows at a time, each block forming only the
+coefficient planes its own edges need (d/dx for x-edges, d/dy for y-edges),
+so no full-grid coefficient stack exists and the temporaries stay in cache;
+``holonomy_defect`` reduces each block of plaquettes to its per-node ratio
+the same way.  The transfers are built once per ``NormalizedSolution``, on
+first use (``NormalizedSolution.transfers``), and shared by the development
+and ``holonomy_defect``.  ``DevelopedSurface.frames`` keeps the node-first
 (n, n, rows, 3) layout.
 """
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -207,25 +210,25 @@ def _shift(k: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-# matrices per block in _by_rows: the temporaries of one block stay in cache
+# matrices per block of grid rows: the temporaries of one block stay in cache
 _BLOCK = 4096
 
 
 def _by_rows(fn, *stacks: np.ndarray) -> np.ndarray:
-    """fn applied to blocks of grid rows of component-first (p, q, rows, cols) stacks.
+    """fn applied to blocks of grid rows of stacks whose last two axes are the grid.
 
     The stacks share one grid shape, and fn maps each block of them to the
     same rows of its result.  Working a few rows at a time keeps fn's
     temporaries in cache instead of streaming full-grid planes through memory.
     """
-    rows, cols = stacks[0].shape[2:]
+    rows, cols = stacks[0].shape[-2:]
     step = max(1, _BLOCK // cols)
     out = None
     for r in range(0, rows, step):
-        part = fn(*(x[:, :, r:r + step] for x in stacks))
+        part = fn(*(x[..., r:r + step, :] for x in stacks))
         if out is None:
-            out = np.empty(part.shape[:2] + (rows, cols), dtype=part.dtype)
-        out[:, :, r:r + step] = part
+            out = np.empty(part.shape[:-2] + (rows, cols), dtype=part.dtype)
+        out[..., r:r + step, :] = part
     return out
 
 
@@ -243,43 +246,41 @@ def _rk4_transfer(ma, mm, mb, s: float) -> np.ndarray:
     return _shift(k1 + 2.0 * k2 + 2.0 * k3 + k4, s / 6.0)
 
 
-def _wang_mats(w, wx, wy, uval) -> tuple[np.ndarray, np.ndarray]:
-    """d/dx and d/dy coefficient planes (3, 3, ...) for the stacked (f, f_z, f_zbar).
+def _stack(rows, dtype) -> np.ndarray:
+    """Component-first stack (d, e, ...) from nested rows of grid planes and scalars."""
+    shape = np.broadcast_shapes(*(np.shape(v) for row in rows for v in row))
+    m = np.empty((len(rows), len(rows[0])) + shape, dtype=dtype)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            m[i, j] = v
+    return m
+
+
+def _wang_mats(w, wx, wy, uval, axis: int) -> np.ndarray:
+    """d/dx (axis 0) or d/dy (axis 1) coefficient planes (3, 3, ...) for the
+    stacked (f, f_z, f_zbar).
 
     With w_z = (w_x - i w_y)/2 the frame system reads d/dz = A, d/dzbar = B with
     A = [[0, 1, 0], [0, w_z, U e^{-w}], [e^w/2, 0, 0]] and
     B = [[0, 0, 1], [e^w/2, 0, 0], [0, conj(U) e^{-w}, conj(w_z)]],
     so d/dx = A + B and d/dy = i (A - B).
     """
-    shape = np.shape(w)
     wz = 0.5 * (wx - 1j * wy)
-    mx = np.zeros((3, 3) + shape, dtype=complex)
-    my = np.zeros((3, 3) + shape, dtype=complex)
     half_ew = 0.5 * np.exp(w)
     ue = uval * np.exp(-w)
     cue = np.conj(ue)
     cwz = np.conj(wz)
-    mx[0, 1] = 1.0
-    mx[0, 2] = 1.0
-    mx[1, 0] = half_ew
-    mx[1, 1] = wz
-    mx[1, 2] = ue
-    mx[2, 0] = half_ew
-    mx[2, 1] = cue
-    mx[2, 2] = cwz
-    my[0, 1] = 1j
-    my[0, 2] = -1j
-    my[1, 0] = -1j * half_ew
-    my[1, 1] = 1j * wz
-    my[1, 2] = 1j * ue
-    my[2, 0] = 1j * half_ew
-    my[2, 1] = -1j * cue
-    my[2, 2] = -1j * cwz
-    return mx, my
+    if axis == 0:
+        rows = ((0.0, 1.0, 1.0), (half_ew, wz, ue), (half_ew, cue, cwz))
+    else:
+        rows = ((0.0, 1j, -1j), (-1j * half_ew, 1j * wz, 1j * ue),
+                (1j * half_ew, -1j * cue, -1j * cwz))
+    return _stack(rows, complex)
 
 
-def _cmc_mats(w, wx, wy, qval) -> tuple[np.ndarray, np.ndarray]:
-    """d/dx and d/dy planes (4, 4, ...) for the stacked (f, f_x, f_y, N) in R^{2,1},
+def _cmc_mats(w, wx, wy, qval, axis: int) -> np.ndarray:
+    """d/dx (axis 0) or d/dy (axis 1) planes (4, 4, ...) for the stacked
+    (f, f_x, f_y, N) in R^{2,1},
     written in the conformally rescaled frame (f, e^{-w}f_x, e^{-w}f_y, N).
 
     Second fundamental form b11 = e^{2w} + Re q, b22 = e^{2w} - Re q,
@@ -295,29 +296,18 @@ def _cmc_mats(w, wx, wy, qval) -> tuple[np.ndarray, np.ndarray]:
     gate on any solved (non-affine) w.  The conformal factor is restored
     exactly at the edge endpoints, where e^{w} is known.
     """
-    shape = np.shape(w)
     ew = np.exp(w)
     emw = np.exp(-w)
-    be1 = ew + qval.real * emw  # b11 e^{-w}
-    be2 = -qval.imag * emw     # b12 e^{-w}
-    be3 = ew - qval.real * emw  # b22 e^{-w}
-    Cx = np.zeros((4, 4) + shape, dtype=float)
-    Cy = np.zeros((4, 4) + shape, dtype=float)
-    Cx[0, 1] = ew
-    Cx[1, 2] = -wy
-    Cx[1, 3] = -be1
-    Cx[2, 1] = wy
-    Cx[2, 3] = -be2
-    Cx[3, 1] = -be1
-    Cx[3, 2] = -be2
-    Cy[0, 2] = ew
-    Cy[1, 2] = wx
-    Cy[1, 3] = -be2
-    Cy[2, 1] = -wx
-    Cy[2, 3] = -be3
-    Cy[3, 1] = -be2
-    Cy[3, 2] = -be3
-    return Cx, Cy
+    be2 = -qval.imag * emw  # b12 e^{-w}
+    if axis == 0:
+        be1 = ew + qval.real * emw  # b11 e^{-w}
+        rows = ((0.0, ew, 0.0, 0.0), (0.0, 0.0, -wy, -be1),
+                (0.0, wy, 0.0, -be2), (0.0, -be1, -be2, 0.0))
+    else:
+        be3 = ew - qval.real * emw  # b22 e^{-w}
+        rows = ((0.0, 0.0, ew, 0.0), (0.0, 0.0, wx, -be2),
+                (0.0, -wx, 0.0, -be3), (0.0, -be2, -be3, 0.0))
+    return _stack(rows, float)
 
 
 def _edge_transfers(sol: NormalizedSolution):
@@ -325,22 +315,34 @@ def _edge_transfers(sol: NormalizedSolution):
 
     tx and tx_rev are (d, d, n-1, n): edge (i, j) -> (i+1, j) and back;
     ty and ty_rev are (d, d, n, n-1): edge (i, j) -> (i, j+1) and back.
+    The coefficient planes are formed a block of grid rows at a time, only
+    the ones that block's transfers need: d/dx at the nodes and x-midpoints
+    for the x-edges, d/dy at the nodes and y-midpoints for the y-edges.
     """
     dom = sol.domain
-    h = dom.h
+    h, n = dom.h, dom.n
     zz = dom.zz()
     ev = sol.differential.eval
     mats = _wang_mats if sol.mode is SurfaceMode.WANG_K3 else _cmc_mats
     fields = (sol.w,) + _grad(dom, sol.w)
-    mx, my = mats(*fields, ev(zz))
-    mmx, _ = mats(*(0.5 * (f[:-1, :] + f[1:, :]) for f in fields), ev(zz[:-1, :] + 0.5 * h))
-    _, mmy = mats(*(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields), ev(zz[:, :-1] + 0.5j * h))
-    fwd = partial(_rk4_transfer, s=h)
-    rev = partial(_rk4_transfer, s=-h)
-    tx = _by_rows(fwd, mx[:, :, :-1], mmx, mx[:, :, 1:])
-    tx_rev = _by_rows(rev, mx[:, :, 1:], mmx, mx[:, :, :-1])
-    ty = _by_rows(fwd, my[..., :-1], mmy, my[..., 1:])
-    ty_rev = _by_rows(rev, my[..., 1:], mmy, my[..., :-1])
+    node = fields + (ev(zz),)
+    mid_x = tuple(0.5 * (f[:-1, :] + f[1:, :]) for f in fields) + (ev(zz[:-1, :] + 0.5 * h),)
+    mid_y = tuple(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields) + (ev(zz[:, :-1] + 0.5j * h),)
+    d, dtype = (3, complex) if sol.mode is SurfaceMode.WANG_K3 else (4, float)
+    tx, tx_rev = (np.empty((d, d, n - 1, n), dtype) for _ in range(2))
+    ty, ty_rev = (np.empty((d, d, n, n - 1), dtype) for _ in range(2))
+    step = max(1, _BLOCK // n)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        mx = mats(*(f[r:r + step + 1] for f in node), axis=0)
+        mm = mats(*(f[rows] for f in mid_x), axis=0)
+        k = mm.shape[2]  # the x-edges leaving these rows; none from the last row
+        tx[:, :, rows] = _rk4_transfer(mx[:, :, :k], mm, mx[:, :, 1:k + 1], h)
+        tx_rev[:, :, rows] = _rk4_transfer(mx[:, :, 1:k + 1], mm, mx[:, :, :k], -h)
+        my = mats(*(f[rows] for f in node), axis=1)
+        mm = mats(*(f[rows] for f in mid_y), axis=1)
+        ty[:, :, rows] = _rk4_transfer(my[..., :-1], mm, my[..., 1:], h)
+        ty_rev[:, :, rows] = _rk4_transfer(my[..., 1:], mm, my[..., :-1], -h)
     return tx, tx_rev, ty, ty_rev
 
 
@@ -445,9 +447,11 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
     return surf, N
 
 
-def _loop_defect(down, left, up, right, S):
-    """(I - loop) S for the plaquette loop right, up, left, down from the corner."""
-    return _mul(_shift(_mul(_mul(_mul(down, left), up), right), -1.0), S)
+def _loop_ratio(down, left, up, right, S):
+    """Per-node max |(I - loop) S| / max |S| for the plaquette loop right, up,
+    left, down from the corner."""
+    delta = _mul(_shift(_mul(_mul(_mul(down, left), up), right), -1.0), S)
+    return np.max(np.abs(delta), axis=(0, 1)) / np.max(np.abs(S), axis=(0, 1))
 
 
 def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float:
@@ -456,8 +460,9 @@ def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float
     Each of the four edges is traversed with the same one-step RK4 used in
     development (reverse edges integrate the reversed ODE).  The loop is
     applied to the developed frame at the plaquette corner and compared with
-    max-norms.  Plaquettes touching the region rim are excluded: the rim's
-    one-sided gradient stencils would otherwise dominate the measurement.
+    max-norms, a block of grid rows at a time.  Plaquettes touching the
+    region rim are excluded: the rim's one-sided gradient stencils would
+    otherwise dominate the measurement.
     """
     tx, tx_rev, ty, ty_rev = sol.transfers
     frames = surface.frames
@@ -467,12 +472,9 @@ def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float
         frames[:, :, 1, :] *= emw[:, :, None]  # transfers act on the rescaled frame
         frames[:, :, 2, :] *= emw[:, :, None]
     S = frames.transpose(2, 3, 0, 1)[..., :-1, :-1]
-    delta = _by_rows(
-        _loop_defect, ty_rev[..., :-1, :], tx_rev[..., 1:], ty[..., 1:, :], tx[..., :-1], S
+    rel = _by_rows(
+        _loop_ratio, ty_rev[..., :-1, :], tx_rev[..., 1:], ty[..., 1:, :], tx[..., :-1], S
     )
-    num = np.max(np.abs(delta), axis=(0, 1))
-    den = np.max(np.abs(S), axis=(0, 1))
-    rel = num / den
     if rel.shape[0] > 2:
         rel = rel[1:-1, 1:-1]
     return float(np.max(rel))
@@ -496,19 +498,21 @@ def reconstruct_metric(surface: DevelopedSurface) -> np.ndarray:
 
 
 def export_mesh(surface: DevelopedSurface, path) -> None:
-    """Wavefront OBJ: n^2 vertices, 2(n-1)^2 triangles, 9 significant digits."""
+    """Wavefront OBJ: n^2 vertices, 2(n-1)^2 triangles, 9 significant digits.
+
+    Cell (i, j) with corners a, b, c, d at (i, j), (i+1, j), (i+1, j+1),
+    (i, j+1) is split into (a, b, c) and (a, c, d), one two-line table entry.
+    """
     P = surface.positions
     if not np.all(np.isfinite(P)):
         raise ValueError("cannot export non-finite positions")
     n = surface.domain.n
     write_table(path, None, "v %.9g %.9g %.9g", np.moveaxis(P, -1, 0), "\n")
     idx = np.arange(1, n * n + 1).reshape(n, n)
-    a, b, cc, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
-    tris = np.stack([np.stack([a, b, cc], axis=-1), np.stack([a, cc, d], axis=-1)], axis=-2)
-    write_table(path, None, "f %d %d %d", np.moveaxis(tris, -1, 0), "\n", mode="a")
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    write_table(path, None, "f %d %d %d\nf %d %d %d", (a, b, c, a, c, d), "\n", mode="a")
 
 
 def write_gauss_csv(path, domain: GridDomain, normals: np.ndarray) -> None:
-    x, y = np.meshgrid(domain.axis, domain.axis, indexing="ij")
     write_table(path, "x,y,N1,N2,N3", "%.17g,%.17g,%.17g,%.17g,%.17g",
-                (x, y, normals[..., 0], normals[..., 1], normals[..., 2]))
+                (domain.axis[:, None], domain.axis[None, :], *np.moveaxis(normals, -1, 0)))

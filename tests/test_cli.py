@@ -239,6 +239,43 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
     assert report["error"] == (detail or "MemoryError")
 
 
+REPORT_KEYS = {"config", "versions", "reports", "invariants", "develop", "exit_status", "error",
+               "timing"}
+
+
+def test_timing_block_names_the_pipeline_stages(tmp_path):
+    # seconds and the peak RSS live in "timing" only; the rest of the report
+    # is the same from one run to the next
+    pipeline = ("solve-incomplete", "verify", "develop", "export")
+    cfg = make_cfg(tmp_path, **dict(WANG_DEVELOP_KW, pipeline=pipeline))
+    reports = []
+    for _ in range(2):
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        reports.append(json.loads((tmp_path / "out" / "report.json").read_text()))
+    timings = [rep.pop("timing") for rep in reports]
+    assert reports[0] == reports[1]
+    assert set(reports[0]) == REPORT_KEYS - {"timing"}
+    assert "seconds" not in json.dumps(reports[0])
+    for timing in timings:
+        assert set(timing) == {"wall_seconds", "stages", "peak_rss_mb"}
+        assert [entry["stage"] for entry in timing["stages"]] == list(pipeline)
+        assert all(set(entry) == {"stage", "seconds"} for entry in timing["stages"])
+        assert 0.0 < sum(e["seconds"] for e in timing["stages"]) <= timing["wall_seconds"]
+        assert timing["peak_rss_mb"] > 0.0
+
+
+def test_timing_includes_the_failed_stage(tmp_path, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the transfers")
+
+    monkeypatch.setattr(develop, "_edge_transfers", no_memory)
+    assert cli.main(["run", make_cfg(tmp_path, **WANG_DEVELOP_KW)]) == cli.EXIT_SOLVER
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(report) == REPORT_KEYS
+    stages = [entry["stage"] for entry in report["timing"]["stages"]]
+    assert stages == list(WANG_DEVELOP_KW["pipeline"])
+
+
 def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
     # one V-cycle cannot reach the 1e-10 relative residual of a Newton step
     monkeypatch.setattr(solver, "MAX_PCG", 1)

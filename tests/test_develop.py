@@ -185,9 +185,8 @@ def _small_grid_mats(mode):
     w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
     wx, wy = dev._grad(dom, w)
     val = (0.5 + 0.25j) + zz * (1.0 - 0.5j)
-    if mode is WANG:
-        return dom.h, dev._wang_mats(w, wx, wy, val)
-    return dom.h, dev._cmc_mats(w, wx, wy, val)
+    mats = dev._wang_mats if mode is WANG else dev._cmc_mats
+    return dom.h, (mats(w, wx, wy, val, axis=0), mats(w, wx, wy, val, axis=1))
 
 
 @pytest.mark.parametrize("mode", [WANG, HARMONIC])
@@ -203,6 +202,43 @@ def test_reverse_transfer_is_a_backward_step(mode):
         negated = dev._rk4_transfer(-mb, -mm, -ma, h)
         assert np.array_equal(back, negated)
         assert not np.array_equal(back, dev._rk4_transfer(ma, mm, mb, h))
+
+
+def _full_stack_transfers(sol):
+    """The four transfer stacks from full-grid coefficient stacks."""
+    dom, h = sol.domain, sol.domain.h
+    zz, ev = dom.zz(), sol.differential.eval
+    mats = dev._wang_mats if sol.mode is WANG else dev._cmc_mats
+    fields = (sol.w,) + dev._grad(dom, sol.w)
+    mx, my = (mats(*fields, ev(zz), axis=a) for a in (0, 1))
+    mmx = mats(*(0.5 * (f[:-1, :] + f[1:, :]) for f in fields), ev(zz[:-1, :] + 0.5 * h), axis=0)
+    mmy = mats(*(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields), ev(zz[:, :-1] + 0.5j * h), axis=1)
+    rk4 = dev._rk4_transfer
+    return (rk4(mx[:, :, :-1], mmx, mx[:, :, 1:], h), rk4(mx[:, :, 1:], mmx, mx[:, :, :-1], -h),
+            rk4(my[..., :-1], mmy, my[..., 1:], h), rk4(my[..., 1:], mmy, my[..., :-1], -h))
+
+
+@pytest.mark.parametrize("block", [40, 65])
+@pytest.mark.parametrize("mode", [WANG, HARMONIC])
+def test_blocked_transfers_equal_full_stacks(mode, block, monkeypatch):
+    # 13 node rows in blocks of 3 (a last block of one row, which has no
+    # x-edges) or of 5 (a last block of 3 rows)
+    dom = GridDomain(0.6, 13)
+    zz = dom.zz()
+    w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
+    diff = EntireFunction(p=(0.5 + 0.25j, 1.0 - 0.5j), q=(0.0, 0.3))
+    sol = dev.NormalizedSolution(mode, diff, dom, w)
+    want = _full_stack_transfers(sol)
+    s0 = np.eye(3, dtype=complex) if mode is WANG else np.eye(4, 3, k=-1)
+    surf = dev.DevelopedSurface(mode, dom, dev._sweep(want, s0, dom.n), None, 0.0, 0.0)
+    defect = dev.holonomy_defect(surf, sol)  # one block: 4096 // 12 > 12 rows
+    monkeypatch.setattr(dev, "_BLOCK", block)
+    got = dev._edge_transfers(sol)
+    for g, f in zip(got, want):
+        assert g.shape == f.shape and g.dtype == f.dtype
+        assert np.array_equal(g, f)
+    blocked = dev.NormalizedSolution(mode, diff, dom, w)
+    assert dev.holonomy_defect(surf, blocked) == defect
 
 
 def test_minkowski_product_signature():
