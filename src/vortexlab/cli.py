@@ -167,6 +167,7 @@ def _solve_report_json(rep) -> dict:
         "iterations": newton.iterations,
         "cg_iterations": newton.cg_iterations,
         "backtracks": newton.backtracks,
+        "residual_evaluations": newton.residual_evaluations,
         "converged": True,
         "final_residual": newton.residual,
         "residual_history": list(newton.residual_history),

@@ -127,6 +127,22 @@ def test_dichotomy_run_reports_divergent_ray(tmp_path):
     assert abs(left[0]["limit_estimate"] - 3.0) <= 0.02
 
 
+def test_report_counts_residual_evaluations(tmp_path):
+    # a Newton solve evaluates the residual at its start and once per trial
+    # point: each accepted step and each backtrack
+    cfg = make_cfg(tmp_path, R=6.0, pipeline=("two-solutions",), **EXP_Z_KW)
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    reports = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+    rungs = reports["complete"]["continuation_trace"]
+    assert len(rungs) > 1
+    for rep in rungs:
+        assert rep["residual_evaluations"] == 1 + rep["newton_iterations"] + rep["backtracks"]
+    for rep in (reports["complete"], reports["incomplete"]):
+        assert rep["residual_evaluations"] == 1 + rep["iterations"] + rep["backtracks"]
+    # the ladder's own counts are those of its last rung
+    assert reports["complete"]["residual_evaluations"] == rungs[-1]["residual_evaluations"]
+
+
 def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
     # one test id, both pipelines: a solve stage ahead of two-solutions must
     # not get to write its field either
@@ -277,7 +293,9 @@ def test_timing_includes_the_failed_stage(tmp_path, monkeypatch):
 
 
 def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
-    # one V-cycle cannot reach the 1e-10 relative residual of a Newton step
+    # the forcing term lets some early Newton steps stop after one V-cycle,
+    # but not every step: the late ones, at residuals far below ETA_NEWTON,
+    # need several
     monkeypatch.setattr(solver, "MAX_PCG", 1)
     assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
     report = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -250,6 +250,55 @@ def test_ladder_trace_matches_m_schedule():
     assert all(e["inner_change"] is not None for e in rep.trace[1:])
 
 
+def _ez_ladder(monkeypatch):
+    """The e^z ladder (k = 3, R = 6, n = 61), with each rung's Newton report
+    and the tolerance of each PCG solve, in call order."""
+    reports, tols = [], []
+    pcg, newton = solve._pcg, solve.solve_newton
+
+    def recording_pcg(mg, b, tol, guess=None):
+        tols.append(tol)
+        return pcg(mg, b, tol, guess)
+
+    def recording_newton(*args):
+        w, rep = newton(*args)
+        reports.append(rep)
+        return w, rep
+
+    monkeypatch.setattr(solve, "_pcg", recording_pcg)
+    monkeypatch.setattr(solve, "solve_newton", recording_newton)
+    w, rep = solve.solve_complete(VortexProblem(EXP_Z, 3, GridDomain(6.0, 61)))
+    return w, rep, reports, tols
+
+
+def test_forcing_terms_keep_the_ladder_field_at_a_third_of_the_vcycles(monkeypatch):
+    # ETA_NEWTON = 0 solves every step to the 1e-10 floor: exact Newton steps
+    w, rep, _, _ = _ez_ladder(monkeypatch)
+    monkeypatch.setattr(solve, "ETA_NEWTON", 0.0)
+    w_exact, rep_exact, _, tols = _ez_ladder(monkeypatch)
+    assert set(tols) == {1e-10}
+    assert np.max(np.abs(w - w_exact)) <= 1e-12  # measured 4.1e-14
+    vcycles = sum(e["cg_iterations"] for e in rep.trace)
+    vcycles_exact = sum(e["cg_iterations"] for e in rep_exact.trace)
+    assert 2 * vcycles <= vcycles_exact  # measured 159 against 499
+
+
+def test_forcing_term_of_each_step_follows_its_residual(monkeypatch):
+    # step i of a solve is taken at residual history[i]; its PCG stops at a
+    # relative max(1e-10, min(ETA_NEWTON, history[i])), and the outer stop
+    # stays TOL_NEWTON however loosely the early steps were solved
+    _, rep, reports, tols = _ez_ladder(monkeypatch)
+    assert len(reports) == len(rep.trace)
+    expected = []
+    for r in reports:
+        assert r.residual <= solve.TOL_NEWTON
+        assert r.residual_evaluations == 1 + r.iterations + r.backtracks
+        expected += [max(1e-10, min(solve.ETA_NEWTON, g)) for g in r.residual_history[:-1]]
+    assert tols == expected
+    # early steps are capped at ETA_NEWTON, late ones solved tightly
+    assert max(tols) == solve.ETA_NEWTON and min(tols) < 1e-6
+
+
 def test_two_solutions_requires_transcendental_phi():
     prob = VortexProblem(F_Z, 2, GridDomain(4.0, 41))
     with pytest.raises(ValueError):
