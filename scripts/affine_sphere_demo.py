@@ -39,7 +39,7 @@ def main():
           (K[region].min(), K[region].max()))
 
     surf = surfaces.develop_affine_sphere(sol)
-    defect = surfaces.holonomy_defect(surf, sol)
+    defect = surf.holonomy_defect
     rec = surfaces.reconstruct_metric(surf)
     rec_err = np.abs(rec - sol.w)[1:-1, 1:-1].max()
     print("holonomy defect %.3e, metric round-trip %.3e" % (defect, rec_err))

@@ -48,7 +48,7 @@ def main():
         sol = sol.restrict_half()
     surf, normals = surfaces.develop_cmc(sol)
     drift = np.abs(surfaces.mdot(normals, normals) + 1.0).max()
-    defect = surfaces.holonomy_defect(surf, sol)
+    defect = surf.holonomy_defect
     print("developed on R = %g, n = %d: <N,N>+1 max %.3e, holonomy %.3e"
           % (sol.domain.R, sol.domain.n, drift, defect))
 

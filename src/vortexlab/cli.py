@@ -140,6 +140,18 @@ def load_config(path: str) -> dict:
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
+    restrict = tol.get("develop_restrict", 0)
+    if not isinstance(restrict, int) or isinstance(restrict, bool) or restrict < 0:
+        raise ConfigError("tolerances.develop_restrict must be an integer >= 0")
+    m = n
+    for _ in range(restrict):
+        if (m - 1) % 4:
+            raise ConfigError("develop_restrict %d: a grid of %d nodes cannot be halved "
+                              "((n - 1) must be divisible by 4)" % (restrict, m))
+        m = (m - 1) // 2 + 1
+    delta = tol.get("no_gap_delta", 0.5)
+    if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0.0 < delta < 1.0:
+        raise ConfigError("tolerances.no_gap_delta must be a number in (0, 1)")
     return raw
 
 
@@ -158,8 +170,9 @@ def _solve_report_json(rep) -> dict:
     """Pinned report schema shared by all solve branches.
 
     The complete branch is the M-ladder, whose report also says whether the
-    ladder stabilized; the incomplete branch is one Newton solve on the
-    subsolution profile.
+    ladder stabilized and, in "totals", sums its rungs' counts (the top-level
+    counts are those of the last rung); the incomplete branch is one Newton
+    solve on the subsolution profile.
     """
     ladder = isinstance(rep, solver.ContinuationReport)
     newton = rep.newton if ladder else rep
@@ -178,6 +191,12 @@ def _solve_report_json(rep) -> dict:
     if ladder:
         out["stabilized"] = rep.stabilized
         out["warning"] = rep.warning
+        out["totals"] = {
+            "iterations": sum(rung["newton_iterations"] for rung in rep.trace),
+            "cg_iterations": sum(rung["cg_iterations"] for rung in rep.trace),
+            "backtracks": sum(rung["backtracks"] for rung in rep.trace),
+            "residual_evaluations": sum(rung["residual_evaluations"] for rung in rep.trace),
+        }
     return out
 
 
@@ -301,14 +320,13 @@ class _Run:
             normals = None
         else:
             surface, normals = develop.develop_cmc(sol)
-        defect = develop.holonomy_defect(surface, sol)
         rec = develop.reconstruct_metric(surface)
         target = sol.w if mode is develop.SurfaceMode.WANG_K3 else 2.0 * sol.w
         self.develop_info = {
             "mode": mode.value,
             "grid_R": sol.domain.R,
             "grid_n": sol.domain.n,
-            "holonomy_defect": float(defect),
+            "holonomy_defect": surface.holonomy_defect,
             "metric_roundtrip_error": float(np.max(np.abs(rec - target))),
             "imag_max": surface.imag_max,
             "conj_defect": surface.conj_defect,

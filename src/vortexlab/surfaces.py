@@ -25,22 +25,23 @@ forward step); the mismatch accumulated around a plaquette is the measured
 holonomy defect.
 
 Coefficients and transfers are stored component-first, as (d, d, ...) stacks
-of grid planes, and multiplied by ``_mul``, which sums plane products.  The
-transfers are built a few grid rows at a time, each block forming only the
-coefficient planes its own edges need (d/dx for x-edges, d/dy for y-edges),
-so no full-grid coefficient stack exists and the temporaries stay in cache;
-``holonomy_defect`` reduces each block of plaquettes to its per-node ratio
-the same way.  The transfers are built once per ``NormalizedSolution``, on
-first use (``NormalizedSolution.transfers``), and shared by the development
-and ``holonomy_defect``.  ``DevelopedSurface.frames`` keeps the node-first
-(n, n, rows, 3) layout.
+of grid planes, and multiplied by ``_mul``, which sums plane products.  No
+full-grid transfer stack exists: development is one pass over blocks of
+``_ROWS`` grid rows.  The pass first walks the x-edges of the central column
+(a contiguous copy of it).  Each block then builds its four transfer sets,
+forming only the coefficient planes its own edges need (d/dx for x-edges,
+d/dy for y-edges), ``_BLOCK`` matrices at a time so the temporaries stay in
+cache; sweeps its rows along y from the central column, straight into the
+node-first (n, n, rows, 3) layout of ``DevelopedSurface.frames``; reduces its
+plaquettes to their per-node ratio; and drops its transfers.  The pass
+records the holonomy defect in ``DevelopedSurface.holonomy_defect``;
+``holonomy_defect`` runs the same pass on given frames.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,16 +95,6 @@ class NormalizedSolution:
 
     def residual_norm(self) -> float:
         return float(np.max(np.abs(self.residual()[1:-1, 1:-1])))
-
-    @cached_property
-    def transfers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge transfers (tx, tx_rev, ty, ty_rev) of this w, built on first use.
-
-        Development and ``holonomy_defect`` given the same solution share
-        them, so ``w`` must not be changed in place afterwards; a modified
-        field belongs in a new ``NormalizedSolution``.
-        """
-        return _edge_transfers(self)
 
     def restrict_half(self) -> "NormalizedSolution":
         sub, vals = self.domain.restrict_half(self.w)
@@ -212,24 +203,9 @@ def _shift(k: np.ndarray, c: float) -> np.ndarray:
 
 # matrices per block of grid rows: the temporaries of one block stay in cache
 _BLOCK = 4096
-
-
-def _by_rows(fn, *stacks: np.ndarray) -> np.ndarray:
-    """fn applied to blocks of grid rows of stacks whose last two axes are the grid.
-
-    The stacks share one grid shape, and fn maps each block of them to the
-    same rows of its result.  Working a few rows at a time keeps fn's
-    temporaries in cache instead of streaming full-grid planes through memory.
-    """
-    rows, cols = stacks[0].shape[-2:]
-    step = max(1, _BLOCK // cols)
-    out = None
-    for r in range(0, rows, step):
-        part = fn(*(x[..., r:r + step, :] for x in stacks))
-        if out is None:
-            out = np.empty(part.shape[:-2] + (rows, cols), dtype=part.dtype)
-        out[..., r:r + step, :] = part
-    return out
+# grid rows per block of the development pass: the edge transfers of this many
+# rows are alive at once, and each frame step along y covers all of them
+_ROWS = 64
 
 
 def _rk4_transfer(ma, mm, mb, s: float) -> np.ndarray:
@@ -310,39 +286,52 @@ def _cmc_mats(w, wx, wy, qval, axis: int) -> np.ndarray:
     return _stack(rows, float)
 
 
-def _edge_transfers(sol: NormalizedSolution):
-    """Forward and reverse RK4 transfers for every grid edge, as (d, d, ...) planes.
-
-    tx and tx_rev are (d, d, n-1, n): edge (i, j) -> (i+1, j) and back;
-    ty and ty_rev are (d, d, n, n-1): edge (i, j) -> (i, j+1) and back.
-    The coefficient planes are formed a block of grid rows at a time, only
-    the ones that block's transfers need: d/dx at the nodes and x-midpoints
-    for the x-edges, d/dy at the nodes and y-midpoints for the y-edges.
-    """
+def _fields(sol: NormalizedSolution):
+    """w, its gradient and the differential at the nodes, the x-midpoints and
+    the y-midpoints: the (node, mid_x, mid_y) inputs of the coefficient planes."""
     dom = sol.domain
-    h, n = dom.h, dom.n
+    h = dom.h
     zz = dom.zz()
     ev = sol.differential.eval
-    mats = _wang_mats if sol.mode is SurfaceMode.WANG_K3 else _cmc_mats
     fields = (sol.w,) + _grad(dom, sol.w)
     node = fields + (ev(zz),)
     mid_x = tuple(0.5 * (f[:-1, :] + f[1:, :]) for f in fields) + (ev(zz[:-1, :] + 0.5 * h),)
     mid_y = tuple(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields) + (ev(zz[:, :-1] + 0.5j * h),)
+    return node, mid_x, mid_y
+
+
+def _block_transfers(sol: NormalizedSolution, fields, r0: int, r1: int):
+    """Forward and reverse RK4 transfers of the edges node rows r0..r1-1 need.
+
+    tx and tx_rev are (d, d, k, cols): edge (i, j) -> (i+1, j) and back, for
+    the k rows of the block that have x-edges; ty and ty_rev are
+    (d, d, rows, cols-1): edge (i, j) -> (i, j+1) and back, for the rows of
+    the block and the row after it (the far side of its plaquettes).
+    fields are ``_fields`` of sol or a cut of their columns.  The coefficient
+    planes are formed _BLOCK matrices at a time, only the ones those edges
+    need: d/dx at the nodes and x-midpoints for the x-edges, d/dy at the
+    nodes and y-midpoints for the y-edges.
+    """
+    h = sol.domain.h
+    mats = _wang_mats if sol.mode is SurfaceMode.WANG_K3 else _cmc_mats
     d, dtype = (3, complex) if sol.mode is SurfaceMode.WANG_K3 else (4, float)
-    tx, tx_rev = (np.empty((d, d, n - 1, n), dtype) for _ in range(2))
-    ty, ty_rev = (np.empty((d, d, n, n - 1), dtype) for _ in range(2))
-    step = max(1, _BLOCK // n)
-    for r in range(0, n, step):
-        rows = slice(r, r + step)
-        mx = mats(*(f[r:r + step + 1] for f in node), axis=0)
-        mm = mats(*(f[rows] for f in mid_x), axis=0)
-        k = mm.shape[2]  # the x-edges leaving these rows; none from the last row
-        tx[:, :, rows] = _rk4_transfer(mx[:, :, :k], mm, mx[:, :, 1:k + 1], h)
-        tx_rev[:, :, rows] = _rk4_transfer(mx[:, :, 1:k + 1], mm, mx[:, :, :k], -h)
-        my = mats(*(f[rows] for f in node), axis=1)
-        mm = mats(*(f[rows] for f in mid_y), axis=1)
-        ty[:, :, rows] = _rk4_transfer(my[..., :-1], mm, my[..., 1:], h)
-        ty_rev[:, :, rows] = _rk4_transfer(my[..., 1:], mm, my[..., :-1], -h)
+    node, mid_x, mid_y = fields
+    rows, cols = node[0].shape
+    rx, ry = min(r1, rows - 1), min(r1 + 1, rows)
+    tx, tx_rev = (np.empty((d, d, rx - r0, cols), dtype) for _ in range(2))
+    ty, ty_rev = (np.empty((d, d, ry - r0, cols - 1), dtype) for _ in range(2))
+    step = max(1, _BLOCK // cols)
+    for r in range(r0, ry, step):
+        s, x = min(r + step, ry), min(r + step, rx)
+        if x > r:
+            mx = mats(*(f[r:x + 1] for f in node), axis=0)
+            mm = mats(*(f[r:x] for f in mid_x), axis=0)
+            tx[:, :, r - r0:x - r0] = _rk4_transfer(mx[:, :, :-1], mm, mx[:, :, 1:], h)
+            tx_rev[:, :, r - r0:x - r0] = _rk4_transfer(mx[:, :, 1:], mm, mx[:, :, :-1], -h)
+        my = mats(*(f[r:s] for f in node), axis=1)
+        mm = mats(*(f[r:s] for f in mid_y), axis=1)
+        ty[:, :, r - r0:s - r0] = _rk4_transfer(my[..., :-1], mm, my[..., 1:], h)
+        ty_rev[:, :, r - r0:s - r0] = _rk4_transfer(my[..., 1:], mm, my[..., :-1], -h)
     return tx, tx_rev, ty, ty_rev
 
 
@@ -358,23 +347,71 @@ class DevelopedSurface:
     positions: np.ndarray  # (n, n, 3) real
     imag_max: float  # WANG only: largest |Im f| seen (reality drift)
     conj_defect: float  # WANG only: max |f_zbar - conj(f_z)|
+    holonomy_defect: float  # measured by the pass that developed the frames
 
 
-def _sweep(transfers, s0: np.ndarray, n: int) -> np.ndarray:
-    """Frames on the fill tree, returned in the (n, n, rows, 3) layout."""
-    tx, tx_rev, ty, ty_rev = transfers
-    S = np.zeros(s0.shape + (n, n), dtype=s0.dtype)
+def _loop_ratio(down, left, up, right, S):
+    """Per-node max |(I - loop) S| / max |S| for the plaquette loop right, up,
+    left, down from the corner."""
+    delta = _mul(_shift(_mul(_mul(_mul(down, left), up), right), -1.0), S)
+    return np.max(np.abs(delta), axis=(0, 1)) / np.max(np.abs(S), axis=(0, 1))
+
+
+def _develop_pass(sol: NormalizedSolution, frames: np.ndarray, s0=None) -> float:
+    """Frames and holonomy defect in one pass over blocks of _ROWS grid rows.
+
+    frames has the (n, n, rows, 3) surface layout.  Given the frame s0 at the
+    central node, the pass first walks the central column's x-edges, then
+    develops each block of rows along y from that column and, for
+    HARMONIC_K2, scales the tangent rows back to f_x = e^w e1, f_y = e^w e2;
+    without s0 the frames are only read.  Each block then reduces its
+    plaquettes to their per-node ratio and drops its transfers.  Returns the
+    defect as ``holonomy_defect`` defines it.
+    """
+    n = sol.domain.n
     c = (n - 1) // 2
-    S[:, :, c, c] = s0
-    for i in range(c, n - 1):
-        S[:, :, i + 1, c] = _mul(tx[:, :, i, c], S[:, :, i, c])
-    for i in range(c - 1, -1, -1):
-        S[:, :, i, c] = _mul(tx_rev[:, :, i, c], S[:, :, i + 1, c])
-    for j in range(c, n - 1):
-        S[..., j + 1] = _mul(ty[..., j], S[..., j])
-    for j in range(c - 1, -1, -1):
-        S[..., j] = _mul(ty_rev[..., j], S[..., j + 1])
-    return np.ascontiguousarray(S.transpose(2, 3, 0, 1))
+    fields = _fields(sol)
+    if s0 is not None:
+        # a contiguous copy of column c: its x-edges, and no y-edges
+        column = tuple(tuple(np.ascontiguousarray(f[:, c:c + width]) for f in group)
+                       for group, width in zip(fields, (1, 1, 0)))
+        tx, tx_rev, _, _ = _block_transfers(sol, column, 0, n)
+        frames[c, c] = s0
+        for i in range(c, n - 1):
+            frames[i + 1, c] = _mul(tx[:, :, i, 0], frames[i, c])
+        for i in range(c - 1, -1, -1):
+            frames[i, c] = _mul(tx_rev[:, :, i, 0], frames[i + 1, c])
+    cmc = sol.mode is SurfaceMode.HARMONIC_K2
+    if cmc:
+        ew, emw = np.exp(sol.w), np.exp(-sol.w)
+    rel = np.empty((n - 1, n - 1))
+    step = max(1, _BLOCK // (n - 1))
+    for r0 in range(0, n, _ROWS):
+        r1 = min(r0 + _ROWS, n)
+        tx, tx_rev, ty, ty_rev = _block_transfers(sol, fields, r0, r1)
+        if s0 is not None:
+            S = frames[r0:r1].transpose(2, 3, 0, 1)
+            for j in range(c, n - 1):
+                S[..., j + 1] = _mul(ty[:, :, :r1 - r0, j], S[..., j])
+            for j in range(c - 1, -1, -1):
+                S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
+            if cmc:
+                frames[r0:r1, :, 1:3] *= ew[r0:r1, :, None, None]
+        k = tx.shape[2]  # the block's plaquette rows
+        F = frames[r0:r0 + k, :-1]
+        if cmc:
+            F = F.copy()
+            F[:, :, 1:3] *= emw[r0:r0 + k, :-1, None, None]  # transfers act on the rescaled frame
+        S = F.transpose(2, 3, 0, 1)
+        for p in range(0, k, step):
+            q = min(p + step, k)
+            rel[r0 + p:r0 + q] = _loop_ratio(
+                ty_rev[:, :, p:q], tx_rev[:, :, p:q, 1:], ty[:, :, p + 1:q + 1],
+                tx[:, :, p:q, :-1], S[:, :, p:q])
+        del tx, tx_rev, ty, ty_rev, F, S
+    if rel.shape[0] > 2:
+        rel = rel[1:-1, 1:-1]
+    return float(np.max(rel))
 
 
 def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
@@ -402,16 +439,16 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
         ],
         dtype=complex,
     )
-    S = _sweep(sol.transfers, s0, n)
+    S = np.empty((n, n) + s0.shape, dtype=complex)
+    defect = _develop_pass(sol, S, s0)
     if not np.all(np.isfinite(S.view(float))):
         raise ArithmeticError("frame propagation produced non-finite values")
     imag_max = float(np.max(np.abs(S[:, :, 0, :].imag)))
     conj_defect = float(np.max(np.abs(S[:, :, 2, :] - np.conj(S[:, :, 1, :]))))
     if imag_max > 1e-6:
         raise ArithmeticError("developed surface lost reality: |Im f| = %.3e" % imag_max)
-    return DevelopedSurface(
-        sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :].real), imag_max, conj_defect
-    )
+    return DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :].real),
+                            imag_max, conj_defect, defect)
 
 
 def mdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -433,51 +470,33 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
         raise ValueError("w does not solve the harmonic-map equation closely enough")
     n = sol.domain.n
     s0 = np.eye(4, 3, k=-1, dtype=float)  # f = 0, e1, e2, N at the origin
-    S = _sweep(sol.transfers, s0, n)
+    S = np.empty((n, n) + s0.shape)
+    defect = _develop_pass(sol, S, s0)
     if not np.all(np.isfinite(S)):
         raise ArithmeticError("frame propagation produced non-finite values")
-    ew = np.exp(sol.w)
-    S[:, :, 1, :] *= ew[:, :, None]  # back to f_x = e^{w} e1
-    S[:, :, 2, :] *= ew[:, :, None]
     N = np.ascontiguousarray(S[:, :, 3, :])
     drift = float(np.max(np.abs(mdot(N, N) + 1.0)))
     if drift > 1e-5:
         raise ArithmeticError("Gauss map left the hyperboloid: |<N,N>+1| = %.3e" % drift)
-    surf = DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :]), 0.0, 0.0)
+    surf = DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :]),
+                            0.0, 0.0, defect)
     return surf, N
-
-
-def _loop_ratio(down, left, up, right, S):
-    """Per-node max |(I - loop) S| / max |S| for the plaquette loop right, up,
-    left, down from the corner."""
-    delta = _mul(_shift(_mul(_mul(_mul(down, left), up), right), -1.0), S)
-    return np.max(np.abs(delta), axis=(0, 1)) / np.max(np.abs(S), axis=(0, 1))
 
 
 def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float:
     """Worst relative frame mismatch around an elementary plaquette.
 
     Each of the four edges is traversed with the same one-step RK4 used in
-    development (reverse edges integrate the reversed ODE).  The loop is
-    applied to the developed frame at the plaquette corner and compared with
-    max-norms, a block of grid rows at a time.  Plaquettes touching the
-    region rim are excluded: the rim's one-sided gradient stencils would
-    otherwise dominate the measurement.
+    development (reverse edges integrate the reversed ODE), built from sol's
+    w.  The loop is applied to the developed frame at the plaquette corner and
+    compared with max-norms.  Plaquettes touching the region rim are
+    excluded: the rim's one-sided gradient stencils would otherwise dominate
+    the measurement.  Development records this value in
+    ``surface.holonomy_defect``; this runs the same pass on given frames, so
+    a surface and a solution that do not belong together can be checked
+    against each other.
     """
-    tx, tx_rev, ty, ty_rev = sol.transfers
-    frames = surface.frames
-    if sol.mode is SurfaceMode.HARMONIC_K2:
-        frames = frames.copy()
-        emw = np.exp(-sol.w)
-        frames[:, :, 1, :] *= emw[:, :, None]  # transfers act on the rescaled frame
-        frames[:, :, 2, :] *= emw[:, :, None]
-    S = frames.transpose(2, 3, 0, 1)[..., :-1, :-1]
-    rel = _by_rows(
-        _loop_ratio, ty_rev[..., :-1, :], tx_rev[..., 1:], ty[..., 1:, :], tx[..., :-1], S
-    )
-    if rel.shape[0] > 2:
-        rel = rel[1:-1, 1:-1]
-    return float(np.max(rel))
+    return _develop_pass(sol, surface.frames)
 
 
 def reconstruct_metric(surface: DevelopedSurface) -> np.ndarray:

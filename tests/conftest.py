@@ -61,7 +61,7 @@ def _wang_state(diff: EntireFunction, dom: GridDomain) -> SimpleNamespace:
         report=rep,
         sol=sol,
         surface=surf,
-        defect=surfaces.holonomy_defect(surf, sol),
+        defect=surf.holonomy_defect,
         rec_err=rec_err,
     )
 
@@ -91,7 +91,7 @@ def z3_family():
         out[n] = SimpleNamespace(
             report=rep,
             sol=inner,
-            defect=surfaces.holonomy_defect(surf, inner),
+            defect=surf.holonomy_defect,
         )
     return out
 

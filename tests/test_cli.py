@@ -143,6 +143,45 @@ def test_report_counts_residual_evaluations(tmp_path):
     assert reports["complete"]["residual_evaluations"] == rungs[-1]["residual_evaluations"]
 
 
+def test_ladder_totals_sum_the_rungs(tmp_path):
+    # the top-level counts of a ladder are its last rung's; "totals" adds up
+    # every rung of continuation_trace
+    cfg = make_cfg(tmp_path, R=6.0, pipeline=("solve-complete",), **EXP_Z_KW)
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    complete = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]["complete"]
+    rungs = complete["continuation_trace"]
+    assert len(rungs) > 1
+    assert complete["totals"] == {
+        "iterations": sum(rung["newton_iterations"] for rung in rungs),
+        "cg_iterations": sum(rung["cg_iterations"] for rung in rungs),
+        "backtracks": sum(rung["backtracks"] for rung in rungs),
+        "residual_evaluations": sum(rung["residual_evaluations"] for rung in rungs),
+    }
+    assert complete["totals"]["iterations"] > complete["iterations"]
+
+
+@pytest.mark.parametrize("tol, message", [
+    pytest.param({"develop_restrict": -1}, "develop_restrict must be", id="restrict-negative"),
+    pytest.param({"develop_restrict": 1.0}, "develop_restrict must be", id="restrict-float"),
+    pytest.param({"develop_restrict": True}, "develop_restrict must be", id="restrict-bool"),
+    # 41 -> 21 -> 11 nodes, and 11 - 1 is not divisible by 4
+    pytest.param({"develop_restrict": 3}, "cannot be halved", id="restrict-indivisible"),
+    pytest.param({"no_gap_delta": 0.0}, "no_gap_delta must be", id="delta-zero"),
+    pytest.param({"no_gap_delta": 1.0}, "no_gap_delta must be", id="delta-one"),
+    pytest.param({"no_gap_delta": -0.5}, "no_gap_delta must be", id="delta-negative"),
+    pytest.param({"no_gap_delta": "0.5"}, "no_gap_delta must be", id="delta-string"),
+])
+def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, message):
+    kw = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
+              pipeline=("solve-complete", "verify", "develop"))
+    assert cli.main(["run", make_cfg(tmp_path, tol=tol, **kw)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    good = {"develop_restrict": 2, "no_gap_delta": 0.25}
+    assert cli.load_config(make_cfg(tmp_path, "good.json", tol=good, **kw))["tolerances"] == good
+
+
 def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
     # one test id, both pipelines: a solve stage ahead of two-solutions must
     # not get to write its field either
@@ -238,9 +277,9 @@ WANG_DEVELOP_KW = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
 @pytest.mark.parametrize("module, name, cfg_kw, detail", [
     pytest.param(solver, "_Multigrid", {}, "cannot allocate the hierarchy", id="solve"),
     pytest.param(solver, "_Multigrid", {}, "", id="solve-bare"),
-    pytest.param(develop, "_edge_transfers", WANG_DEVELOP_KW, "cannot allocate the transfers",
+    pytest.param(develop, "_block_transfers", WANG_DEVELOP_KW, "cannot allocate the transfers",
                  id="develop"),
-    pytest.param(develop, "_edge_transfers", WANG_DEVELOP_KW, "", id="develop-bare"),
+    pytest.param(develop, "_block_transfers", WANG_DEVELOP_KW, "", id="develop-bare"),
 ])
 def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, cfg_kw, detail):
     # running out of memory in any stage ends the run as exit 3 with a report
@@ -284,7 +323,7 @@ def test_timing_includes_the_failed_stage(tmp_path, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("cannot allocate the transfers")
 
-    monkeypatch.setattr(develop, "_edge_transfers", no_memory)
+    monkeypatch.setattr(develop, "_block_transfers", no_memory)
     assert cli.main(["run", make_cfg(tmp_path, **WANG_DEVELOP_KW)]) == cli.EXIT_SOLVER
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert set(report) == REPORT_KEYS

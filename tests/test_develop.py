@@ -1,5 +1,7 @@
 """Normalization to the geometric equations and frame development."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def test_develop_constant_is_machine_flat():
     sol, _ = _exact_wang_constant()
     surf = dev.develop_affine_sphere(sol)
     assert surf.imag_max <= 1e-8
-    assert dev.holonomy_defect(surf, sol) <= 1e-11
+    assert surf.holonomy_defect <= 1e-11
     rec = dev.reconstruct_metric(surf)
     assert np.abs(rec - sol.w)[1:-1, 1:-1].max() <= 1e-8
 
@@ -129,25 +131,33 @@ def test_corrupted_solution_flags_holonomy(wang_z_family):
     assert dev.holonomy_defect(st.surface, broken) > 1e-2
 
 
-def test_transfers_built_once_per_solution(wang_z_family, monkeypatch):
+def test_recorded_defect_is_the_holonomy_pass(wang_z_family, qz_state):
+    # development records the defect of the pass that built the frames; the
+    # public check runs the same pass again on the finished frames
     st = wang_z_family[161]
-    calls = []
-    build = dev._edge_transfers
-
-    def counted(sol):
-        calls.append(sol)
-        return build(sol)
-
-    monkeypatch.setattr(dev, "_edge_transfers", counted)
-    sol = dev.NormalizedSolution(st.sol.mode, st.sol.differential, st.sol.domain, st.sol.w)
-    surf = dev.develop_affine_sphere(sol)
-    assert dev.holonomy_defect(surf, sol) == pytest.approx(st.defect, rel=1e-12)
-    assert len(calls) == 1 and calls[0] is sol
-    dom = sol.domain
+    assert st.surface.holonomy_defect == dev.holonomy_defect(st.surface, st.sol)
+    cmc = qz_state.surface
+    assert cmc.holonomy_defect == dev.holonomy_defect(cmc, qz_state.sol_inner)
+    dom = st.sol.domain
     bump = 0.1 * np.exp(-np.abs(dom.zz()) ** 2 / (2 * 0.05**2))
-    broken = dev.NormalizedSolution(sol.mode, sol.differential, dom, sol.w + bump)
-    assert dev.holonomy_defect(surf, broken) > 1e-2
-    assert len(calls) == 2 and calls[1] is broken
+    broken = dev.NormalizedSolution(st.sol.mode, st.sol.differential, dom, st.sol.w + bump)
+    assert dev.holonomy_defect(st.surface, broken) > 1e-2
+
+
+def test_development_never_holds_the_full_transfer_stacks(wang_z_family):
+    # the four full-grid (3, 3) transfer stacks alone would take
+    # 4 * 9 * (n - 1) * n complex entries of 16 bytes; one pass over blocks of
+    # rows holds the frames, the coefficient fields and one block's transfers
+    st = wang_z_family[321]
+    sol = dev.NormalizedSolution(st.sol.mode, st.sol.differential, st.sol.domain, st.sol.w)
+    n = sol.domain.n
+    tracemalloc.start()
+    try:
+        dev.develop_affine_sphere(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 9 * (n - 1) * n * 16
 
 
 def _plane(rng, shape, dtype):
@@ -218,27 +228,60 @@ def _full_stack_transfers(sol):
             rk4(my[..., :-1], mmy, my[..., 1:], h), rk4(my[..., 1:], mmy, my[..., :-1], -h))
 
 
+def _full_stack_sweep(transfers, s0, n):
+    """Frames on the fill tree from full transfer stacks, column by column
+    over the whole grid, in the (n, n, rows, 3) layout."""
+    tx, tx_rev, ty, ty_rev = transfers
+    S = np.zeros(s0.shape + (n, n), dtype=s0.dtype)
+    c = (n - 1) // 2
+    S[:, :, c, c] = s0
+    for i in range(c, n - 1):
+        S[:, :, i + 1, c] = dev._mul(tx[:, :, i, c], S[:, :, i, c])
+    for i in range(c - 1, -1, -1):
+        S[:, :, i, c] = dev._mul(tx_rev[:, :, i, c], S[:, :, i + 1, c])
+    for j in range(c, n - 1):
+        S[..., j + 1] = dev._mul(ty[..., j], S[..., j])
+    for j in range(c - 1, -1, -1):
+        S[..., j] = dev._mul(ty_rev[..., j], S[..., j + 1])
+    return np.ascontiguousarray(S.transpose(2, 3, 0, 1))
+
+
+def _full_stack_defect(transfers, frames):
+    """Worst interior plaquette ratio from full transfer stacks, in one piece."""
+    tx, tx_rev, ty, ty_rev = transfers
+    S = frames.transpose(2, 3, 0, 1)[..., :-1, :-1]
+    rel = dev._loop_ratio(ty_rev[..., :-1, :], tx_rev[..., 1:], ty[..., 1:, :], tx[..., :-1], S)
+    return float(np.max(rel[1:-1, 1:-1]))
+
+
 @pytest.mark.parametrize("block", [40, 65])
 @pytest.mark.parametrize("mode", [WANG, HARMONIC])
 def test_blocked_transfers_equal_full_stacks(mode, block, monkeypatch):
-    # 13 node rows in blocks of 3 (a last block of one row, which has no
-    # x-edges) or of 5 (a last block of 3 rows)
+    # 13 node rows in pass blocks of 1, 4 or 6 rows (each leaves a last block
+    # of one row, which has no x-edges) or in one block, with the transfers
+    # of a block built 3 (block 40) or 5 (block 65) rows at a time
     dom = GridDomain(0.6, 13)
     zz = dom.zz()
     w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
     diff = EntireFunction(p=(0.5 + 0.25j, 1.0 - 0.5j), q=(0.0, 0.3))
     sol = dev.NormalizedSolution(mode, diff, dom, w)
-    want = _full_stack_transfers(sol)
+    full = _full_stack_transfers(sol)
     s0 = np.eye(3, dtype=complex) if mode is WANG else np.eye(4, 3, k=-1)
-    surf = dev.DevelopedSurface(mode, dom, dev._sweep(want, s0, dom.n), None, 0.0, 0.0)
-    defect = dev.holonomy_defect(surf, sol)  # one block: 4096 // 12 > 12 rows
+    want = _full_stack_sweep(full, s0, dom.n)
+    scaled = want
+    if mode is HARMONIC:  # the pass hands back f_x = e^w e1, and measures on e1
+        want[:, :, 1:3] *= np.exp(w)[:, :, None, None]
+        scaled = want.copy()
+        scaled[:, :, 1:3] *= np.exp(-w)[:, :, None, None]
+    defect = _full_stack_defect(full, scaled)
     monkeypatch.setattr(dev, "_BLOCK", block)
-    got = dev._edge_transfers(sol)
-    for g, f in zip(got, want):
-        assert g.shape == f.shape and g.dtype == f.dtype
-        assert np.array_equal(g, f)
-    blocked = dev.NormalizedSolution(mode, diff, dom, w)
-    assert dev.holonomy_defect(surf, blocked) == defect
+    for rows in (1, 4, 6, 64):
+        monkeypatch.setattr(dev, "_ROWS", rows)
+        frames = np.empty_like(want)
+        assert dev._develop_pass(sol, frames, s0) == defect
+        assert np.array_equal(frames, want)
+        surf = dev.DevelopedSurface(mode, dom, frames, None, 0.0, 0.0, defect)
+        assert dev.holonomy_defect(surf, sol) == defect
 
 
 def test_minkowski_product_signature():
@@ -251,7 +294,7 @@ def test_minkowski_product_signature():
 def test_cmc_development_of_degenerate_exponential():
     sol = _exact_cmc_exponential()
     surf, normals = dev.develop_cmc(sol)
-    assert dev.holonomy_defect(surf, sol) <= 1e-6
+    assert surf.holonomy_defect <= 1e-6
     rec = dev.reconstruct_metric(surf)
     assert np.abs(rec - 2.0 * sol.w)[1:-1, 1:-1].max() <= 1e-6
     assert np.abs(dev.mdot(normals, normals) + 1.0).max() <= 1e-6
@@ -268,11 +311,11 @@ def test_cmc_development_of_degenerate_exponential():
 def test_cmc_development_of_degenerate_exponential_wide():
     sol = _exact_cmc_exponential(R=3.0, n=121)
     surf, normals = dev.develop_cmc(sol)
-    assert dev.holonomy_defect(surf, sol) <= 1e-6
+    assert surf.holonomy_defect <= 1e-6
 
 
 def test_cmc_development_of_solved_field(qz_state):
-    assert dev.holonomy_defect(qz_state.surface, qz_state.sol_inner) <= 1e-4
+    assert qz_state.surface.holonomy_defect <= 1e-4
     assert np.abs(dev.mdot(qz_state.normals, qz_state.normals) + 1.0).max() <= 1e-6
     assert qz_state.normals[..., 2].min() >= 1.0 - 1e-9
 
