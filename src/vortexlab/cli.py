@@ -5,9 +5,13 @@ Invocation:
     vortexlab run <config.json>
     vortexlab compare <a.json> <b.json>
 
+`load_config` checks a config and parses it once, into a frozen `Config`;
+nothing after it reads the JSON document, which report.json echoes as given.
 Exit codes: 0 all requested checks passed; 2 config or precondition error;
-3 solver non-convergence or out of memory in any stage; 4 invariant failure
-(report still written).
+3 solver non-convergence or out of memory in any stage, building the problem
+included; 4 invariant failure.  Every exit after the output directory is
+created writes report.json and invariants.json; only a config refused at load
+or an output directory that cannot be created exits 2 without them.
 
 A config is a single JSON document:
 
@@ -38,6 +42,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +74,24 @@ class ConfigError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Config:
+    """A config that passed every check made at load, parsed once.
+
+    `raw`, the document as given, is read only to echo it in report.json.
+    """
+
+    raw: dict
+    phi: EntireFunction
+    k: int
+    domain: GridDomain
+    mode: str
+    stages: tuple
+    output_dir: str
+    develop_restrict: int
+    no_gap_delta: float
+
+
 def _coeffs(raw, what: str) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("%s must be a non-empty list of [re, im] pairs" % what)
@@ -80,7 +103,7 @@ def _coeffs(raw, what: str) -> tuple:
     return tuple(out)
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> Config:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -96,7 +119,7 @@ def load_config(path: str) -> dict:
     try:
         phi = EntireFunction(_coeffs(raw["phi"]["p"], "phi.p"),
                              _coeffs(raw["phi"].get("q", [[0.0, 0.0]]), "phi.q"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     k = raw["k"]
     if not isinstance(k, int) or k < 2:
@@ -106,6 +129,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("n must be an odd integer >= 5 (the origin must be a node)")
     if not (isinstance(raw["R"], (int, float)) and raw["R"] > 0):
         raise ConfigError("R must be a positive number")
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigError("output_dir must be a string")
     mode = raw["mode"]
     if mode not in MODES:
         raise ConfigError("mode must be one of %s" % (MODES,))
@@ -145,25 +170,16 @@ def load_config(path: str) -> dict:
         raise ConfigError("tolerances.develop_restrict must be an integer >= 0")
     m = n
     for _ in range(restrict):
-        if (m - 1) % 4:
+        if (m - 1) % 4 or m < 9:
             raise ConfigError("develop_restrict %d: a grid of %d nodes cannot be halved "
-                              "((n - 1) must be divisible by 4)" % (restrict, m))
+                              "((n - 1) must be divisible by 4, and n at least 9)"
+                              % (restrict, m))
         m = (m - 1) // 2 + 1
     delta = tol.get("no_gap_delta", 0.5)
     if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0.0 < delta < 1.0:
         raise ConfigError("tolerances.no_gap_delta must be a number in (0, 1)")
-    return raw
-
-
-def _problem(cfg: dict) -> tuple[VortexProblem, EntireFunction]:
-    p = _coeffs(cfg["phi"]["p"], "phi.p")
-    q = _coeffs(cfg["phi"].get("q", [[0.0, 0.0]]), "phi.q")
-    fn = EntireFunction(p, q)
-    domain = GridDomain(float(cfg["R"]), int(cfg["n"]))
-    if cfg["mode"] == "EQ1":
-        return VortexProblem(fn, int(cfg["k"]), domain), fn
-    mode = develop.SurfaceMode(cfg["mode"])
-    return develop.geometric_problem(fn, mode, domain), fn
+    return Config(raw, phi, k, GridDomain(float(raw["R"]), n), mode, tuple(stages),
+                  raw["output_dir"], restrict, float(delta))
 
 
 def _solve_report_json(rep) -> dict:
@@ -181,11 +197,9 @@ def _solve_report_json(rep) -> dict:
         "cg_iterations": newton.cg_iterations,
         "backtracks": newton.backtracks,
         "residual_evaluations": newton.residual_evaluations,
-        "converged": True,
         "final_residual": newton.residual,
         "residual_history": list(newton.residual_history),
         "boundary_kind": "COMPLETE_APPROX" if ladder else "SUBSOLUTION_PROFILE",
-        "monotone_violations": 0,
         "continuation_trace": [dict(entry) for entry in rep.trace] if ladder else [],
     }
     if ladder:
@@ -213,14 +227,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 class _Run:
-    """State threaded through the pipeline stages of one `run` invocation."""
+    """State threaded through the stages of one `run`; stage "a-b" is method a_b."""
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg: Config):
         self.cfg = cfg
-        self.problem, self.fn = _problem(cfg)
-        self.tol = cfg.get("tolerances", {})
-        self.out = cfg["output_dir"]
-        os.makedirs(self.out, exist_ok=True)
+        self.problem = None  # built by `run`, where running out of memory is reported
         self.w_complete = None
         self.w_incomplete = None
         self.reports: dict = {}
@@ -231,7 +242,7 @@ class _Run:
         self.stage_seconds: list = []
 
     def path(self, name: str) -> str:
-        return os.path.join(self.out, name)
+        return os.path.join(self.cfg.output_dir, name)
 
     # stages -----------------------------------------------------------
     def solve_complete(self) -> None:
@@ -280,15 +291,11 @@ class _Run:
                 )
             else:
                 self.checks.append({"name": "curvature_%s" % tag, "passed": True})
-            diag = verify.diagnostics(w, prob)
+            residual, passed = verify.diagnostics(w, prob)
             self.checks.append(
-                {
-                    "name": "identity_%s" % tag,
-                    "passed": bool(diag.identity_passed),
-                    "residual": float(diag.identity_residual),
-                }
+                {"name": "identity_%s" % tag, "passed": passed, "residual": residual}
             )
-            if not diag.identity_passed:
+            if not passed:
                 self.failures.append("identity_%s" % tag)
             profiles[tag] = verify.completeness_probe(dom, w, thetas=RAY_ANGLES)
             self.rays[tag] = [
@@ -301,19 +308,17 @@ class _Run:
                 for p in profiles[tag]
             ]
         if self.w_complete is not None:
-            delta = float(self.tol.get("no_gap_delta", 0.5))
-            gap = verify.no_gap_check(self.w_complete, prob, delta)
-            self._record(gap)
+            self._record(verify.no_gap_check(self.w_complete, prob, self.cfg.no_gap_delta))
         if self.w_complete is not None and self.w_incomplete is not None:
             self._record(verify.ordering_check(self.w_complete, self.w_incomplete, dom))
         # rays.csv holds the rays of the primary (complete if solved) field
         verify.write_rays_csv(self.path("rays.csv"), profiles[fields[0][0]])
 
     def develop(self) -> None:
-        mode = develop.SurfaceMode(self.cfg["mode"])
+        mode = develop.SurfaceMode(self.cfg.mode)
         w = self.w_complete if self.w_complete is not None else self.w_incomplete
         sol = develop.normalize(w, self.problem, mode)
-        for _ in range(int(self.tol.get("develop_restrict", 0))):
+        for _ in range(self.cfg.develop_restrict):
             sol = sol.restrict_half()
         if mode is develop.SurfaceMode.WANG_K3:
             surface = develop.develop_affine_sphere(sol)
@@ -348,7 +353,7 @@ class _Run:
         _write_json(
             self.path("report.json"),
             {
-                "config": self.cfg,
+                "config": self.cfg.raw,
                 "versions": {
                     "vortexlab": __version__,
                     "numpy": np.__version__,
@@ -365,30 +370,25 @@ class _Run:
         )
 
 
-_STAGE_METHODS = {
-    "solve-complete": _Run.solve_complete,
-    "solve-incomplete": _Run.solve_incomplete,
-    "two-solutions": _Run.two_solutions,
-    "verify": _Run.verify,
-    "develop": _Run.develop,
-    "export": _Run.export,
-}
-
-
-def run(cfg: dict) -> int:
+def run(cfg: Config) -> int:
     t0 = time.perf_counter()
     try:
-        state = _Run(cfg)
-    except (ValueError, OSError) as exc:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
         print("vortexlab: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    state = _Run(cfg)
     status = EXIT_OK
     error = None
     try:
-        for stage in cfg["pipeline"]:
+        if cfg.mode == "EQ1":
+            state.problem = VortexProblem(cfg.phi, cfg.k, cfg.domain)
+        else:
+            state.problem = develop.geometric_problem(cfg.phi, cfg.mode, cfg.domain)
+        for stage in cfg.stages:
             t_stage = time.perf_counter()
             try:
-                _STAGE_METHODS[stage](state)
+                getattr(state, stage.replace("-", "_"))()
             finally:
                 state.stage_seconds.append(
                     {"stage": stage, "seconds": time.perf_counter() - t_stage})
@@ -404,25 +404,23 @@ def run(cfg: dict) -> int:
         # precondition violations (zeros on the ring, roots of P that will not
         # resolve, normalization residual) are config-class errors
         status, error = EXIT_CONFIG, str(exc)
-    if status != EXIT_CONFIG:
-        state.report(status, error, time.perf_counter() - t0)
+    state.report(status, error, time.perf_counter() - t0)
     if error:
         print("vortexlab: %s" % error, file=sys.stderr)
     return status
 
 
-def compare(cfg_a: dict, cfg_b: dict) -> int:
-    fa, fb = cfg_a["phi"], cfg_b["phi"]
-    if fa != fb or cfg_a["k"] != cfg_b["k"]:
-        raise ConfigError("compare needs identical phi and k")
+def compare(cfg_a: Config, cfg_b: Config) -> int:
+    if (cfg_a.phi, cfg_a.k, cfg_a.mode) != (cfg_b.phi, cfg_b.k, cfg_b.mode):
+        raise ConfigError("compare needs identical phi, k and mode")
     runs = []
     for cfg in (cfg_a, cfg_b):
         status = run(cfg)
         if status != EXIT_OK:
             return status
-        solved = {"solve-complete", "two-solutions"} & set(cfg["pipeline"])
+        solved = {"solve-complete", "two-solutions"} & set(cfg.stages)
         branch = "complete" if solved else "incomplete"
-        dom, w = read_field_csv(os.path.join(cfg["output_dir"], "w_%s.csv" % branch))
+        dom, w = read_field_csv(os.path.join(cfg.output_dir, "w_%s.csv" % branch))
         runs.append((dom, w, branch))
     (dom_a, wa, br_a), (dom_b, wb, br_b) = runs
     if abs(dom_a.h - dom_b.h) > 1e-12 * max(dom_a.h, dom_b.h):

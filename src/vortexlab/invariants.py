@@ -5,9 +5,8 @@ stated otherwise: the statements being checked are interior statements about
 the plane, and the outer band of the truncated square carries the boundary
 layer of the Dirichlet approximation.
 
-The diagnostic fields follow the standard proof bookkeeping for this
-equation: h = |phi|^2 e^{-kw} (the quantity bounded by 1), tau = log(1+h),
-sigma = log h, and eta = w1 - w2 for solution pairs.
+The checks are phrased through h = |phi|^2 e^{-kw}, the quantity bounded
+by 1, as the proofs for this equation are.
 """
 
 from __future__ import annotations
@@ -124,66 +123,30 @@ def no_gap_check(
     )
 
 
-# ---------------------------------------------------------------------------
-# proof-diagnostic fields
-
-
-@dataclass
-class DiagnosticFields:
-    h: np.ndarray
-    tau: np.ndarray
-    sigma: np.ndarray
-    sigma_mask: np.ndarray  # True where sigma is meaningful (away from zeros)
-    eta: np.ndarray | None
-    identity_residual: float
-    identity_passed: bool
-
-
 def diagnostics(
-    w: np.ndarray,
-    problem: VortexProblem,
-    w_other: np.ndarray | None = None,
-    tol_identity: float = 1e-6,
-) -> DiagnosticFields:
-    """Assemble h, tau = log(1+h), sigma = log h, and optionally eta = w - w_other.
+    w: np.ndarray, problem: VortexProblem, tol_identity: float = 1e-6
+) -> tuple[float, bool]:
+    """The sigma-form identity of the equation: (residual, passed).
 
-    sigma is masked within 2h of each zero of phi, where it dives to -inf.
-    The identity check is the sigma-form of the equation: on the metric
-    e^w |dz|^2 the field sigma satisfies (Delta sigma) e^{-w} = k (e^sigma - 1).
-    Since log|phi| is harmonic away from zeros, Delta sigma = -k Delta w
-    there, so the check reduces to -k e^{-w} laplacian(w) vs k(e^sigma - 1)
-    and its residual is exactly k e^{-w} times the solver residual.  (Running
-    the stencil on sigma itself would bury the identity under O(h^2)
-    truncation noise three orders above the tolerance.)
+    With sigma = log h, on the metric e^w |dz|^2 the field sigma satisfies
+    (Delta sigma) e^{-w} = k (e^sigma - 1).  Since log|phi| is harmonic away
+    from zeros, Delta sigma = -k Delta w there, so the check compares
+    -k e^{-w} laplacian(w) with k (h - 1) at the interior nodes more than 2h
+    from every zero of phi, and its residual is exactly k e^{-w} times the
+    solver residual.  (Running the stencil on sigma itself would bury the
+    identity under O(h^2) truncation noise three orders above the tolerance.)
     """
     dom = problem.domain
-    h = h_field(w, problem)
-    tau = np.log1p(h)
-    with np.errstate(divide="ignore"):
-        sigma = problem.a2 - problem.k * w
-
     mask = dom.interior_mask()
     zs = problem.phi.zeros()
     if zs.size:
-        zz = dom.zz()
-        dist = np.min(np.abs(zz[..., None] - zs[None, None, :]), axis=-1)
+        dist = np.min(np.abs(dom.zz()[..., None] - zs[None, None, :]), axis=-1)
         mask &= dist > 2.0 * dom.h
-
     lhs = -problem.k * np.exp(-w) * dom.laplacian(w)
-    rhs = problem.k * (h - 1.0)  # e^sigma = h
+    rhs = problem.k * (h_field(w, problem) - 1.0)  # e^sigma = h
     resid = np.abs(lhs - rhs)
-    identity_residual = float(np.max(resid[mask])) if np.any(mask) else 0.0
-
-    eta = None if w_other is None else w - w_other
-    return DiagnosticFields(
-        h=h,
-        tau=tau,
-        sigma=sigma,
-        sigma_mask=mask,
-        eta=eta,
-        identity_residual=identity_residual,
-        identity_passed=identity_residual <= tol_identity,
-    )
+    residual = float(np.max(resid[mask])) if np.any(mask) else 0.0
+    return residual, residual <= tol_identity
 
 
 # ---------------------------------------------------------------------------

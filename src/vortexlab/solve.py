@@ -491,8 +491,6 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     inner = problem.domain.inner_mask()
     trace = []
     w_prev = None
-    w = None
-    rep = None
     for M in m_values:
         bnd = make_boundary_complete(problem, M)
         w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
@@ -514,12 +512,10 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
             entry["inner_change"] = None
             trace.append(entry)
         w_prev = w
-    warning = None
-    if len(m_values) > 1:
-        warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
-            trace[-1]["inner_change"],
-            m_values[-1],
-        )
+    warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
+        trace[-1]["inner_change"],
+        m_values[-1],
+    )
     return w, ContinuationReport(m_values, trace, False, float(m_values[-1]), rep, warning)
 
 

@@ -1,15 +1,20 @@
 """Config validation, pipeline runs, artifact layout, field comparison."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortexlab import cli
+from vortexlab.grid import GridDomain
 from vortexlab import solve as solver
 from vortexlab import surfaces as develop
 
@@ -100,7 +105,7 @@ def test_constant_run_produces_artifacts(tmp_path):
     assert report["error"] is None
     assert report["versions"]["vortexlab"]
     solve_rep = report["reports"]["complete"]
-    assert solve_rep["converged"] is True
+    assert solve_rep["final_residual"] <= 1e-10
     assert solve_rep["boundary_kind"] == "COMPLETE_APPROX"
     # every Newton step costs at least one PCG iteration (one V-cycle)
     assert solve_rep["cg_iterations"] >= solve_rep["iterations"] > 0
@@ -160,26 +165,31 @@ def test_ladder_totals_sum_the_rungs(tmp_path):
     assert complete["totals"]["iterations"] > complete["iterations"]
 
 
-@pytest.mark.parametrize("tol, message", [
-    pytest.param({"develop_restrict": -1}, "develop_restrict must be", id="restrict-negative"),
-    pytest.param({"develop_restrict": 1.0}, "develop_restrict must be", id="restrict-float"),
-    pytest.param({"develop_restrict": True}, "develop_restrict must be", id="restrict-bool"),
+@pytest.mark.parametrize("tol, message, n", [
+    pytest.param({"develop_restrict": -1}, "develop_restrict must be", 41, id="restrict-negative"),
+    pytest.param({"develop_restrict": 1.0}, "develop_restrict must be", 41, id="restrict-float"),
+    pytest.param({"develop_restrict": True}, "develop_restrict must be", 41, id="restrict-bool"),
     # 41 -> 21 -> 11 nodes, and 11 - 1 is not divisible by 4
-    pytest.param({"develop_restrict": 3}, "cannot be halved", id="restrict-indivisible"),
-    pytest.param({"no_gap_delta": 0.0}, "no_gap_delta must be", id="delta-zero"),
-    pytest.param({"no_gap_delta": 1.0}, "no_gap_delta must be", id="delta-one"),
-    pytest.param({"no_gap_delta": -0.5}, "no_gap_delta must be", id="delta-negative"),
-    pytest.param({"no_gap_delta": "0.5"}, "no_gap_delta must be", id="delta-string"),
+    pytest.param({"develop_restrict": 3}, "cannot be halved", 41, id="restrict-indivisible"),
+    # 9 -> 5 -> 3 nodes, below the smallest grid
+    pytest.param({"develop_restrict": 2}, "cannot be halved", 9, id="restrict-below-5"),
+    pytest.param({"no_gap_delta": 0.0}, "no_gap_delta must be", 41, id="delta-zero"),
+    pytest.param({"no_gap_delta": 1.0}, "no_gap_delta must be", 41, id="delta-one"),
+    pytest.param({"no_gap_delta": -0.5}, "no_gap_delta must be", 41, id="delta-negative"),
+    pytest.param({"no_gap_delta": "0.5"}, "no_gap_delta must be", 41, id="delta-string"),
 ])
-def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, message):
-    kw = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
+def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, message, n):
+    kw = dict(p=((1.0, 0.0),), k=3, R=2.0, mode="WANG_K3",
               pipeline=("solve-complete", "verify", "develop"))
-    assert cli.main(["run", make_cfg(tmp_path, tol=tol, **kw)]) == cli.EXIT_CONFIG
+    assert cli.main(["run", make_cfg(tmp_path, tol=tol, n=n, **kw)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-    good = {"develop_restrict": 2, "no_gap_delta": 0.25}
-    assert cli.load_config(make_cfg(tmp_path, "good.json", tol=good, **kw))["tolerances"] == good
+    good = cli.load_config(make_cfg(tmp_path, "good.json", n=41, **kw,
+                                    tol={"develop_restrict": 2, "no_gap_delta": 0.25}))
+    assert (good.develop_restrict, good.no_gap_delta) == (2, 0.25)
+    default = cli.load_config(make_cfg(tmp_path, "default.json", n=41, **kw))
+    assert (default.develop_restrict, default.no_gap_delta) == (0, 0.5)
 
 
 def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
@@ -239,6 +249,18 @@ def test_compare_requires_matching_phi(tmp_path):
     assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG
 
 
+def test_compare_requires_matching_mode(tmp_path, capsys):
+    # phi = 1 in EQ1 and U = 1 in WANG_K3 (the base equation with phi = 4)
+    # are different equations, whose constant solutions on the plane differ
+    # by (2/3) log 4: compare refuses them before running either
+    kw = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, pipeline=("solve-complete",))
+    a = make_cfg(tmp_path, name="a.json", out="a", mode="EQ1", **kw)
+    b = make_cfg(tmp_path, name="b.json", out="b", mode="WANG_K3", **kw)
+    assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG
+    assert "mode" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_compare_returns_the_failed_run_status(tmp_path, capsys):
     # the zero of phi at 3.95 sits within 2h of the ring, a precondition of
     # the incomplete branch: compare stops at that run and returns its status
@@ -275,6 +297,7 @@ WANG_DEVELOP_KW = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
 
 
 @pytest.mark.parametrize("module, name, cfg_kw, detail", [
+    pytest.param(GridDomain, "zz", {}, "cannot allocate the grid", id="problem"),
     pytest.param(solver, "_Multigrid", {}, "cannot allocate the hierarchy", id="solve"),
     pytest.param(solver, "_Multigrid", {}, "", id="solve-bare"),
     pytest.param(develop, "_block_transfers", WANG_DEVELOP_KW, "cannot allocate the transfers",
@@ -282,7 +305,8 @@ WANG_DEVELOP_KW = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
     pytest.param(develop, "_block_transfers", WANG_DEVELOP_KW, "", id="develop-bare"),
 ])
 def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, cfg_kw, detail):
-    # running out of memory in any stage ends the run as exit 3 with a report
+    # running out of memory in any stage, or while building the problem,
+    # ends the run as exit 3 with a report
     # that names the error, by its type when it carries no message
     def no_memory(*args, **kwargs):
         raise MemoryError(detail)
@@ -292,6 +316,27 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == cli.EXIT_SOLVER
     assert report["error"] == (detail or "MemoryError")
+
+
+@pytest.mark.parametrize("cfg_kw, message", [
+    # the zero of phi at 3.95 sits within 2h of the ring, a precondition of
+    # the incomplete branch
+    pytest.param(dict(p=((-3.95, 0.0), (1.0, 0.0)), pipeline=("solve-incomplete",)),
+                 "within 2h of the boundary ring", id="zero-on-ring"),
+    # the cmc-qz config at n = 65: the 9-node developed grid is too coarse
+    pytest.param(dict(p=((0.0, 0.0), (1.0, 0.0)), k=2, R=6.0, n=65, mode="HARMONIC_K2",
+                      pipeline=("solve-complete", "verify", "develop", "export"),
+                      tol={"develop_restrict": 3}),
+                 "left the hyperboloid", id="gauss-map"),
+])
+def test_precondition_failure_after_load_writes_the_report(tmp_path, capsys, cfg_kw, message):
+    assert cli.main(["run", make_cfg(tmp_path, **cfg_kw)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_status"] == cli.EXIT_CONFIG
+    assert message in report["error"]
+    assert (out / "invariants.json").exists()
 
 
 REPORT_KEYS = {"config", "versions", "reports", "invariants", "develop", "exit_status", "error",
@@ -379,3 +424,45 @@ def test_wang_run_with_restriction(tmp_path):
     assert dev["grid_R"] == pytest.approx(1.0)
     assert dev["grid_n"] == 41
     assert dev["holonomy_defect"] <= 1e-8
+
+
+@st.composite
+def small_configs(draw):
+    """Configs at n <= 41, about a third of which load_config accepts."""
+    mode, k = draw(st.sampled_from([("EQ1", 2), ("EQ1", 3), ("WANG_K3", 3), ("WANG_K3", 3),
+                                    ("HARMONIC_K2", 2), ("HARMONIC_K2", 2), ("WANG_K3", 2)]))
+    phi = {"p": draw(st.sampled_from([[[2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+                                      [[-3.95, 0.0], [1.0, 0.0]]]))}
+    if draw(st.booleans()):
+        phi["q"] = [[0.0, 0.0], [1.0, 0.0]]
+    solve = draw(st.sampled_from(["solve-complete", "solve-incomplete", "two-solutions"]))
+    rest = draw(st.lists(st.sampled_from(cli.STAGES), max_size=3))
+    return {
+        "phi": phi, "k": k, "R": draw(st.sampled_from([1.0, 2.0, 4.0])),
+        "n": draw(st.sampled_from([9, 5, 13, 17, 21, 25, 33, 41, 3, 4])), "mode": mode,
+        "pipeline": [solve] + rest if draw(st.integers(0, 4)) else rest or [solve],
+        "tolerances": draw(st.fixed_dictionaries({}, optional={
+            "develop_restrict": st.integers(-1, 3),
+            "no_gap_delta": st.floats(-0.25, 1.25, allow_nan=False)})),
+    }
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_configs())
+def test_fuzzed_runs_exit_classified_and_report_after_load(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output_dir"] = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        try:
+            cli.load_config(path)
+            loaded = True
+        except cli.ConfigError:
+            loaded = False
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main(["run", path])
+        assert status in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_SOLVER, cli.EXIT_INVARIANT)
+        assert "Traceback" not in err.getvalue()
+        assert os.path.exists(os.path.join(tmp, "out", "report.json")) == loaded

@@ -156,28 +156,31 @@ def test_no_gap_for_complete_branch(nested_z_solves):
 
 def test_diagnostics_constant_all_trivial():
     prob = VortexProblem(EntireFunction(p=(2.0,)), 2, GridDomain(4.0, 41))
-    d = inv.diagnostics(np.full((41, 41), np.log(2.0)), prob)
-    assert np.abs(d.sigma[d.sigma_mask]).max() <= 1e-12
-    assert d.identity_passed and d.identity_residual <= 1e-12
-    assert np.all(d.h >= 0.0) and np.all(d.tau >= 0.0)
-    assert np.array_equal(d.tau, np.log1p(d.h))
+    residual, passed = inv.diagnostics(np.full((41, 41), np.log(2.0)), prob)
+    assert passed and residual <= 1e-12
 
 
-def test_diagnostics_profile_sigma_vanishes():
+def test_diagnostics_profile_identity_vanishes():
+    # on the profile h = 1 (sigma = log h vanishes) and w is linear in x, so
+    # both sides of the identity vanish up to round-off
     prob = VortexProblem(EXP_Z, 3, GridDomain(6.0, 121))
-    d = inv.diagnostics(prob.profile(), prob)
-    assert np.abs(d.sigma[d.sigma_mask]).max() <= 1e-10
+    residual, passed = inv.diagnostics(prob.profile(), prob)
+    assert passed and residual <= 1e-10
 
 
 def test_diagnostics_complete_branch(z_complete_small):
     prob, w = z_complete_small
-    d = inv.diagnostics(w, prob, w_other=w - 1.0)
-    assert d.identity_passed
-    assert d.identity_residual <= 1e-6
-    inner = prob.domain.inner_mask() & d.sigma_mask
-    assert d.sigma[inner].max() < 0.0
-    assert np.allclose(d.eta, 1.0)
-    assert not d.sigma_mask[60, 60]  # masked at the zero of phi
+    residual, passed = inv.diagnostics(w, prob)
+    assert passed and residual <= 1e-6
+    # the check skips the nodes within 2h of the zero of phi = z, at node
+    # (60, 60): a bump there moves neither side anywhere it looks, while the
+    # same bump far from the zero breaks the identity
+    bumped = w.copy()
+    bumped[60, 60] += 1e-3
+    assert inv.diagnostics(bumped, prob) == (residual, True)
+    bumped = w.copy()
+    bumped[30, 30] += 1e-3
+    assert not inv.diagnostics(bumped, prob)[1]
 
 
 def test_ray_analytic_left_integral():
