@@ -26,6 +26,7 @@ A config is a single JSON document:
       "tolerances": {"no_gap_delta": 0.5, "develop_restrict": 1}
     }
 
+Unknown keys, also in "tolerances", and a stage named twice are refused.
 Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 (WANG_K3, HARMONIC_K2) "phi" holds the differential (U resp. q) and the
 solver runs on the matching base-equation problem.  Determinism: identical
@@ -67,6 +68,8 @@ STAGES = (
     "export",
 )
 MODES = ("EQ1", "WANG_K3", "HARMONIC_K2")
+REQUIRED = ("phi", "k", "R", "n", "mode", "pipeline", "output_dir")
+KEYS = REQUIRED + ("tolerances",)
 RAY_ANGLES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
 
@@ -103,6 +106,13 @@ def _coeffs(raw, what: str) -> tuple:
     return tuple(out)
 
 
+def _refuse_unknown(obj: dict, known: tuple, where: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError("unknown key %s in %s (choose from %s)"
+                          % (", ".join(map(repr, unknown)), where, known))
+
+
 def load_config(path: str) -> Config:
     try:
         with open(path) as fh:
@@ -111,7 +121,8 @@ def load_config(path: str) -> Config:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    for key in ("phi", "k", "R", "n", "mode", "pipeline", "output_dir"):
+    _refuse_unknown(raw, KEYS, "config")
+    for key in REQUIRED:
         if key not in raw:
             raise ConfigError("config is missing %r" % key)
     if not isinstance(raw["phi"], dict) or "p" not in raw["phi"]:
@@ -134,16 +145,16 @@ def load_config(path: str) -> Config:
     mode = raw["mode"]
     if mode not in MODES:
         raise ConfigError("mode must be one of %s" % (MODES,))
-    if mode == "WANG_K3" and k != 3:
-        raise ConfigError("mode WANG_K3 requires k = 3")
-    if mode == "HARMONIC_K2" and k != 2:
-        raise ConfigError("mode HARMONIC_K2 requires k = 2")
+    if mode in develop.MODE_K and k != develop.MODE_K[mode]:
+        raise ConfigError("mode %s requires k = %d" % (mode, develop.MODE_K[mode]))
     stages = raw["pipeline"]
     if not isinstance(stages, list) or not stages:
         raise ConfigError("pipeline must be a non-empty list of stages")
-    for st in stages:
+    for i, st in enumerate(stages):
         if st not in STAGES:
             raise ConfigError("unknown stage %r (choose from %s)" % (st, STAGES))
+        if st in stages[:i]:
+            raise ConfigError("stage %r appears twice in the pipeline" % st)
     if "two-solutions" in stages and phi.is_polynomial():
         raise ConfigError("phi is a polynomial: the complete solution is unique, "
                           "there is no second one")
@@ -165,6 +176,7 @@ def load_config(path: str) -> Config:
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
+    _refuse_unknown(tol, ("develop_restrict", "no_gap_delta"), "tolerances")
     restrict = tol.get("develop_restrict", 0)
     if not isinstance(restrict, int) or isinstance(restrict, bool) or restrict < 0:
         raise ConfigError("tolerances.develop_restrict must be an integer >= 0")
@@ -336,6 +348,10 @@ class _Run:
             "imag_max": surface.imag_max,
             "conj_defect": surface.conj_defect,
         }
+        measures = [self.develop_info[key] for key in ("holonomy_defect", "metric_roundtrip_error")]
+        if not np.all(np.isfinite(measures)):  # frames whose products overflowed
+            raise ArithmeticError("develop measures are not finite: holonomy defect %r, "
+                                  "metric round-trip error %r" % tuple(measures))
         self._surface = surface
         self._normals = normals
         self._dev_domain = sol.domain

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+TOL_ROOTS = 1e-10
+MAX_ABERTH = 500
+
 
 def _trim(coeffs) -> tuple[complex, ...]:
     """Drop trailing coefficients that are exactly zero (keep at least one)."""
@@ -76,17 +79,13 @@ class EntireFunction:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(pz)) + np.real(npoly.polyval(z, np.asarray(self.q)))
 
-    def subsolution_profile(self, z, k: int):
-        """(2/k) log|phi|, the lower barrier every complete solution sits above."""
-        return (2.0 / k) * self.log_abs(z)
-
-    def zeros(self, tol: float = 1e-10, max_iter: int = 500) -> np.ndarray:
+    def zeros(self) -> np.ndarray:
         """All roots of the polynomial part, by simultaneous Aberth iteration.
 
-        Acceptance is the scaled residual |P_monic(z_i)| <= tol * (1+|z_i|)^deg,
-        which stays meaningful for clustered (multiple) roots where the
-        iterates stall at distance ~ tol^(1/m) from the true root.  Output is
-        sorted by (Re, Im) so runs are reproducible.
+        Acceptance is the scaled residual |P_monic(z_i)| <= TOL_ROOTS *
+        (1+|z_i|)^deg, meaningful also for clustered (multiple) roots, where
+        the iterates stall at distance ~ TOL_ROOTS^(1/m) from the true root.
+        Output is sorted by (Re, Im) so runs are reproducible.
         """
         d = self.degree
         if d == 0:
@@ -98,9 +97,9 @@ class EntireFunction:
         # slight radial wobble: breaks symmetric stalls for real-coefficient P
         z = radius * np.exp(1j * ang) * (1 + 0.02 * np.cos(3 * ang))
         ok = np.zeros(d, dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(MAX_ABERTH):
             pz = npoly.polyval(z, monic)
-            ok = np.abs(pz) <= tol * (1.0 + np.abs(z)) ** d
+            ok = np.abs(pz) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d
             dpz = npoly.polyval(z, dmonic)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = pz / dpz

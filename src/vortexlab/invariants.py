@@ -17,6 +17,9 @@ import numpy as np
 
 from .grid import GridDomain, VortexProblem, write_table
 
+TOL_SUBUNITY = 1e-6
+TOL_SOLVE = 1e-9  # the solver residual a curvature cross-check allows for
+TOL_IDENTITY = 1e-6
 EPS_RAY = 1e-3
 
 
@@ -47,7 +50,7 @@ def h_field(w: np.ndarray, problem: VortexProblem) -> np.ndarray:
     return np.exp(problem.a2 - problem.k * w)
 
 
-def subunity_check(w: np.ndarray, problem: VortexProblem, tol: float = 1e-6) -> InvariantReport:
+def subunity_check(w: np.ndarray, problem: VortexProblem) -> InvariantReport:
     """max h over the inner half-square must not exceed 1.
 
     Strict margin 1 - max h is reported; it is positive for nonconstant phi
@@ -59,34 +62,30 @@ def subunity_check(w: np.ndarray, problem: VortexProblem, tol: float = 1e-6) -> 
     hmax = float(np.max(h[inner]))
     return InvariantReport(
         name="subunity",
-        passed=hmax <= 1.0 + tol,
+        passed=hmax <= 1.0 + TOL_SUBUNITY,
         margin=1.0 - hmax,
-        tolerance=tol,
+        tolerance=TOL_SUBUNITY,
         witness=_witness(dom, inner, h, np.argmax),
     )
 
 
-def curvature_field(
-    w: np.ndarray, problem: VortexProblem, tol_solve: float = 1e-9
-) -> np.ndarray:
-    """Gauss curvature of e^w |dz|^2 via the algebraic identity K = (h-1)/2.
-
-    Cross-checked against the stencil form -(1/2) e^{-w} laplacian(w) at all
-    interior nodes; disagreement beyond 10 * tol_solve * e^{-w} means w does
-    not actually solve the equation, and is raised as an error.
-    """
-    dom = problem.domain
-    k_alg = 0.5 * (h_field(w, problem) - 1.0)
-    k_sten = -0.5 * np.exp(-w) * dom.laplacian(w)
-    interior = dom.interior_mask()
-    bound = 10.0 * tol_solve * np.exp(-w)
-    bad = interior & (np.abs(k_alg - k_sten) > bound)
+def checked_curvature(k_alg: np.ndarray, w: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """k_alg, the curvature of e^w |dz|^2 from an algebraic identity, once it
+    agrees with the stencil form -(1/2) e^{-w} laplacian(w) at all interior
+    nodes; disagreement beyond 10 * TOL_SOLVE * e^{-w} means w does not
+    actually solve its equation, and is raised as an error."""
+    k_sten = -0.5 * np.exp(-w) * domain.laplacian(w)
+    gap = np.abs(k_alg - k_sten)
+    bad = domain.interior_mask() & (gap > 10.0 * TOL_SOLVE * np.exp(-w))
     if np.any(bad):
-        worst = float(np.max(np.abs(k_alg - k_sten)[bad]))
-        raise ValueError(
-            "algebraic and stencil curvature disagree by %.3e: w is not converged" % worst
-        )
+        raise ValueError("algebraic and stencil curvature disagree by %.3e: w is not "
+                         "converged" % float(np.max(gap[bad])))
     return k_alg
+
+
+def curvature_field(w: np.ndarray, problem: VortexProblem) -> np.ndarray:
+    """Gauss curvature of e^w |dz|^2 via the identity K = (h-1)/2, checked."""
+    return checked_curvature(0.5 * (h_field(w, problem) - 1.0), w, problem.domain)
 
 
 def ordering_check(w1: np.ndarray, w2: np.ndarray, domain: GridDomain) -> InvariantReport:
@@ -123,9 +122,7 @@ def no_gap_check(
     )
 
 
-def diagnostics(
-    w: np.ndarray, problem: VortexProblem, tol_identity: float = 1e-6
-) -> tuple[float, bool]:
+def diagnostics(w: np.ndarray, problem: VortexProblem) -> tuple[float, bool]:
     """The sigma-form identity of the equation: (residual, passed).
 
     With sigma = log h, on the metric e^w |dz|^2 the field sigma satisfies
@@ -146,7 +143,7 @@ def diagnostics(
     rhs = problem.k * (h_field(w, problem) - 1.0)  # e^sigma = h
     resid = np.abs(lhs - rhs)
     residual = float(np.max(resid[mask])) if np.any(mask) else 0.0
-    return residual, residual <= tol_identity
+    return residual, residual <= TOL_IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +180,14 @@ class RayProfile:
         return float(self.length[-1])
 
 
-def completeness_probe(
-    domain: GridDomain,
-    w: np.ndarray,
-    thetas,
-    eps_l: float = EPS_RAY,
-) -> list[RayProfile]:
+def completeness_probe(domain: GridDomain, w: np.ndarray, thetas) -> list[RayProfile]:
     """Metric length L(r) = int_0^r e^{w/2} ds along rays from the origin.
 
     Samples at step h/2 out to the inscribed radius R with bilinear
     interpolation and cumulative trapezoids.  Verdicts from the dyadic tail:
-    CONVERGENT when the last window [R/2, R] adds less than eps_l;
+    CONVERGENT when the last window [R/2, R] adds less than EPS_RAY;
     DIVERGENT when the window increments grow (ratio >= 1.25 and the last
-    adds at least 10 * eps_l); INDETERMINATE otherwise.  For tails that decay
+    adds at least 10 * EPS_RAY); INDETERMINATE otherwise.  For tails that decay
     geometrically across the last three quarter-points an Aitken
     extrapolation of the full limit is attached; for the profile metrics of
     exponential type it recovers the infinite-ray length from a modest
@@ -218,9 +210,9 @@ def completeness_probe(
         length = np.concatenate([[0.0], np.cumsum(0.5 * step * (g[1:] + g[:-1]))])
         d_last = float(length[-1] - length[j_half])
         d_prev = float(length[j_half] - length[j_quarter])
-        if d_last < eps_l:
+        if d_last < EPS_RAY:
             verdict = "CONVERGENT"
-        elif d_last >= 1.25 * d_prev and d_last >= 10.0 * eps_l:
+        elif d_last >= 1.25 * d_prev and d_last >= 10.0 * EPS_RAY:
             verdict = "DIVERGENT"
         else:
             verdict = "INDETERMINATE"

@@ -62,7 +62,7 @@ def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
         dist = dom.R - np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)))
         if dist < 2.0 * dom.h:
             raise ValueError("phi has a zero within 2h of the boundary ring")
-    vals = profile_field(problem, clip=PROFILE_CLIP)
+    vals = np.maximum(problem.profile(), PROFILE_CLIP)
     if not np.all(np.isfinite(vals[dom.ring_mask()])):
         raise ValueError("profile boundary is not finite on the ring")
     return vals
@@ -73,14 +73,6 @@ def make_boundary_complete(problem: VortexProblem, M: float) -> np.ndarray:
     if M < 0:
         raise ValueError("M must be nonnegative")
     return np.maximum(problem.profile(), 0.0) + float(M)
-
-
-def profile_field(problem: VortexProblem, clip: float | None = None) -> np.ndarray:
-    """(2/k) log|phi| on the grid, optionally clipped from below."""
-    p = problem.profile()
-    if clip is not None:
-        p = np.maximum(p, clip)
-    return p
 
 
 def _set_ring(w: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -465,10 +457,8 @@ def monotone_solve(
 
 @dataclass
 class ContinuationReport:
-    m_values: tuple
-    trace: list
+    trace: list  # one dict per rung run: its M, Newton counts and inner change
     stabilized: bool
-    final_m: float
     newton: NewtonReport
     warning: str | None = None
 
@@ -487,11 +477,10 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     stabilization gate there would reject fields that are already within
     discretization error of the maximal solution.
     """
-    m_values = DEFAULT_M_VALUES
     inner = problem.domain.inner_mask()
     trace = []
     w_prev = None
-    for M in m_values:
+    for M in DEFAULT_M_VALUES:
         bnd = make_boundary_complete(problem, M)
         w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
         entry = {
@@ -507,16 +496,16 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
             entry["inner_change"] = change
             trace.append(entry)
             if change <= TOL_CONT:
-                return w, ContinuationReport(m_values, trace, True, float(M), rep)
+                return w, ContinuationReport(trace, True, rep)
         else:
             entry["inner_change"] = None
             trace.append(entry)
         w_prev = w
     warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
         trace[-1]["inner_change"],
-        m_values[-1],
+        DEFAULT_M_VALUES[-1],
     )
-    return w, ContinuationReport(m_values, trace, False, float(m_values[-1]), rep, warning)
+    return w, ContinuationReport(trace, False, rep, warning)
 
 
 # ---------------------------------------------------------------------------

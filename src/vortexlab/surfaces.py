@@ -47,6 +47,7 @@ import numpy as np
 
 from .entire import EntireFunction
 from .grid import GridDomain, VortexProblem, write_table
+from .invariants import checked_curvature
 
 WANG_SHIFT = np.log(2.0)
 RESIDUAL_GATE = 1e-7
@@ -58,7 +59,7 @@ class SurfaceMode(str, enum.Enum):
 
 
 _FACTOR = {SurfaceMode.WANG_K3: 4.0, SurfaceMode.HARMONIC_K2: 2.0}
-_MODE_K = {SurfaceMode.WANG_K3: 3, SurfaceMode.HARMONIC_K2: 2}
+MODE_K = {SurfaceMode.WANG_K3: 3, SurfaceMode.HARMONIC_K2: 2}
 
 
 def geometric_problem(
@@ -68,7 +69,7 @@ def geometric_problem(
     mode = SurfaceMode(mode)
     c = _FACTOR[mode]
     phi = EntireFunction(tuple(c * a for a in differential.p), differential.q)
-    return VortexProblem(phi, _MODE_K[mode], domain)
+    return VortexProblem(phi, MODE_K[mode], domain)
 
 
 @dataclass
@@ -111,8 +112,8 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     slip through.
     """
     mode = SurfaceMode(mode)
-    if problem.k != _MODE_K[mode]:
-        raise ValueError("mode %s needs k = %d" % (mode.value, _MODE_K[mode]))
+    if problem.k != MODE_K[mode]:
+        raise ValueError("mode %s needs k = %d" % (mode.value, MODE_K[mode]))
     c = _FACTOR[mode]
     diff = EntireFunction(tuple(a / c for a in problem.phi.p), problem.phi.q)
     if mode is SurfaceMode.WANG_K3:
@@ -130,26 +131,17 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     return sol
 
 
-def blaschke_curvature(sol: NormalizedSolution, tol_solve: float = 1e-9) -> np.ndarray:
+def blaschke_curvature(sol: NormalizedSolution) -> np.ndarray:
     """Curvature of the Blaschke metric, k_h = -1 + 2|U|^2 e^{-3w}.
 
-    Cross-checked against -(1/2) e^{-w} laplacian(w) on interior nodes, same
-    contract as the base-equation curvature: disagreement means w does not
-    solve Wang's equation.
+    Cross-checked by `invariants.checked_curvature`, the contract of the
+    base-equation curvature: disagreement means w does not solve Wang's
+    equation.
     """
     if sol.mode is not SurfaceMode.WANG_K3:
         raise ValueError("Blaschke curvature is defined for the k=3 normalization")
-    dom = sol.domain
-    la = 2.0 * sol.differential.log_abs(dom.zz())
-    k_alg = -1.0 + 2.0 * np.exp(la - 3.0 * sol.w)
-    k_sten = -0.5 * np.exp(-sol.w) * dom.laplacian(sol.w)
-    interior = dom.interior_mask()
-    bound = 10.0 * tol_solve * np.exp(-sol.w)
-    bad = interior & (np.abs(k_alg - k_sten) > bound)
-    if np.any(bad):
-        worst = float(np.max(np.abs(k_alg - k_sten)[bad]))
-        raise ValueError("curvature cross-check failed by %.3e: w unconverged" % worst)
-    return k_alg
+    la = 2.0 * sol.differential.log_abs(sol.domain.zz())
+    return checked_curvature(-1.0 + 2.0 * np.exp(la - 3.0 * sol.w), sol.w, sol.domain)
 
 
 def jacobian_field(sol: NormalizedSolution) -> np.ndarray:

@@ -50,7 +50,7 @@ def ez_pair():
 
 def _wang_state(diff: EntireFunction, dom: GridDomain) -> SimpleNamespace:
     prob = surfaces.geometric_problem(diff, surfaces.SurfaceMode.WANG_K3, dom)
-    w0 = solve.profile_field(prob, clip=solve.PROFILE_CLIP)
+    w0 = solve.make_boundary_subsolution(prob)
     w, rep = solve.solve_newton(prob, w0, solve.make_boundary_complete(prob, 0.0))
     sol = surfaces.normalize(w, prob, surfaces.SurfaceMode.WANG_K3)
     surf = surfaces.develop_affine_sphere(sol)
@@ -126,11 +126,8 @@ def nested_z_solves():
     p12 = VortexProblem(diff, 3, GridDomain(12.0, 241))
     w8, _ = solve.solve_complete(p8)
     w12, _ = solve.solve_complete(p12)
-    w12_prof, _ = solve.solve_newton(
-        p12,
-        solve.profile_field(p12, clip=solve.PROFILE_CLIP),
-        solve.make_boundary_subsolution(p12),
-    )
+    profile = solve.make_boundary_subsolution(p12)
+    w12_prof, _ = solve.solve_newton(p12, profile, profile)
     return SimpleNamespace(p8=p8, p12=p12, w8=w8, w12=w12, w12_prof=w12_prof)
 
 

@@ -86,6 +86,17 @@ def test_config_rejects_export_without_develop(tmp_path):
 def test_config_rejects_unknown_stage(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.load_config(make_cfg(tmp_path, pipeline=("solve-complete", "plot")))
+    # a repeated stage would list its checks twice, or rerun a whole solve
+    with pytest.raises(cli.ConfigError, match="'verify' appears twice"):
+        cli.load_config(make_cfg(tmp_path, p=((0.0, 0.0), (1.0, 0.0)),
+                                 pipeline=("solve-complete", "verify", "verify")))
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    # a misspelled key would otherwise be ignored and its default used
+    assert cli.main(["run", make_cfg(tmp_path, extra={"ouput_dir": "x"})]) == cli.EXIT_CONFIG
+    assert "unknown key 'ouput_dir' in config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_returns_config_exit_for_missing_file(tmp_path, capsys):
@@ -177,6 +188,8 @@ def test_ladder_totals_sum_the_rungs(tmp_path):
     pytest.param({"no_gap_delta": 1.0}, "no_gap_delta must be", 41, id="delta-one"),
     pytest.param({"no_gap_delta": -0.5}, "no_gap_delta must be", 41, id="delta-negative"),
     pytest.param({"no_gap_delta": "0.5"}, "no_gap_delta must be", 41, id="delta-string"),
+    pytest.param({"develop_restict": 2}, "unknown key 'develop_restict' in tolerances", 41,
+                 id="restrict-misspelled"),
 ])
 def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, message, n):
     kw = dict(p=((1.0, 0.0),), k=3, R=2.0, mode="WANG_K3",
@@ -328,6 +341,11 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
                       pipeline=("solve-complete", "verify", "develop", "export"),
                       tol={"develop_restrict": 3}),
                  "left the hyperboloid", id="gauss-map"),
+    # constant q = 2 at n = 21: the frames grow until the metric
+    # reconstruction overflows to NaN, with no NaN among the frames themselves
+    pytest.param(dict(k=2, R=2.0, n=21, mode="HARMONIC_K2",
+                      pipeline=("solve-complete", "develop")),
+                 "develop measures are not finite", id="develop-overflow"),
 ])
 def test_precondition_failure_after_load_writes_the_report(tmp_path, capsys, cfg_kw, message):
     assert cli.main(["run", make_cfg(tmp_path, **cfg_kw)]) == cli.EXIT_CONFIG

@@ -1,10 +1,11 @@
-"""Entire functions P(z) e^{Q(z)}: evaluation, log-modulus, roots."""
+"""Entire functions P(z) e^{Q(z)}: evaluation, log-modulus, roots, the profile."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from vortexlab.entire import EntireFunction
+from vortexlab.grid import GridDomain, VortexProblem
 
 finite_complex = st.complex_numbers(
     max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -115,26 +116,44 @@ def test_degree():
     assert EntireFunction(p=(4.0,)).degree == 0
 
 
+# the subsolution profile (2/k) log|phi|, read off VortexProblem.a2 at the
+# nodes of a 9-node grid on [-4, 4]^2, whose nodes sit at the integers
+
+
 def test_profile_of_exponential_is_linear():
-    f = EntireFunction(p=(1.0,), q=(0.0, 1.0))
-    for z in (0.3 + 0.1j, -2.0 + 1.5j, 4.0 - 3.0j):
-        assert abs(f.subsolution_profile(z, 3) - (2.0 / 3.0) * z.real) <= 1e-13
+    dom = GridDomain(4.0, 9)
+    prof = VortexProblem(EntireFunction(p=(1.0,), q=(0.0, 1.0)), 3, dom).profile()
+    assert np.max(np.abs(prof - (2.0 / 3.0) * dom.zz().real)) <= 1e-13
 
 
 def test_profile_of_constant():
-    f = EntireFunction(p=(5.0,))
     for k in (2, 3, 4):
-        assert abs(f.subsolution_profile(1.0 + 1.0j, k) - (2.0 / k) * np.log(5.0)) <= 1e-13
+        prof = VortexProblem(EntireFunction(p=(5.0,)), k, GridDomain(4.0, 9)).profile()
+        assert np.max(np.abs(prof - (2.0 / k) * np.log(5.0))) <= 1e-13
 
 
 def test_profile_point_value():
     # e^{kw} = |phi|^2 forces w = (2/k) log|phi|; at phi = z, k = 2, z = 4
-    # that is log 4 (not log 2, which would correspond to k = 4)
+    # (node [8, 4]) that is log 4 (not log 2, which would correspond to k = 4)
     f = EntireFunction(p=(0.0, 1.0))
-    assert abs(f.subsolution_profile(4.0 + 0.0j, 2) - np.log(4.0)) <= 1e-13
-    assert abs(f.subsolution_profile(4.0 + 0.0j, 4) - np.log(2.0)) <= 1e-13
+    dom = GridDomain(4.0, 9)
+    assert dom.zz()[8, 4] == 4.0
+    assert abs(VortexProblem(f, 2, dom).profile()[8, 4] - np.log(4.0)) <= 1e-13
+    assert abs(VortexProblem(f, 4, dom).profile()[8, 4] - np.log(2.0)) <= 1e-13
 
 
 def test_profile_minus_inf_at_zero():
-    f = EntireFunction(p=(0.0, 1.0))
-    assert f.subsolution_profile(0.0j, 2) == -np.inf
+    prof = VortexProblem(EntireFunction(p=(0.0, 1.0)), 2, GridDomain(4.0, 9)).profile()
+    assert prof[4, 4] == -np.inf
+    assert np.all(np.isfinite(np.delete(prof.ravel(), 4 * 9 + 4)))
+
+
+def test_profile_is_two_over_k_log_abs_bit_for_bit():
+    # a2 is 2 log|phi| exactly, so halving it loses nothing: the artifacts
+    # built on the profile do not depend on which of the two it is taken from
+    dom = GridDomain(3.0, 41)
+    for p, q in [((1.0,), (0.0, 1.0)), ((0.0, 1.0), (0j,)), ((-1.0, 0.0, 0.0, 1.0), (0.3, -0.7j))]:
+        f = EntireFunction(p=p, q=q)
+        for k in (2, 3, 5, 7):
+            ref = (2.0 / k) * f.log_abs(dom.zz())
+            assert np.array_equal(VortexProblem(f, k, dom).profile(), ref), (p, q, k)

@@ -129,8 +129,8 @@ def test_residual_of_exponential_profile():
 
 def test_solved_field_residual():
     prob = VortexProblem(EntireFunction(p=(0.0, 1.0)), 2, GridDomain(8.0, 201))
-    w0 = solve.profile_field(prob, clip=solve.PROFILE_CLIP)
-    w, _ = solve.solve_newton(prob, w0, solve.make_boundary_subsolution(prob))
+    profile = solve.make_boundary_subsolution(prob)
+    w, _ = solve.solve_newton(prob, profile, profile)
     assert prob.residual_norm(w) <= 1e-8
 
 

@@ -74,7 +74,7 @@ def _newton_system(n):
     dichotomy meets, so the V-cycle's smoothing has the least help there.
     """
     prob = VortexProblem(EXP_Z, 3, GridDomain(6.0, n))
-    D = prob.rhs_prime(solve.profile_field(prob, clip=solve.PROFILE_CLIP))
+    D = prob.rhs_prime(solve.make_boundary_subsolution(prob))
     b = np.zeros((n, n))
     b[1:-1, 1:-1] = np.sin(np.arange((n - 2) ** 2)).reshape(n - 2, n - 2)
     return D, prob.domain.h, b
@@ -152,9 +152,8 @@ def test_unconverged_pcg_raises(monkeypatch):
 def test_newton_and_monotone_agree_away_from_small_grids():
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 0.0, 1.0)), 3, GridDomain(10.0, 201))
     bd = solve.make_boundary_subsolution(prob)
-    w0 = solve.profile_field(prob, clip=solve.PROFILE_CLIP)
-    wn, _ = solve.solve_newton(prob, w0, bd)
-    lo = solve.profile_field(prob, clip=-6.0)
+    wn, _ = solve.solve_newton(prob, bd, bd)
+    lo = np.maximum(prob.profile(), -6.0)
     wm, repm = solve.monotone_solve(prob, lo, lo + 3.0, boundary=bd)
     assert repm.residual <= 1e-9
     assert np.max(np.abs(wn - wm)) <= 1e-7
@@ -185,8 +184,7 @@ def test_larger_boundary_data_gives_larger_solution(lift):
     # discrete comparison principle: raising the ring raises the field
     prob = VortexProblem(F_Z, 2, GridDomain(4.0, 41))
     bd = solve.make_boundary_subsolution(prob)
-    w0 = solve.profile_field(prob, clip=solve.PROFILE_CLIP)
-    w_low, _ = solve.solve_newton(prob, w0, bd)
+    w_low, _ = solve.solve_newton(prob, bd, bd)
     ring = bd + lift
     w_high, _ = solve.solve_newton(prob, w_low + lift, ring)
     assert float((w_high - w_low).min()) >= -1e-8
@@ -235,17 +233,15 @@ def test_ladder_reports_drift_when_domain_is_too_small():
     w, rep = solve.solve_complete(prob)
     assert not rep.stabilized
     assert rep.warning is not None and "still moving" in rep.warning
-    assert rep.final_m == rep.m_values[-1]
+    assert rep.trace[-1]["M"] == solve.DEFAULT_M_VALUES[-1]
     assert np.all(np.isfinite(w))
 
 
 def test_ladder_trace_matches_m_schedule():
     prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 81))
     _, rep = solve.solve_complete(prob)
-    assert rep.m_values == tuple(solve.DEFAULT_M_VALUES)
-    assert 1 <= len(rep.trace) <= len(rep.m_values)
-    assert [e["M"] for e in rep.trace] == list(rep.m_values[: len(rep.trace)])
-    assert rep.final_m == rep.trace[-1]["M"]
+    assert 1 <= len(rep.trace) <= len(solve.DEFAULT_M_VALUES)
+    assert [e["M"] for e in rep.trace] == list(solve.DEFAULT_M_VALUES[: len(rep.trace)])
     assert rep.trace[0]["inner_change"] is None
     assert all(e["inner_change"] is not None for e in rep.trace[1:])
 

@@ -200,11 +200,8 @@ def test_ray_limit_extrapolation_on_short_domain():
 
 def test_ray_quadratic_growth_for_polynomial():
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 1.0)), 2, GridDomain(6.0, 121))
-    w, _ = solve.solve_newton(
-        prob,
-        solve.profile_field(prob, clip=solve.PROFILE_CLIP),
-        solve.make_boundary_subsolution(prob),
-    )
+    profile = solve.make_boundary_subsolution(prob)
+    w, _ = solve.solve_newton(prob, profile, profile)
     ray = inv.completeness_probe(prob.domain, w, (0.0,))[0]
     pred = ray.r[-1] ** 2 / 2.0
     assert abs(ray.total - pred) <= 0.1 * pred
