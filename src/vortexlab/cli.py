@@ -23,7 +23,7 @@ A config is a single JSON document:
       "mode": "EQ1",
       "pipeline": ["solve-complete", "verify"],
       "output_dir": "out",
-      "tolerances": {"no_gap_delta": 0.5, "develop_restrict": 1}
+      "tolerances": {"develop_restrict": 1}
     }
 
 Unknown keys, also in "tolerances", and a stage named twice are refused.
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .entire import EntireFunction
-from .grid import GridDomain, VortexProblem, read_field_csv, write_field_csv
+from .grid import GridDomain, VortexProblem, write_field_csv
 from . import solve as solver
 from . import invariants as verify
 from . import surfaces as develop
@@ -67,6 +67,13 @@ STAGES = (
     "develop",
     "export",
 )
+SOLVE_STAGES = ("solve-complete", "solve-incomplete", "two-solutions")
+# what a stage needs earlier in the pipeline, and the refusal when it is missing
+NEEDS = {
+    "verify": (SOLVE_STAGES, "stage 'verify' needs a solve stage earlier in the pipeline"),
+    "develop": (SOLVE_STAGES, "stage 'develop' needs a solve stage earlier in the pipeline"),
+    "export": (("develop",), "stage export needs develop earlier in the pipeline"),
+}
 MODES = ("EQ1", "WANG_K3", "HARMONIC_K2")
 REQUIRED = ("phi", "k", "R", "n", "mode", "pipeline", "output_dir")
 KEYS = REQUIRED + ("tolerances",)
@@ -92,7 +99,6 @@ class Config:
     stages: tuple
     output_dir: str
     develop_restrict: int
-    no_gap_delta: float
 
 
 def _coeffs(raw, what: str) -> tuple:
@@ -155,28 +161,18 @@ def load_config(path: str) -> Config:
             raise ConfigError("unknown stage %r (choose from %s)" % (st, STAGES))
         if st in stages[:i]:
             raise ConfigError("stage %r appears twice in the pipeline" % st)
+        needed, refusal = NEEDS.get(st, (None, None))
+        if needed and not set(needed) & set(stages[:i]):
+            raise ConfigError(refusal)
+    if "develop" in stages and mode == "EQ1":
+        raise ConfigError("stage develop needs a geometric mode")
     if "two-solutions" in stages and phi.is_polynomial():
         raise ConfigError("phi is a polynomial: the complete solution is unique, "
                           "there is no second one")
-    solve_stages = {"solve-complete", "solve-incomplete", "two-solutions"}
-    seen_solve = False
-    seen_develop = False
-    for st in stages:
-        if st in solve_stages:
-            seen_solve = True
-        elif st in ("verify", "develop"):
-            if not seen_solve:
-                raise ConfigError("stage %r needs a solve stage earlier in the pipeline" % st)
-            if st == "develop":
-                if mode == "EQ1":
-                    raise ConfigError("stage develop needs a geometric mode")
-                seen_develop = True
-        elif st == "export" and not seen_develop:
-            raise ConfigError("stage export needs develop earlier in the pipeline")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")
-    _refuse_unknown(tol, ("develop_restrict", "no_gap_delta"), "tolerances")
+    _refuse_unknown(tol, ("develop_restrict",), "tolerances")
     restrict = tol.get("develop_restrict", 0)
     if not isinstance(restrict, int) or isinstance(restrict, bool) or restrict < 0:
         raise ConfigError("tolerances.develop_restrict must be an integer >= 0")
@@ -187,11 +183,8 @@ def load_config(path: str) -> Config:
                               "((n - 1) must be divisible by 4, and n at least 9)"
                               % (restrict, m))
         m = (m - 1) // 2 + 1
-    delta = tol.get("no_gap_delta", 0.5)
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0.0 < delta < 1.0:
-        raise ConfigError("tolerances.no_gap_delta must be a number in (0, 1)")
     return Config(raw, phi, k, GridDomain(float(raw["R"]), n), mode, tuple(stages),
-                  raw["output_dir"], restrict, float(delta))
+                  raw["output_dir"], restrict)
 
 
 def _solve_report_json(rep) -> dict:
@@ -250,11 +243,14 @@ class _Run:
         self.checks: list = []
         self.rays: dict = {}
         self.develop_info: dict = {}
-        self.failures: list = []
         self.stage_seconds: list = []
 
     def path(self, name: str) -> str:
         return os.path.join(self.cfg.output_dir, name)
+
+    @property
+    def failures(self) -> list:
+        return sorted(check["name"] for check in self.checks if not check["passed"])
 
     # stages -----------------------------------------------------------
     def solve_complete(self) -> None:
@@ -279,11 +275,6 @@ class _Run:
         write_field_csv(self.path("w_complete.csv"), self.problem.domain, pair.w_top)
         write_field_csv(self.path("w_incomplete.csv"), self.problem.domain, pair.w_low)
 
-    def _record(self, report) -> None:
-        self.checks.append(report.to_dict())
-        if not report.passed:
-            self.failures.append(report.name)
-
     def verify(self) -> None:
         prob = self.problem
         dom = prob.domain
@@ -291,24 +282,15 @@ class _Run:
         fields = [(tag, w) for tag, w in fields if w is not None]
         profiles = {}
         for tag, w in fields:
-            sub = verify.subunity_check(w, prob)
-            sub.name = "subunity_%s" % tag
-            self._record(sub)
+            self.checks.append(dict(verify.subunity_check(w, prob).to_dict(), name="subunity_" + tag))
             try:
                 verify.curvature_field(w, prob)
             except ValueError as exc:
-                self.failures.append("curvature_%s" % tag)
-                self.checks.append(
-                    {"name": "curvature_%s" % tag, "passed": False, "detail": str(exc)}
-                )
+                self.checks.append({"name": "curvature_" + tag, "passed": False, "detail": str(exc)})
             else:
-                self.checks.append({"name": "curvature_%s" % tag, "passed": True})
+                self.checks.append({"name": "curvature_" + tag, "passed": True})
             residual, passed = verify.diagnostics(w, prob)
-            self.checks.append(
-                {"name": "identity_%s" % tag, "passed": passed, "residual": residual}
-            )
-            if not passed:
-                self.failures.append("identity_%s" % tag)
+            self.checks.append({"name": "identity_" + tag, "passed": passed, "residual": residual})
             profiles[tag] = verify.completeness_probe(dom, w, thetas=RAY_ANGLES)
             self.rays[tag] = [
                 {
@@ -320,51 +302,56 @@ class _Run:
                 for p in profiles[tag]
             ]
         if self.w_complete is not None:
-            self._record(verify.no_gap_check(self.w_complete, prob, self.cfg.no_gap_delta))
+            self.checks.append(
+                verify.no_gap_check(self.w_complete, prob, verify.NO_GAP_DELTA).to_dict())
         if self.w_complete is not None and self.w_incomplete is not None:
-            self._record(verify.ordering_check(self.w_complete, self.w_incomplete, dom))
+            self.checks.append(
+                verify.ordering_check(self.w_complete, self.w_incomplete, dom).to_dict())
         # rays.csv holds the rays of the primary (complete if solved) field
         verify.write_rays_csv(self.path("rays.csv"), profiles[fields[0][0]])
 
     def develop(self) -> None:
         mode = develop.SurfaceMode(self.cfg.mode)
         w = self.w_complete if self.w_complete is not None else self.w_incomplete
-        sol = develop.normalize(w, self.problem, mode)
-        for _ in range(self.cfg.develop_restrict):
-            sol = sol.restrict_half()
-        if mode is develop.SurfaceMode.WANG_K3:
-            surface = develop.develop_affine_sphere(sol)
-            normals = None
-        else:
-            surface, normals = develop.develop_cmc(sol)
-        rec = develop.reconstruct_metric(surface)
-        target = sol.w if mode is develop.SurfaceMode.WANG_K3 else 2.0 * sol.w
+        # frames whose products overflow give measures that are not finite,
+        # which the stage refuses below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = develop.normalize(w, self.problem, mode)
+            for _ in range(self.cfg.develop_restrict):
+                sol = sol.restrict_half()
+            if mode is develop.SurfaceMode.WANG_K3:
+                surface = develop.develop_affine_sphere(sol)
+                normals = None
+            else:
+                surface, normals = develop.develop_cmc(sol)
+            rec = develop.reconstruct_metric(surface)
+            target = sol.w if mode is develop.SurfaceMode.WANG_K3 else 2.0 * sol.w
+            measures = {"holonomy_defect": surface.holonomy_defect,
+                        "metric_roundtrip_error": float(np.max(np.abs(rec - target)))}
         self.develop_info = {
             "mode": mode.value,
             "grid_R": sol.domain.R,
             "grid_n": sol.domain.n,
-            "holonomy_defect": surface.holonomy_defect,
-            "metric_roundtrip_error": float(np.max(np.abs(rec - target))),
             "imag_max": surface.imag_max,
             "conj_defect": surface.conj_defect,
+            # null, not NaN or Infinity, keeps report.json strict JSON
+            **{key: value if np.isfinite(value) else None for key, value in measures.items()},
         }
-        measures = [self.develop_info[key] for key in ("holonomy_defect", "metric_roundtrip_error")]
-        if not np.all(np.isfinite(measures)):  # frames whose products overflowed
+        if not all(map(np.isfinite, measures.values())):
             raise ArithmeticError("develop measures are not finite: holonomy defect %r, "
-                                  "metric round-trip error %r" % tuple(measures))
+                                  "metric round-trip error %r" % tuple(measures.values()))
         self._surface = surface
         self._normals = normals
-        self._dev_domain = sol.domain
 
     def export(self) -> None:
         develop.export_mesh(self._surface, self.path("surface.obj"))
         if self._normals is not None:
-            develop.write_gauss_csv(self.path("gauss.csv"), self._dev_domain, self._normals)
+            develop.write_gauss_csv(self.path("gauss.csv"), self._surface.domain, self._normals)
 
     def report(self, status: int, error: str | None, elapsed: float) -> None:
         _write_json(
             self.path("invariants.json"),
-            {"checks": self.checks, "rays": self.rays, "failures": sorted(self.failures)},
+            {"checks": self.checks, "rays": self.rays, "failures": self.failures},
         )
         _write_json(
             self.path("report.json"),
@@ -376,7 +363,7 @@ class _Run:
                     "python": "%d.%d.%d" % sys.version_info[:3],
                 },
                 "reports": self.reports,
-                "invariants": {"checks": self.checks, "failures": sorted(self.failures)},
+                "invariants": {"checks": self.checks, "failures": self.failures},
                 "develop": self.develop_info,
                 "exit_status": status,
                 "error": error,
@@ -410,15 +397,16 @@ def run(cfg: Config) -> int:
                     {"stage": stage, "seconds": time.perf_counter() - t_stage})
         if state.failures:
             status = EXIT_INVARIANT
-            error = "invariant checks failed: %s" % ", ".join(sorted(state.failures))
+            error = "invariant checks failed: %s" % ", ".join(state.failures)
     except solver.ConvergenceError as exc:
         status, error = EXIT_SOLVER, str(exc)
     except MemoryError as exc:
         # a grid too large for this machine: the solve, not the config, failed
         status, error = EXIT_SOLVER, str(exc) or type(exc).__name__
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         # precondition violations (zeros on the ring, roots of P that will not
-        # resolve, normalization residual) are config-class errors
+        # resolve, normalization residual) and artifacts that cannot be
+        # written are config-class errors
         status, error = EXIT_CONFIG, str(exc)
     state.report(status, error, time.perf_counter() - t0)
     if error:
@@ -429,34 +417,29 @@ def run(cfg: Config) -> int:
 def compare(cfg_a: Config, cfg_b: Config) -> int:
     if (cfg_a.phi, cfg_a.k, cfg_a.mode) != (cfg_b.phi, cfg_b.k, cfg_b.mode):
         raise ConfigError("compare needs identical phi, k and mode")
-    runs = []
-    for cfg in (cfg_a, cfg_b):
+    dom_a, dom_b = cfg_a.domain, cfg_b.domain
+    if abs(dom_a.h - dom_b.h) > 1e-12 * max(dom_a.h, dom_b.h):
+        raise ConfigError("compare needs matching grid spacing (got h=%g vs %g)"
+                          % (dom_a.h, dom_b.h))
+    half = min(dom_a.R, dom_b.R) / 2.0
+    windows = [slice(*np.searchsorted(dom.axis, [-half - 1e-9, half + 1e-9])) for dom in (dom_a, dom_b)]
+    if windows[0].stop - windows[0].start != windows[1].stop - windows[1].start:
+        raise ConfigError("inner squares do not align node-for-node")
+    inner, branches = [], []
+    for cfg, window in zip((cfg_a, cfg_b), windows):
         status = run(cfg)
         if status != EXIT_OK:
             return status
         solved = {"solve-complete", "two-solutions"} & set(cfg.stages)
-        branch = "complete" if solved else "incomplete"
-        dom, w = read_field_csv(os.path.join(cfg.output_dir, "w_%s.csv" % branch))
-        runs.append((dom, w, branch))
-    (dom_a, wa, br_a), (dom_b, wb, br_b) = runs
-    if abs(dom_a.h - dom_b.h) > 1e-12 * max(dom_a.h, dom_b.h):
-        raise ConfigError("compare needs matching grid spacing (got h=%g vs %g)" % (dom_a.h, dom_b.h))
-    small, big = (dom_a, dom_b) if dom_a.R <= dom_b.R else (dom_b, dom_a)
-    half = small.R / 2.0
-    diffs = []
-    for dom, w in ((dom_a, wa), (dom_b, wb)):
-        k0 = np.searchsorted(dom.axis, -half - 1e-9)
-        k1 = np.searchsorted(dom.axis, half + 1e-9)
-        sub = w[k0:k1, k0:k1]
-        diffs.append(sub)
-    if diffs[0].shape != diffs[1].shape:
-        raise ConfigError("inner squares do not align node-for-node")
-    delta = float(np.max(np.abs(diffs[0] - diffs[1])))
+        branches.append("complete" if solved else "incomplete")
+        w = np.loadtxt(os.path.join(cfg.output_dir, "w_%s.csv" % branches[-1]), delimiter=",",
+                       skiprows=1, usecols=2).reshape(cfg.domain.n, cfg.domain.n)
+        inner.append(w[window, window])
     payload = {
-        "max_difference": delta,
+        "max_difference": float(np.max(np.abs(inner[0] - inner[1]))),
         "region_half_width": half,
-        "nodes": int(diffs[0].size),
-        "branches": [br_a, br_b],
+        "nodes": int(inner[0].size),
+        "branches": branches,
     }
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -46,14 +46,6 @@ class EntireFunction:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @classmethod
-    def from_roots(cls, roots, q=(0j,), scale=1.0 + 0j) -> "EntireFunction":
-        if len(roots):
-            p = scale * npoly.polyfromroots(list(roots))
-        else:
-            p = np.array([scale], dtype=complex)
-        return cls(tuple(p), tuple(q))
-
     @property
     def degree(self) -> int:
         return len(self.p) - 1

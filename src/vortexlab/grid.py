@@ -136,21 +136,6 @@ def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:
     write_table(path, "x,y,value", "%.17g,%.17g,%.17g", (ax[:, None], ax[None, :], values))
 
 
-def read_field_csv(path) -> tuple[GridDomain, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    m = data.shape[0]
-    n = int(round(np.sqrt(m)))
-    if n * n != m:
-        raise ValueError("field file is not a full square grid")
-    R = float(np.max(data[:, 0]))
-    dom = GridDomain(R, n)
-    vals = data[:, 2].reshape(n, n)
-    x_expect = np.repeat(dom.axis, n)
-    if not np.allclose(data[:, 0], x_expect, atol=1e-12 * max(R, 1.0)):
-        raise ValueError("field file nodes are not in grid order")
-    return dom, vals
-
-
 @dataclass
 class VortexProblem:
     """Delta w = e^w - |phi|^2 e^{-(k-1) w} discretized on a square grid.

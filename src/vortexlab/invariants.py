@@ -20,6 +20,7 @@ from .grid import GridDomain, VortexProblem, write_table
 TOL_SUBUNITY = 1e-6
 TOL_SOLVE = 1e-9  # the solver residual a curvature cross-check allows for
 TOL_IDENTITY = 1e-6
+NO_GAP_DELTA = 0.5  # the bound max h must exceed on the complete branch
 EPS_RAY = 1e-3
 
 

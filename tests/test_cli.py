@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vortexlab import cli
 from vortexlab.grid import GridDomain
+from vortexlab import invariants as verify
 from vortexlab import solve as solver
 from vortexlab import surfaces as develop
 
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
+# the environment of a child interpreter that imports this checkout's package
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC_DIR, os.environ.get("PYTHONPATH", "")) if p))
 
 
 def make_cfg(tmp_path, name="cfg.json", *, p=((2.0, 0.0),), q=None, k=2, R=4.0,
@@ -184,10 +189,9 @@ def test_ladder_totals_sum_the_rungs(tmp_path):
     pytest.param({"develop_restrict": 3}, "cannot be halved", 41, id="restrict-indivisible"),
     # 9 -> 5 -> 3 nodes, below the smallest grid
     pytest.param({"develop_restrict": 2}, "cannot be halved", 9, id="restrict-below-5"),
-    pytest.param({"no_gap_delta": 0.0}, "no_gap_delta must be", 41, id="delta-zero"),
-    pytest.param({"no_gap_delta": 1.0}, "no_gap_delta must be", 41, id="delta-one"),
-    pytest.param({"no_gap_delta": -0.5}, "no_gap_delta must be", 41, id="delta-negative"),
-    pytest.param({"no_gap_delta": "0.5"}, "no_gap_delta must be", 41, id="delta-string"),
+    # the no-gap bound is the constant invariants.NO_GAP_DELTA, not a setting
+    pytest.param({"no_gap_delta": 0.5}, "unknown key 'no_gap_delta' in tolerances", 41,
+                 id="delta-unknown"),
     pytest.param({"develop_restict": 2}, "unknown key 'develop_restict' in tolerances", 41,
                  id="restrict-misspelled"),
 ])
@@ -199,10 +203,10 @@ def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, messa
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     good = cli.load_config(make_cfg(tmp_path, "good.json", n=41, **kw,
-                                    tol={"develop_restrict": 2, "no_gap_delta": 0.25}))
-    assert (good.develop_restrict, good.no_gap_delta) == (2, 0.25)
+                                    tol={"develop_restrict": 2}))
+    assert good.develop_restrict == 2
     default = cli.load_config(make_cfg(tmp_path, "default.json", n=41, **kw))
-    assert (default.develop_restrict, default.no_gap_delta) == (0, 0.5)
+    assert default.develop_restrict == 0
 
 
 def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
@@ -223,13 +227,47 @@ def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
     wilkinson = np.polynomial.polynomial.polyfromroots(np.arange(1.0, 21.0))
     cfg = make_cfg(tmp_path, p=[(c, 0.0) for c in wilkinson], q=((0.0, 0.0), (1.0, 0.0)),
                    k=3, R=24.0, n=41, pipeline=("solve-incomplete",))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC_DIR, os.environ.get("PYTHONPATH", "")) if p))
     proc = subprocess.run([sys.executable, "-m", "vortexlab.cli", "run", cfg],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "residual target" in proc.stderr
+
+
+def test_unwritable_artifact_exits_config_with_report(tmp_path):
+    # a directory where the field file goes: the run ends as exit 2 with both
+    # JSON files, like an output directory that cannot be created, not in a
+    # traceback
+    (tmp_path / "out" / "w_complete.csv").mkdir(parents=True)
+    cfg = make_cfg(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "vortexlab.cli", "run", cfg],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == cli.EXIT_CONFIG
+    assert "w_complete.csv" in report["error"]
+    assert (tmp_path / "out" / "invariants.json").exists()
+
+
+def test_failed_invariants_exit_with_the_failed_checks(tmp_path, monkeypatch, capsys):
+    # with no tolerance left, the curvature cross-check and the identity of
+    # the complete branch of p = z fail; the failures are the failed checks,
+    # named in both JSON files and in the error
+    monkeypatch.setattr(verify, "TOL_IDENTITY", 0.0)
+    monkeypatch.setattr(verify, "TOL_SOLVE", 0.0)
+    cfg = make_cfg(tmp_path, p=((0.0, 0.0), (1.0, 0.0)))
+    assert cli.main(["run", cfg]) == cli.EXIT_INVARIANT
+    failed = ["curvature_complete", "identity_complete"]
+    error = "invariant checks failed: curvature_complete, identity_complete"
+    out = tmp_path / "out"
+    inv = json.loads((out / "invariants.json").read_text())
+    assert inv["failures"] == failed
+    assert sorted(c["name"] for c in inv["checks"] if not c["passed"]) == failed
+    report = json.loads((out / "report.json").read_text())
+    assert report["invariants"]["failures"] == failed
+    assert (report["exit_status"], report["error"]) == (cli.EXIT_INVARIANT, error)
+    assert error in capsys.readouterr().err
 
 
 def test_compare_identical_runs(tmp_path, capsys):
@@ -250,10 +288,13 @@ def test_compare_separates_the_two_branches(tmp_path, capsys):
     assert payload["max_difference"] > 0.01
 
 
-def test_compare_requires_matching_spacing(tmp_path):
+def test_compare_requires_matching_spacing(tmp_path, capsys):
+    # the spacings come from the two configs, so compare refuses before either run
     a = make_cfg(tmp_path, name="a.json", out="a", n=41)
     b = make_cfg(tmp_path, name="b.json", out="b", n=81)
     assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG
+    assert "matching grid spacing" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_compare_requires_matching_phi(tmp_path):
@@ -348,10 +389,17 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
                  "develop measures are not finite", id="develop-overflow"),
 ])
 def test_precondition_failure_after_load_writes_the_report(tmp_path, capsys, cfg_kw, message):
-    assert cli.main(["run", make_cfg(tmp_path, **cfg_kw)]) == cli.EXIT_CONFIG
+    # the stage refuses what a floating-point warning would flag, so none is
+    # raised, and report.json stays strict JSON: no NaN or Infinity in it
+    def reject(constant):
+        raise ValueError("report.json holds %s" % constant)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", make_cfg(tmp_path, **cfg_kw)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     out = tmp_path / "out"
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert report["exit_status"] == cli.EXIT_CONFIG
     assert message in report["error"]
     assert (out / "invariants.json").exists()
@@ -407,12 +455,10 @@ def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
 
 def test_cli_import_leaves_scipy_unloaded():
     # the package needs numpy only; importing scipy would cost every run's set-up
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC_DIR, os.environ.get("PYTHONPATH", "")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, vortexlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -460,8 +506,7 @@ def small_configs(draw):
         "n": draw(st.sampled_from([9, 5, 13, 17, 21, 25, 33, 41, 3, 4])), "mode": mode,
         "pipeline": [solve] + rest if draw(st.integers(0, 4)) else rest or [solve],
         "tolerances": draw(st.fixed_dictionaries({}, optional={
-            "develop_restrict": st.integers(-1, 3),
-            "no_gap_delta": st.floats(-0.25, 1.25, allow_nan=False)})),
+            "develop_restrict": st.integers(-1, 3)})),
     }
 
 

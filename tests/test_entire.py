@@ -79,8 +79,8 @@ _lattice = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]
 @example(roots={0j, -1j, -2j, 1 - 2j, 2 - 2j}, scale=1.0 + 0j)
 def test_root_round_trip(roots, scale):
     # integer-lattice roots are separated by >= 1, the benign regime
-    f = EntireFunction.from_roots(sorted(roots, key=lambda c: (c.real, c.imag)),
-                                  scale=scale)
+    ordered = sorted(roots, key=lambda c: (c.real, c.imag))
+    f = EntireFunction(tuple(scale * np.polynomial.polynomial.polyfromroots(ordered)))
     got = _sorted(f.zeros())
     want = _sorted(roots)
     assert np.max(np.abs(got - want)) <= 1e-8
@@ -89,7 +89,7 @@ def test_root_round_trip(roots, scale):
 def test_zeros_unresolved_is_a_precondition_error():
     # Wilkinson's prod_{j=1..20} (z - j): the Aberth iterates never reach the
     # residual target, which is a precondition of phi, not a solver failure
-    f = EntireFunction.from_roots(list(range(1, 21)), q=(0.0, 1.0))
+    f = EntireFunction(tuple(np.polynomial.polynomial.polyfromroots(range(1, 21))), q=(0.0, 1.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         f.zeros()
 

@@ -9,7 +9,6 @@ from vortexlab.grid import (
     GridDomain,
     VortexProblem,
     interior_max_norm,
-    read_field_csv,
     write_field_csv,
 )
 from vortexlab import solve
@@ -149,6 +148,8 @@ def test_field_csv_round_trip(tmp_path):
     write_field_csv(path, dom, vals)
     with open(path) as fh:
         assert fh.readline().strip() == "x,y,value"
-    dom2, vals2 = read_field_csv(path)
-    assert dom2.n == dom.n and dom2.R == pytest.approx(dom.R, rel=1e-15)
-    assert np.array_equal(vals2, vals)  # %.17g round-trips doubles exactly
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    # rows in C order: x constant along a grid row, y running along it
+    assert np.array_equal(table[:, 0], np.repeat(dom.axis, dom.n))
+    assert np.array_equal(table[:, 1], np.tile(dom.axis, dom.n))
+    assert np.array_equal(table[:, 2].reshape(21, 21), vals)  # %.17g round-trips doubles exactly
