@@ -189,7 +189,16 @@ def test_ladder_totals_sum_the_rungs(tmp_path):
     pytest.param({"develop_restrict": 3}, "cannot be halved", 41, id="restrict-indivisible"),
     # 9 -> 5 -> 3 nodes, below the smallest grid
     pytest.param({"develop_restrict": 2}, "cannot be halved", 9, id="restrict-below-5"),
-    # the no-gap bound is the constant invariants.NO_GAP_DELTA, not a setting
+    # the no-gap bound is the constant invariants.NO_GAP_DELTA, not a setting:
+    # the key is refused whatever its value, the old default 0.5 included
+    pytest.param({"no_gap_delta": 0.0}, "unknown key 'no_gap_delta' in tolerances", 41,
+                 id="delta-zero"),
+    pytest.param({"no_gap_delta": 1.0}, "unknown key 'no_gap_delta' in tolerances", 41,
+                 id="delta-one"),
+    pytest.param({"no_gap_delta": -0.5}, "unknown key 'no_gap_delta' in tolerances", 41,
+                 id="delta-negative"),
+    pytest.param({"no_gap_delta": "0.5"}, "unknown key 'no_gap_delta' in tolerances", 41,
+                 id="delta-string"),
     pytest.param({"no_gap_delta": 0.5}, "unknown key 'no_gap_delta' in tolerances", 41,
                  id="delta-unknown"),
     pytest.param({"develop_restict": 2}, "unknown key 'develop_restict' in tolerances", 41,
