@@ -193,7 +193,9 @@ def _solve_report_json(rep) -> dict:
     The complete branch is the M-ladder, whose report also says whether the
     ladder stabilized and, in "totals", sums its rungs' counts (the top-level
     counts are those of the last rung); the incomplete branch is one Newton
-    solve on the subsolution profile.
+    solve on the subsolution profile.  A failed solve's report has the same
+    schema: the rungs done, and the failing solve's history and counts at
+    the top level.
     """
     ladder = isinstance(rep, solver.ContinuationReport)
     newton = rep.newton if ladder else rep
@@ -400,6 +402,11 @@ def run(cfg: Config) -> int:
             error = "invariant checks failed: %s" % ", ".join(state.failures)
     except solver.ConvergenceError as exc:
         status, error = EXIT_SOLVER, str(exc)
+        if exc.report is not None:
+            # what the failed solve did, under its branch: the ladder is the
+            # complete one
+            ladder = isinstance(exc.report, solver.ContinuationReport)
+            state.reports["complete" if ladder else "incomplete"] = _solve_report_json(exc.report)
     except MemoryError as exc:
         # a grid too large for this machine: the solve, not the config, failed
         status, error = EXIT_SOLVER, str(exc) or type(exc).__name__

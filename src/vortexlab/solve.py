@@ -45,7 +45,13 @@ DEFAULT_M_VALUES = tuple(range(4, 25, 2))
 
 
 class ConvergenceError(RuntimeError):
-    pass
+    """A solve that stopped short of its tolerance; report is what it did, or
+    None: a NewtonReport, or for the ladder a ContinuationReport of the rungs
+    done whose newton is the failing solve's."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
@@ -327,8 +333,9 @@ def solve_newton(
     cost a V-cycle or two and the last ones are solved tightly enough to keep
     the convergence superlinear.  Steps are halved (at most 40 times) until
     the sup-norm residual actually drops.  Returns once that residual is
-    within TOL_NEWTON; raises ConvergenceError if MAX_NEWTON steps do not get
-    there.
+    within TOL_NEWTON.  Raises ConvergenceError if MAX_NEWTON steps do not
+    get there, the line search stalls or a step's PCG does not converge; its
+    report holds the steps taken (a failed PCG counts MAX_PCG V-cycles).
     """
     dom = problem.domain
     w = _set_ring(np.array(w0, dtype=float), boundary)
@@ -339,11 +346,19 @@ def solve_newton(
     cg_total = 0
     backtracks = 0
     evals = 1
+
+    def report(iterations):
+        return NewtonReport(iterations, gnorm, cg_total, backtracks, evals, history)
+
     for it in range(1, MAX_NEWTON + 1):
         if gnorm <= TOL_NEWTON:
-            return w, NewtonReport(it - 1, gnorm, cg_total, backtracks, evals, history)
+            return w, report(it - 1)
         tol = max(1e-10, min(ETA_NEWTON, gnorm))
-        delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), dom.h), g, tol)
+        try:
+            delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), dom.h), g, tol)
+        except ConvergenceError as exc:
+            cg_total += MAX_PCG
+            raise ConvergenceError(str(exc), report(it - 1)) from None
         cg_total += cg_it
         step = 1.0
         for _ in range(41):
@@ -357,12 +372,14 @@ def solve_newton(
             step *= 0.5
             backtracks += 1
         else:
-            raise ConvergenceError("Newton line search stalled at residual %.3e" % gnorm)
+            raise ConvergenceError("Newton line search stalled at residual %.3e" % gnorm,
+                                   report(it - 1))
         w, g, gnorm = trial, g_trial, gn_trial
         history.append(gnorm)
     if gnorm <= TOL_NEWTON:
-        return w, NewtonReport(MAX_NEWTON, gnorm, cg_total, backtracks, evals, history)
-    raise ConvergenceError("Newton did not reach tolerance: residual %.3e" % gnorm)
+        return w, report(MAX_NEWTON)
+    raise ConvergenceError("Newton did not reach tolerance: residual %.3e" % gnorm,
+                           report(MAX_NEWTON))
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +492,18 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     and a warning; on grids where |phi| decays somewhere on the ring the
     layer is subgrid and the inner drift shrinks only like 1/M, so a hard
     stabilization gate there would reject fields that are already within
-    discretization error of the maximal solution.
+    discretization error of the maximal solution.  A rung whose solve fails
+    raises ConvergenceError with the rungs done and that solve's report.
     """
     inner = problem.domain.inner_mask()
     trace = []
     w_prev = None
     for M in DEFAULT_M_VALUES:
         bnd = make_boundary_complete(problem, M)
-        w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
+        try:
+            w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
+        except ConvergenceError as exc:
+            raise ConvergenceError(str(exc), ContinuationReport(trace, False, exc.report)) from None
         entry = {
             "M": float(M),
             "newton_iterations": rep.iterations,

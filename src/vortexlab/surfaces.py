@@ -26,16 +26,20 @@ holonomy defect.
 
 Coefficients and transfers are stored component-first, as (d, d, ...) stacks
 of grid planes, and multiplied by ``_mul``, which sums plane products.  No
-full-grid transfer stack exists: development is one pass over blocks of
-``_ROWS`` grid rows.  The pass first walks the x-edges of the central column
-(a contiguous copy of it).  Each block then builds its four transfer sets,
-forming only the coefficient planes its own edges need (d/dx for x-edges,
-d/dy for y-edges), ``_BLOCK`` matrices at a time so the temporaries stay in
-cache; sweeps its rows along y from the central column, straight into the
-node-first (n, n, rows, 3) layout of ``DevelopedSurface.frames``; reduces its
-plaquettes to their per-node ratio; and drops its transfers.  The pass
-records the holonomy defect in ``DevelopedSurface.holonomy_defect``;
-``holonomy_defect`` runs the same pass on given frames.
+full-grid transfer stack or coefficient field exists: development is one
+pass over blocks of ``_ROWS`` grid rows, and only the gradient of w is formed
+for the whole grid.  The pass first walks the x-edges of the central column,
+from a cut of the fields to that column.  Each block then forms w, its
+gradient and the differential at its nodes and edge midpoints; builds its
+y-transfers, forming only the d/dy coefficient planes, ``_BLOCK`` matrices
+at a time so the temporaries stay in cache; sweeps its rows along y from the
+central column, straight into the node-first (n, n, rows, 3) layout of
+``DevelopedSurface.frames``; and reduces its plaquettes to their per-node
+ratio a chunk of rows at a time, each chunk building its own x-transfers
+from the d/dx planes.  The frame checks after the pass run block by block
+too.  The pass records the holonomy defect in
+``DevelopedSurface.holonomy_defect``; ``holonomy_defect`` runs the same pass
+on given frames.
 """
 
 from __future__ import annotations
@@ -195,8 +199,8 @@ def _shift(k: np.ndarray, c: float) -> np.ndarray:
 
 # matrices per block of grid rows: the temporaries of one block stay in cache
 _BLOCK = 4096
-# grid rows per block of the development pass: the edge transfers of this many
-# rows are alive at once, and each frame step along y covers all of them
+# grid rows per block of the development pass: the fields and y-transfers of
+# this many rows are alive at once, and each frame step along y covers all of them
 _ROWS = 64
 
 
@@ -278,53 +282,45 @@ def _cmc_mats(w, wx, wy, qval, axis: int) -> np.ndarray:
     return _stack(rows, float)
 
 
-def _fields(sol: NormalizedSolution):
-    """w, its gradient and the differential at the nodes, the x-midpoints and
-    the y-midpoints: the (node, mid_x, mid_y) inputs of the coefficient planes."""
-    dom = sol.domain
-    h = dom.h
-    zz = dom.zz()
+def _fields(sol: NormalizedSolution, grad, rows: slice, cols: slice):
+    """w, its gradient and the differential at a cut of the nodes, at the
+    midpoints of the cut's x-edges and at those of its y-edges: the
+    (node, mid_x, mid_y) inputs of the coefficient planes.  grad is
+    ``_grad`` of sol.w over the whole grid."""
+    h = sol.domain.h
+    ax = sol.domain.axis
+    zz = ax[rows, None] + 1j * ax[None, cols]
     ev = sol.differential.eval
-    fields = (sol.w,) + _grad(dom, sol.w)
+    fields = tuple(f[rows, cols] for f in (sol.w,) + grad)
     node = fields + (ev(zz),)
     mid_x = tuple(0.5 * (f[:-1, :] + f[1:, :]) for f in fields) + (ev(zz[:-1, :] + 0.5 * h),)
     mid_y = tuple(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields) + (ev(zz[:, :-1] + 0.5j * h),)
     return node, mid_x, mid_y
 
 
-def _block_transfers(sol: NormalizedSolution, fields, r0: int, r1: int):
-    """Forward and reverse RK4 transfers of the edges node rows r0..r1-1 need.
+def _transfers(sol: NormalizedSolution, node, mid, axis: int, t, t_rev) -> None:
+    """Forward and reverse RK4 transfers of the edges along axis 0 (x) or
+    1 (y) between the node planes, mid the planes at their midpoints.
 
-    tx and tx_rev are (d, d, k, cols): edge (i, j) -> (i+1, j) and back, for
-    the k rows of the block that have x-edges; ty and ty_rev are
-    (d, d, rows, cols-1): edge (i, j) -> (i, j+1) and back, for the rows of
-    the block and the row after it (the far side of its plaquettes).
-    fields are ``_fields`` of sol or a cut of their columns.  The coefficient
-    planes are formed _BLOCK matrices at a time, only the ones those edges
-    need: d/dx at the nodes and x-midpoints for the x-edges, d/dy at the
-    nodes and y-midpoints for the y-edges.
+    They are written into t and t_rev, (d, d) + mid's shape: edge (i, j) ->
+    (i+1, j) resp. (i, j+1) and back.  The d/dx resp. d/dy coefficient
+    planes are formed _BLOCK matrices at a time, so the temporaries stay in
+    cache.
     """
     h = sol.domain.h
     mats = _wang_mats if sol.mode is SurfaceMode.WANG_K3 else _cmc_mats
-    d, dtype = (3, complex) if sol.mode is SurfaceMode.WANG_K3 else (4, float)
-    node, mid_x, mid_y = fields
-    rows, cols = node[0].shape
-    rx, ry = min(r1, rows - 1), min(r1 + 1, rows)
-    tx, tx_rev = (np.empty((d, d, rx - r0, cols), dtype) for _ in range(2))
-    ty, ty_rev = (np.empty((d, d, ry - r0, cols - 1), dtype) for _ in range(2))
-    step = max(1, _BLOCK // cols)
-    for r in range(r0, ry, step):
-        s, x = min(r + step, ry), min(r + step, rx)
-        if x > r:
-            mx = mats(*(f[r:x + 1] for f in node), axis=0)
-            mm = mats(*(f[r:x] for f in mid_x), axis=0)
-            tx[:, :, r - r0:x - r0] = _rk4_transfer(mx[:, :, :-1], mm, mx[:, :, 1:], h)
-            tx_rev[:, :, r - r0:x - r0] = _rk4_transfer(mx[:, :, 1:], mm, mx[:, :, :-1], -h)
-        my = mats(*(f[r:s] for f in node), axis=1)
-        mm = mats(*(f[r:s] for f in mid_y), axis=1)
-        ty[:, :, r - r0:s - r0] = _rk4_transfer(my[..., :-1], mm, my[..., 1:], h)
-        ty_rev[:, :, r - r0:s - r0] = _rk4_transfer(my[..., 1:], mm, my[..., :-1], -h)
-    return tx, tx_rev, ty, ty_rev
+    rows = mid[0].shape[0]
+    step = max(1, _BLOCK // node[0].shape[1])
+    for r in range(0, rows, step):
+        s = min(r + step, rows)
+        m = mats(*(f[r:s + 1 - axis] for f in node), axis=axis)
+        mm = mats(*(f[r:s] for f in mid), axis=axis)
+        if axis == 0:
+            ma, mb = m[:, :, :-1], m[:, :, 1:]
+        else:
+            ma, mb = m[..., :-1], m[..., 1:]
+        t[:, :, r:s] = _rk4_transfer(ma, mm, mb, h)
+        t_rev[:, :, r:s] = _rk4_transfer(mb, mm, ma, -h)
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +349,43 @@ def _develop_pass(sol: NormalizedSolution, frames: np.ndarray, s0=None) -> float
     """Frames and holonomy defect in one pass over blocks of _ROWS grid rows.
 
     frames has the (n, n, rows, 3) surface layout.  Given the frame s0 at the
-    central node, the pass first walks the central column's x-edges, then
-    develops each block of rows along y from that column and, for
-    HARMONIC_K2, scales the tangent rows back to f_x = e^w e1, f_y = e^w e2;
-    without s0 the frames are only read.  Each block then reduces its
-    plaquettes to their per-node ratio and drops its transfers.  Returns the
-    defect as ``holonomy_defect`` defines it.
+    central node, the pass first walks the central column's x-edges, built
+    from a cut of the fields to that column; without s0 the frames are only
+    read.  Each block then forms the fields of its rows and of the row after
+    it (the far side of its plaquettes) and their y-transfers, develops its
+    rows along y from the central column and, for HARMONIC_K2, scales the
+    tangent rows back to f_x = e^w e1, f_y = e^w e2.  Its plaquettes are
+    reduced to their per-node ratio a few rows at a time, each chunk building
+    its own x-transfers.  Beside the frames, only the two gradient planes,
+    one block's fields and y-transfers and one chunk's x-transfers are alive.
+    Returns the defect as ``holonomy_defect`` defines it.
     """
     n = sol.domain.n
     c = (n - 1) // 2
-    fields = _fields(sol)
+    d, dtype = frames.shape[2], frames.dtype
+    grad = _grad(sol.domain, sol.w)
     if s0 is not None:
-        # a contiguous copy of column c: its x-edges, and no y-edges
-        column = tuple(tuple(np.ascontiguousarray(f[:, c:c + width]) for f in group)
-                       for group, width in zip(fields, (1, 1, 0)))
-        tx, tx_rev, _, _ = _block_transfers(sol, column, 0, n)
+        node, mid_x, _ = _fields(sol, grad, slice(None), slice(c, c + 1))
+        tx, tx_rev = np.empty((2, d, d, n - 1, 1), dtype)
+        _transfers(sol, node, mid_x, 0, tx, tx_rev)
         frames[c, c] = s0
         for i in range(c, n - 1):
             frames[i + 1, c] = _mul(tx[:, :, i, 0], frames[i, c])
         for i in range(c - 1, -1, -1):
             frames[i, c] = _mul(tx_rev[:, :, i, 0], frames[i + 1, c])
     cmc = sol.mode is SurfaceMode.HARMONIC_K2
-    if cmc:
-        ew, emw = np.exp(sol.w), np.exp(-sol.w)
     rel = np.empty((n - 1, n - 1))
     step = max(1, _BLOCK // (n - 1))
+    # one buffer each for a block's y-transfers and a chunk's x-transfers,
+    # refilled by every block and chunk: arrays freed and allocated anew per
+    # block let the allocator hand their pages back and fault them in again
+    ty_buf = np.empty((2, d, d, min(_ROWS + 1, n), n - 1), dtype)
+    tx_buf = np.empty((2, d, d, step, n), dtype)
     for r0 in range(0, n, _ROWS):
         r1 = min(r0 + _ROWS, n)
-        tx, tx_rev, ty, ty_rev = _block_transfers(sol, fields, r0, r1)
+        node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
+        ty, ty_rev = ty_buf[:, :, :, :mid_y[0].shape[0]]
+        _transfers(sol, node, mid_y, 1, ty, ty_rev)
         if s0 is not None:
             S = frames[r0:r1].transpose(2, 3, 0, 1)
             for j in range(c, n - 1):
@@ -388,22 +393,34 @@ def _develop_pass(sol: NormalizedSolution, frames: np.ndarray, s0=None) -> float
             for j in range(c - 1, -1, -1):
                 S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
             if cmc:
-                frames[r0:r1, :, 1:3] *= ew[r0:r1, :, None, None]
-        k = tx.shape[2]  # the block's plaquette rows
-        F = frames[r0:r0 + k, :-1]
-        if cmc:
-            F = F.copy()
-            F[:, :, 1:3] *= emw[r0:r0 + k, :-1, None, None]  # transfers act on the rescaled frame
-        S = F.transpose(2, 3, 0, 1)
+                frames[r0:r1, :, 1:3] *= np.exp(sol.w[r0:r1])[:, :, None, None]
+        k = mid_x[0].shape[0]  # the block's plaquette rows
         for p in range(0, k, step):
             q = min(p + step, k)
+            tx, tx_rev = tx_buf[:, :, :, :q - p]
+            _transfers(sol, tuple(f[p:q + 1] for f in node), tuple(f[p:q] for f in mid_x), 0,
+                       tx, tx_rev)
+            F = frames[r0 + p:r0 + q, :-1]
+            if cmc:  # the transfers act on the rescaled frame
+                F = F.copy()
+                F[:, :, 1:3] *= np.exp(-sol.w[r0 + p:r0 + q, :-1])[:, :, None, None]
             rel[r0 + p:r0 + q] = _loop_ratio(
-                ty_rev[:, :, p:q], tx_rev[:, :, p:q, 1:], ty[:, :, p + 1:q + 1],
-                tx[:, :, p:q, :-1], S[:, :, p:q])
-        del tx, tx_rev, ty, ty_rev, F, S
+                ty_rev[:, :, p:q], tx_rev[..., 1:], ty[:, :, p + 1:q + 1], tx[..., :-1],
+                F.transpose(2, 3, 0, 1))
+        del node, mid_x, mid_y
     if rel.shape[0] > 2:
         rel = rel[1:-1, 1:-1]
     return float(np.max(rel))
+
+
+def _checked_blocks(frames: np.ndarray):
+    """frames in blocks of _ROWS node rows, each checked to be finite: the
+    checks after the pass need no full-grid temporary."""
+    for r0 in range(0, frames.shape[0], _ROWS):
+        block = frames[r0:r0 + _ROWS]
+        if not np.all(np.isfinite(block)):
+            raise ArithmeticError("frame propagation produced non-finite values")
+        yield block
 
 
 def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
@@ -433,10 +450,10 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
     )
     S = np.empty((n, n) + s0.shape, dtype=complex)
     defect = _develop_pass(sol, S, s0)
-    if not np.all(np.isfinite(S.view(float))):
-        raise ArithmeticError("frame propagation produced non-finite values")
-    imag_max = float(np.max(np.abs(S[:, :, 0, :].imag)))
-    conj_defect = float(np.max(np.abs(S[:, :, 2, :] - np.conj(S[:, :, 1, :]))))
+    imag_max = conj_defect = 0.0
+    for B in _checked_blocks(S):
+        imag_max = max(imag_max, float(np.max(np.abs(B[:, :, 0, :].imag))))
+        conj_defect = max(conj_defect, float(np.max(np.abs(B[:, :, 2, :] - np.conj(B[:, :, 1, :])))))
     if imag_max > 1e-6:
         raise ArithmeticError("developed surface lost reality: |Im f| = %.3e" % imag_max)
     return DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :].real),
@@ -464,15 +481,14 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
     s0 = np.eye(4, 3, k=-1, dtype=float)  # f = 0, e1, e2, N at the origin
     S = np.empty((n, n) + s0.shape)
     defect = _develop_pass(sol, S, s0)
-    if not np.all(np.isfinite(S)):
-        raise ArithmeticError("frame propagation produced non-finite values")
-    N = np.ascontiguousarray(S[:, :, 3, :])
-    drift = float(np.max(np.abs(mdot(N, N) + 1.0)))
+    drift = 0.0
+    for B in _checked_blocks(S):
+        drift = max(drift, float(np.max(np.abs(mdot(B[:, :, 3, :], B[:, :, 3, :]) + 1.0))))
     if drift > 1e-5:
         raise ArithmeticError("Gauss map left the hyperboloid: |<N,N>+1| = %.3e" % drift)
     surf = DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :]),
                             0.0, 0.0, defect)
-    return surf, N
+    return surf, np.ascontiguousarray(S[:, :, 3, :])
 
 
 def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float:

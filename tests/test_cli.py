@@ -363,9 +363,9 @@ WANG_DEVELOP_KW = dict(p=((1.0, 0.0),), k=3, R=2.0, n=41, mode="WANG_K3",
     pytest.param(GridDomain, "zz", {}, "cannot allocate the grid", id="problem"),
     pytest.param(solver, "_Multigrid", {}, "cannot allocate the hierarchy", id="solve"),
     pytest.param(solver, "_Multigrid", {}, "", id="solve-bare"),
-    pytest.param(develop, "_block_transfers", WANG_DEVELOP_KW, "cannot allocate the transfers",
+    pytest.param(develop, "_transfers", WANG_DEVELOP_KW, "cannot allocate the transfers",
                  id="develop"),
-    pytest.param(develop, "_block_transfers", WANG_DEVELOP_KW, "", id="develop-bare"),
+    pytest.param(develop, "_transfers", WANG_DEVELOP_KW, "", id="develop-bare"),
 ])
 def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, cfg_kw, detail):
     # running out of memory in any stage, or while building the problem,
@@ -443,7 +443,7 @@ def test_timing_includes_the_failed_stage(tmp_path, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("cannot allocate the transfers")
 
-    monkeypatch.setattr(develop, "_block_transfers", no_memory)
+    monkeypatch.setattr(develop, "_transfers", no_memory)
     assert cli.main(["run", make_cfg(tmp_path, **WANG_DEVELOP_KW)]) == cli.EXIT_SOLVER
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert set(report) == REPORT_KEYS
@@ -460,6 +460,30 @@ def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["exit_status"] == cli.EXIT_SOLVER
     assert "PCG did not reach" in report["error"]
+    # the report keeps what the failed solve did: its steps, each with at
+    # least one V-cycle, and the failed PCG's one
+    complete = report["reports"]["complete"]
+    assert complete["continuation_trace"] == [] and complete["stabilized"] is False
+    history = complete["residual_history"]
+    assert len(history) == complete["iterations"] + 1 >= 2
+    assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
+    assert complete["cg_iterations"] >= complete["iterations"] + 1
+    # a ladder that fails on its third rung reports the two rungs it finished
+    real = solver.solve_newton
+    calls = []
+
+    def third_rung_fails(*args):
+        calls.append(None)
+        monkeypatch.setattr(solver, "MAX_PCG", 100 if len(calls) < 3 else 1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "solve_newton", third_rung_fails)
+    assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
+    complete = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]["complete"]
+    trace = complete["continuation_trace"]
+    assert [rung["M"] for rung in trace] == list(solver.DEFAULT_M_VALUES[:2])
+    assert complete["totals"]["iterations"] == sum(rung["newton_iterations"] for rung in trace)
+    assert complete["final_residual"] == complete["residual_history"][-1] > solver.TOL_NEWTON
 
 
 def test_cli_import_leaves_scipy_unloaded():

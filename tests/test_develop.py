@@ -160,6 +160,27 @@ def test_development_never_holds_the_full_transfer_stacks(wang_z_family):
     assert peak < 4 * 9 * (n - 1) * n * 16
 
 
+@pytest.mark.parametrize("mode, bound", [(WANG, 1.3), (HARMONIC, 2.0)])
+def test_development_holds_the_frames_and_one_block(mode, bound):
+    # beyond the frames, the pass keeps the two gradient planes, one block's
+    # fields and y-transfers and one chunk's x-transfers: about 0.9 (WANG)
+    # and 1.2 (CMC) times the frames' bytes here, where whole-grid
+    # coefficient fields and frame checks take it to 1.72 and 2.60
+    diff = EntireFunction(p=(1.0,), q=(0.0, 1.0))  # U = e^z, whose profile is exact
+    prob = dev.geometric_problem(diff, mode, GridDomain(1.0, 385))
+    sol = dev.normalize(prob.profile(), prob, mode)
+    tracemalloc.start()
+    try:
+        if mode is WANG:
+            frames = dev.develop_affine_sphere(sol).frames
+        else:
+            frames = dev.develop_cmc(sol)[0].frames
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - frames.nbytes) / frames.nbytes < bound
+
+
 def _plane(rng, shape, dtype):
     x = rng.standard_normal(shape)
     if dtype is complex:
