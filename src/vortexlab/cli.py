@@ -32,7 +32,10 @@ Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 solver runs on the matching base-equation problem.  Determinism: identical
 configs produce byte-identical artifacts; report.json carries wall-clock
 data only inside the isolated "timing" block: wall seconds, the seconds of
-each stage run (in pipeline order, a failed one included) and peak RSS in MB.
+each stage run (in pipeline order, a failed one included), "workers", the
+most processes the row loops of develop and of the artifact writers split
+into (the CPUs the run may use), and peak RSS in MB, the largest of this
+process and its workers.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from .entire import EntireFunction
-from .grid import GridDomain, VortexProblem, write_field_csv
+from .grid import GridDomain, VortexProblem, workers, write_field_csv
 from . import solve as solver
 from . import invariants as verify
 from . import surfaces as develop
@@ -370,7 +373,10 @@ class _Run:
                 "exit_status": status,
                 "error": error,
                 "timing": {"wall_seconds": elapsed, "stages": self.stage_seconds,
-                           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024},
+                           "workers": workers(),
+                           "peak_rss_mb": max(resource.getrusage(who).ru_maxrss for who in
+                                              (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+                           / 1024},
             },
         )
 
@@ -402,6 +408,8 @@ def run(cfg: Config) -> int:
             error = "invariant checks failed: %s" % ", ".join(state.failures)
     except solver.ConvergenceError as exc:
         status, error = EXIT_SOLVER, str(exc)
+        if exc.complete is not None:
+            state.reports["complete"] = _solve_report_json(exc.complete)
         if exc.report is not None:
             # what the failed solve did, under its branch: the ladder is the
             # complete one

@@ -1,4 +1,5 @@
-"""Square grids, scalar fields, and the discretized vortex problem.
+"""Square grids, scalar fields, the discretized vortex problem, the text
+table writer and the row-range workers (``run_parts``) of the big row loops.
 
 Conventions used everywhere in the package:
 
@@ -13,12 +14,96 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
+import pickle
 import re
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .entire import EntireFunction
+
+
+def workers() -> int:
+    """The most processes a row loop splits into: the CPUs this process may
+    run on (``taskset`` limits them)."""
+    return len(os.sched_getaffinity(0))
+
+
+def parts(count: int) -> list:
+    """range(count) as contiguous (start, stop) parts, min(count, workers())
+    of them (one when count is 0), sizes differing by at most one."""
+    p = max(1, min(count, workers()))
+    return [(count * k // p, count * (k + 1) // p) for k in range(p)]
+
+
+def shared_array(shape, dtype) -> np.ndarray:
+    """An array in anonymous shared memory, zero-filled: what a part forked
+    by ``run_parts`` writes there, this process sees."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
+
+
+def run_parts(bounds, part) -> None:
+    """Call part(k, start, stop) for each part (start, stop) = bounds[k].
+
+    Part 0 runs in this process, every other part in a worker forked for it,
+    which sees this process's memory as it was at the fork and ends in
+    ``os._exit``; a part hands its results back through memory shared before
+    the fork (``shared_array``) or through files opened before it.  Forking
+    shares the arrays without pickling them; the parts call no BLAS or
+    LAPACK, whose threads do not survive a fork.  With one part nothing is
+    forked.
+
+    Every worker is reaped before this returns.  If part 0 raises, the
+    workers are killed and its exception propagates.  Otherwise the
+    exception of the first failed worker is raised here with its type, so a
+    MemoryError or OSError in a worker is classified as in this process; a
+    worker that dies without reporting one (killed, or out of memory while
+    reporting) counts as a MemoryError that names its signal or status.
+    """
+    forked = []  # (pid, read end of the pipe that carries its exception)
+    errors = []
+    try:
+        for k in range(1, len(bounds)):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    part(k, *bounds[k])
+                    os._exit(0)
+                except BaseException as exc:  # re-raised by the parent
+                    with open(write, "wb") as fh:
+                        fh.write(pickle.dumps(exc))
+                finally:
+                    os._exit(1)
+            os.close(write)
+            forked.append((pid, read))
+        part(0, *bounds[0])
+    except BaseException:
+        for pid, _ in forked:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in forked:
+            with open(read, "rb") as fh:
+                data = fh.read()  # before waiting: a full pipe would block the worker
+            _, status = os.waitpid(pid, 0)
+            if data:
+                errors.append(pickle.loads(data))
+            elif os.WIFSIGNALED(status):
+                errors.append(MemoryError("a worker process was killed by %s"
+                                          % signal.Signals(os.WTERMSIG(status)).name))
+            elif status:
+                errors.append(MemoryError("a worker process exited with status %d"
+                                          % os.waitstatus_to_exitcode(status)))
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -106,19 +191,23 @@ def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
     shape (rows, 1) is formatted once per grid row, one of shape (1, cols)
     once per table, and only full columns per entry.  The CSV artifacts end
     their lines in CRLF, the default; mode "a" appends to the same file.
+
+    The grid rows are formatted in ``parts``, one process each
+    (``run_parts``): part 0 straight into the file, every other part into an
+    unlinked temporary file in the same directory, which is then appended in
+    order, so the bytes are the same at any part count.
     """
-    parts = _CONVERSION.split(fmt + newline)  # text, conversion, text, ..., text
+    pieces = _CONVERSION.split(fmt + newline)  # text, conversion, text, ..., text
     cols = [np.atleast_2d(c) for c in columns]
     rows, _ = np.broadcast_shapes(*(c.shape for c in cols))
-    shared = {k: [parts[2 * k + 1] % v for v in c[0].tolist()]
+    shared = {k: [pieces[2 * k + 1] % v for v in c[0].tolist()]
               for k, c in enumerate(cols) if c.shape[0] == 1 and c.shape[1] > 1}
-    with open(path, mode, newline="") as fh:
-        if header is not None:
-            fh.write(header + newline)
-        for r in range(rows):
+
+    def write_rows(fh, start, stop):
+        for r in range(start, stop):
             # the row's format: (rows, 1) columns filled in, %s for the shared
             # strings, the conversions of the full columns left in place
-            line, varying = parts[:], []
+            line, varying = pieces[:], []
             for k, c in enumerate(cols):
                 if c.shape[1] == 1:  # r % 1 == 0 reads a (1, 1) column
                     line[2 * k + 1] %= c[r % c.shape[0], 0].item()
@@ -129,6 +218,19 @@ def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
                     varying.append(c[r].tolist())
             row_fmt = "".join(line)
             fh.write("".join(map(row_fmt.__mod__, zip(*varying))) if varying else row_fmt)
+        fh.flush()  # a worker ends in os._exit, which flushes nothing
+
+    bounds = parts(rows)
+    folder = os.path.dirname(os.path.abspath(path))
+    with open(path, mode, newline="") as fh, contextlib.ExitStack() as stack:
+        tails = [stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=folder))
+                 for _ in bounds[1:]]
+        if header is not None:
+            fh.write(header + newline)
+        run_parts(bounds, lambda k, start, stop: write_rows(tails[k - 1] if k else fh, start, stop))
+        for tail in tails:
+            tail.seek(0)
+            shutil.copyfileobj(tail.buffer, fh.buffer)
 
 
 def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:

@@ -47,11 +47,14 @@ DEFAULT_M_VALUES = tuple(range(4, 25, 2))
 class ConvergenceError(RuntimeError):
     """A solve that stopped short of its tolerance; report is what it did, or
     None: a NewtonReport, or for the ladder a ContinuationReport of the rungs
-    done whose newton is the failing solve's."""
+    done whose newton is the failing solve's.  complete is the finished
+    ladder's ContinuationReport when the incomplete branch of
+    ``two_solutions`` failed after it, else None."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report=None, complete=None):
         super().__init__(message)
         self.report = report
+        self.complete = complete
 
 
 def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
@@ -561,5 +564,8 @@ def two_solutions(problem: VortexProblem) -> SolutionPair:
             raise ValueError("zeros of phi must sit inside the square with a 4h margin")
     w1, rep1 = solve_complete(problem)
     profile = make_boundary_subsolution(problem)
-    w2, rep2 = solve_newton(problem, profile, profile)
+    try:
+        w2, rep2 = solve_newton(problem, profile, profile)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), exc.report, rep1) from None
     return SolutionPair(w1, w2, rep1, rep2)

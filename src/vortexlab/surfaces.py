@@ -36,8 +36,11 @@ at a time so the temporaries stay in cache; sweeps its rows along y from the
 central column, straight into the node-first (n, n, rows, 3) layout of
 ``DevelopedSurface.frames``; and reduces its plaquettes to their per-node
 ratio a chunk of rows at a time, each chunk building its own x-transfers
-from the d/dx planes.  The frame checks after the pass run block by block
-too.  The pass records the holonomy defect in
+from the d/dx planes.  The blocks are split over one process per usable
+CPU (``grid.run_parts``); the frames and the per-node plaquette ratio live
+in shared memory, and no block reads another's frames, so every bit is the
+same at any process count.  The frame checks after the pass run block by
+block too.  The pass records the holonomy defect in
 ``DevelopedSurface.holonomy_defect``; ``holonomy_defect`` runs the same pass
 on given frames.
 """
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entire import EntireFunction
-from .grid import GridDomain, VortexProblem, write_table
+from .grid import GridDomain, VortexProblem, parts, run_parts, shared_array, write_table
 from .invariants import checked_curvature
 
 WANG_SHIFT = np.log(2.0)
@@ -345,72 +348,85 @@ def _loop_ratio(down, left, up, right, S):
     return np.max(np.abs(delta), axis=(0, 1)) / np.max(np.abs(S), axis=(0, 1))
 
 
-def _develop_pass(sol: NormalizedSolution, frames: np.ndarray, s0=None) -> float:
+def _develop_pass(sol: NormalizedSolution, s0=None, frames=None):
     """Frames and holonomy defect in one pass over blocks of _ROWS grid rows.
 
-    frames has the (n, n, rows, 3) surface layout.  Given the frame s0 at the
-    central node, the pass first walks the central column's x-edges, built
-    from a cut of the fields to that column; without s0 the frames are only
-    read.  Each block then forms the fields of its rows and of the row after
-    it (the far side of its plaquettes) and their y-transfers, develops its
-    rows along y from the central column and, for HARMONIC_K2, scales the
-    tangent rows back to f_x = e^w e1, f_y = e^w e2.  Its plaquettes are
-    reduced to their per-node ratio a few rows at a time, each chunk building
-    its own x-transfers.  Beside the frames, only the two gradient planes,
-    one block's fields and y-transfers and one chunk's x-transfers are alive.
-    Returns the defect as ``holonomy_defect`` defines it.
+    Given the frame s0 at the central node, the pass allocates the frames in
+    the (n, n, rows, 3) surface layout and first walks the central column's
+    x-edges, built from a cut of the fields to that column; given the frames
+    instead, it only reads them.  Each block then forms the fields of its rows
+    and of the row after it (the far side of its plaquettes) and their
+    y-transfers, develops its rows along y from the central column and, for
+    HARMONIC_K2, scales the tangent rows back to f_x = e^w e1, f_y = e^w e2.
+    Its plaquettes are reduced to their per-node ratio a few rows at a time,
+    each chunk building its own x-transfers.  Beside the frames, only the two
+    gradient planes, one block's fields and y-transfers and one chunk's
+    x-transfers are alive per process.
+
+    The blocks run in ``parts``, one process each (``run_parts``).  A block
+    reads and writes the frames of its own rows only, and the frames and the
+    per-node ratio live in shared memory, so every bit is the same at any
+    part count.  Returns the frames and the defect as ``holonomy_defect``
+    defines it.
     """
     n = sol.domain.n
     c = (n - 1) // 2
-    d, dtype = frames.shape[2], frames.dtype
     grad = _grad(sol.domain, sol.w)
     if s0 is not None:
+        frames = shared_array((n, n) + s0.shape, s0.dtype)
+        d = s0.shape[0]
         node, mid_x, _ = _fields(sol, grad, slice(None), slice(c, c + 1))
-        tx, tx_rev = np.empty((2, d, d, n - 1, 1), dtype)
+        tx, tx_rev = np.empty((2, d, d, n - 1, 1), s0.dtype)
         _transfers(sol, node, mid_x, 0, tx, tx_rev)
         frames[c, c] = s0
         for i in range(c, n - 1):
             frames[i + 1, c] = _mul(tx[:, :, i, 0], frames[i, c])
         for i in range(c - 1, -1, -1):
             frames[i, c] = _mul(tx_rev[:, :, i, 0], frames[i + 1, c])
+    d, dtype = frames.shape[2], frames.dtype
     cmc = sol.mode is SurfaceMode.HARMONIC_K2
-    rel = np.empty((n - 1, n - 1))
+    rel = shared_array((n - 1, n - 1), float)
     step = max(1, _BLOCK // (n - 1))
-    # one buffer each for a block's y-transfers and a chunk's x-transfers,
-    # refilled by every block and chunk: arrays freed and allocated anew per
-    # block let the allocator hand their pages back and fault them in again
-    ty_buf = np.empty((2, d, d, min(_ROWS + 1, n), n - 1), dtype)
-    tx_buf = np.empty((2, d, d, step, n), dtype)
-    for r0 in range(0, n, _ROWS):
-        r1 = min(r0 + _ROWS, n)
-        node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
-        ty, ty_rev = ty_buf[:, :, :, :mid_y[0].shape[0]]
-        _transfers(sol, node, mid_y, 1, ty, ty_rev)
-        if s0 is not None:
-            S = frames[r0:r1].transpose(2, 3, 0, 1)
-            for j in range(c, n - 1):
-                S[..., j + 1] = _mul(ty[:, :, :r1 - r0, j], S[..., j])
-            for j in range(c - 1, -1, -1):
-                S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
-            if cmc:
-                frames[r0:r1, :, 1:3] *= np.exp(sol.w[r0:r1])[:, :, None, None]
-        k = mid_x[0].shape[0]  # the block's plaquette rows
-        for p in range(0, k, step):
-            q = min(p + step, k)
-            tx, tx_rev = tx_buf[:, :, :, :q - p]
-            _transfers(sol, tuple(f[p:q + 1] for f in node), tuple(f[p:q] for f in mid_x), 0,
-                       tx, tx_rev)
-            F = frames[r0 + p:r0 + q, :-1]
-            if cmc:  # the transfers act on the rescaled frame
-                F = F.copy()
-                F[:, :, 1:3] *= np.exp(-sol.w[r0 + p:r0 + q, :-1])[:, :, None, None]
-            rel[r0 + p:r0 + q] = _loop_ratio(
-                ty_rev[:, :, p:q], tx_rev[..., 1:], ty[:, :, p + 1:q + 1], tx[..., :-1],
-                F.transpose(2, 3, 0, 1))
-        del node, mid_x, mid_y
+
+    def develop_blocks(_, b0, b1):
+        # one buffer each for a block's y-transfers and a chunk's x-transfers,
+        # refilled by every block and chunk: arrays freed and allocated anew
+        # per block let the allocator hand their pages back and fault them in
+        # again
+        ty_buf = np.empty((2, d, d, min(_ROWS + 1, n), n - 1), dtype)
+        tx_buf = np.empty((2, d, d, step, n), dtype)
+        for r0 in range(b0 * _ROWS, min(b1 * _ROWS, n), _ROWS):
+            r1 = min(r0 + _ROWS, n)
+            node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
+            ty, ty_rev = ty_buf[:, :, :, :mid_y[0].shape[0]]
+            _transfers(sol, node, mid_y, 1, ty, ty_rev)
+            if s0 is not None:
+                S = frames[r0:r1].transpose(2, 3, 0, 1)
+                for j in range(c, n - 1):
+                    S[..., j + 1] = _mul(ty[:, :, :r1 - r0, j], S[..., j])
+                for j in range(c - 1, -1, -1):
+                    S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
+                if cmc:
+                    frames[r0:r1, :, 1:3] *= np.exp(sol.w[r0:r1])[:, :, None, None]
+            k = mid_x[0].shape[0]  # the block's plaquette rows
+            for p in range(0, k, step):
+                q = min(p + step, k)
+                tx, tx_rev = tx_buf[:, :, :, :q - p]
+                _transfers(sol, tuple(f[p:q + 1] for f in node), tuple(f[p:q] for f in mid_x),
+                           0, tx, tx_rev)
+                F = frames[r0 + p:r0 + q, :-1]
+                if cmc:  # the transfers act on the rescaled frame
+                    F = F.copy()
+                    F[:, :, 1:3] *= np.exp(-sol.w[r0 + p:r0 + q, :-1])[:, :, None, None]
+                rel[r0 + p:r0 + q] = _loop_ratio(
+                    ty_rev[:, :, p:q], tx_rev[..., 1:], ty[:, :, p + 1:q + 1], tx[..., :-1],
+                    F.transpose(2, 3, 0, 1))
+            del node, mid_x, mid_y
+
+    run_parts(parts(-(-n // _ROWS)), develop_blocks)
     if rel.shape[0] > 2:
         rel = rel[1:-1, 1:-1]
-    return float(np.max(rel))
+    return frames, float(np.max(rel))
 
 
 def _checked_blocks(frames: np.ndarray):
@@ -448,8 +464,7 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
         ],
         dtype=complex,
     )
-    S = np.empty((n, n) + s0.shape, dtype=complex)
-    defect = _develop_pass(sol, S, s0)
+    S, defect = _develop_pass(sol, s0)
     imag_max = conj_defect = 0.0
     for B in _checked_blocks(S):
         imag_max = max(imag_max, float(np.max(np.abs(B[:, :, 0, :].imag))))
@@ -477,10 +492,8 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
         raise ValueError("CMC development needs the k=2 normalization")
     if sol.residual_norm() > RESIDUAL_GATE:
         raise ValueError("w does not solve the harmonic-map equation closely enough")
-    n = sol.domain.n
     s0 = np.eye(4, 3, k=-1, dtype=float)  # f = 0, e1, e2, N at the origin
-    S = np.empty((n, n) + s0.shape)
-    defect = _develop_pass(sol, S, s0)
+    S, defect = _develop_pass(sol, s0)
     drift = 0.0
     for B in _checked_blocks(S):
         drift = max(drift, float(np.max(np.abs(mdot(B[:, :, 3, :], B[:, :, 3, :]) + 1.0))))
@@ -504,7 +517,7 @@ def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float
     a surface and a solution that do not belong together can be checked
     against each other.
     """
-    return _develop_pass(sol, surface.frames)
+    return _develop_pass(sol, frames=surface.frames)[1]
 
 
 def reconstruct_metric(surface: DevelopedSurface) -> np.ndarray:

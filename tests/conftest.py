@@ -4,6 +4,7 @@ The expensive solves (continuation ladders, developed surfaces) are computed
 once per session and reused by both the unit tests and the acceptance suite.
 """
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += "  [%s]" % detail
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def use_parts(monkeypatch):
+    """Set how many processes the row loops split into, whatever the CPUs of
+    this machine: the CPU set that ``grid.workers`` reads, as ``taskset``
+    would."""
+    return lambda count: monkeypatch.setattr(os, "sched_getaffinity",
+                                             lambda pid: set(range(count)))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -432,11 +433,65 @@ def test_timing_block_names_the_pipeline_stages(tmp_path):
     assert set(reports[0]) == REPORT_KEYS - {"timing"}
     assert "seconds" not in json.dumps(reports[0])
     for timing in timings:
-        assert set(timing) == {"wall_seconds", "stages", "peak_rss_mb"}
+        assert set(timing) == {"wall_seconds", "stages", "workers", "peak_rss_mb"}
         assert [entry["stage"] for entry in timing["stages"]] == list(pipeline)
         assert all(set(entry) == {"stage", "seconds"} for entry in timing["stages"])
         assert 0.0 < sum(e["seconds"] for e in timing["stages"]) <= timing["wall_seconds"]
         assert timing["peak_rss_mb"] > 0.0
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_artifacts_are_the_same_at_any_part_count(tmp_path, monkeypatch, use_parts):
+    # develop in blocks of 8 rows, 6 blocks at n = 41, split over 1, 2 or 3
+    # processes like the grid rows of every artifact writer
+    monkeypatch.setattr(develop, "_ROWS", 8)
+    cfg_kw = dict(WANG_DEVELOP_KW, pipeline=("solve-incomplete", "verify", "develop", "export"))
+    runs = []
+    for count in (1, 2, 3):
+        use_parts(count)
+        out = "out%d" % count
+        assert cli.main(["run", make_cfg(tmp_path, out=out, **cfg_kw)]) == cli.EXIT_OK
+        _no_worker_left()
+        files = {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
+        report = json.loads(files.pop("report.json"))
+        assert report.pop("timing")["workers"] == count
+        report["config"].pop("output_dir")
+        runs.append((files, report))
+    assert sorted(runs[0][0]) == ["invariants.json", "rays.csv", "surface.obj",
+                                  "w_incomplete.csv"]
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("fault, status, error", [
+    (MemoryError("cannot allocate the transfers"), cli.EXIT_SOLVER,
+     "cannot allocate the transfers"),
+    (OSError("no room for the transfers"), cli.EXIT_CONFIG, "no room for the transfers"),
+    (None, cli.EXIT_SOLVER, "a worker process was killed by SIGKILL"),
+], ids=["memory", "os", "killed"])
+def test_a_failed_worker_ends_the_run_as_in_process(tmp_path, monkeypatch, use_parts, fault,
+                                                    status, error):
+    # the fault happens in the forked worker only; the run is classified by
+    # its type, as if this process had raised it, and no worker is left
+    use_parts(2)
+    monkeypatch.setattr(develop, "_ROWS", 8)
+    parent, real = os.getpid(), develop._transfers
+
+    def worker_fails(*args, **kwargs):
+        if os.getpid() != parent:
+            if fault is None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise fault
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(develop, "_transfers", worker_fails)
+    assert cli.main(["run", make_cfg(tmp_path, **WANG_DEVELOP_KW)]) == status
+    _no_worker_left()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == status and report["error"] == error
 
 
 def test_timing_includes_the_failed_stage(tmp_path, monkeypatch):
@@ -484,6 +539,32 @@ def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
     assert [rung["M"] for rung in trace] == list(solver.DEFAULT_M_VALUES[:2])
     assert complete["totals"]["iterations"] == sum(rung["newton_iterations"] for rung in trace)
     assert complete["final_residual"] == complete["residual_history"][-1] > solver.TOL_NEWTON
+
+
+def test_failed_incomplete_branch_keeps_the_finished_ladder(tmp_path, monkeypatch):
+    # two-solutions runs the ladder (11 solve_newton calls here), then the
+    # incomplete branch; when that one fails, the report keeps the finished
+    # ladder under "complete", as a run without the failure writes it
+    cfg = make_cfg(tmp_path, p=((0.5, 0.0), (1.0, 0.0)), q=((0.0, 0.0), (1.0, 0.0)), k=3,
+                   R=4.0, pipeline=("two-solutions",))
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    finished = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+    real = solver.solve_newton
+    calls = []
+
+    def twelfth_call_fails(*args):
+        calls.append(None)
+        monkeypatch.setattr(solver, "MAX_PCG", 100 if len(calls) < 12 else 1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "solve_newton", twelfth_call_fails)
+    assert cli.main(["run", cfg]) == cli.EXIT_SOLVER
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(calls) == 12 and "PCG did not reach" in report["error"]
+    assert report["reports"]["complete"] == finished["complete"]
+    incomplete = report["reports"]["incomplete"]
+    assert incomplete["boundary_kind"] == "SUBSOLUTION_PROFILE"
+    assert incomplete["final_residual"] > solver.TOL_NEWTON
 
 
 def test_cli_import_leaves_scipy_unloaded():
