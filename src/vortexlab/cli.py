@@ -27,6 +27,8 @@ A config is a single JSON document:
     }
 
 Unknown keys, also in "tolerances", and a stage named twice are refused.
+So is a pipeline that solves the incomplete branch, whose ring data are
+(2/k) log|phi|, if phi has a zero within 4h of the ring or unresolved roots.
 Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 (WANG_K3, HARMONIC_K2) "phi" holds the differential (U resp. q) and the
 solver runs on the matching base-equation problem.  Determinism: identical
@@ -34,8 +36,8 @@ configs produce byte-identical artifacts; report.json carries wall-clock
 data only inside the isolated "timing" block: wall seconds, the seconds of
 each stage run (in pipeline order, a failed one included), "workers", the
 most processes the row loops of develop and of the artifact writers split
-into (the CPUs the run may use), and peak RSS in MB, the largest of this
-process and its workers.
+into (the CPUs the run may use), and peak RSS in MB, the larger of this
+process's own (since it started) and its workers'.
 """
 
 from __future__ import annotations
@@ -186,8 +188,17 @@ def load_config(path: str) -> Config:
                               "((n - 1) must be divisible by 4, and n at least 9)"
                               % (restrict, m))
         m = (m - 1) // 2 + 1
-    return Config(raw, phi, k, GridDomain(float(raw["R"]), n), mode, tuple(stages),
-                  raw["output_dir"], restrict)
+    domain = GridDomain(float(raw["R"]), n)
+    if {"solve-incomplete", "two-solutions"} & set(stages):
+        # the incomplete branch hugs (2/k) log|phi|, which is -inf at a zero
+        try:
+            zs = phi.zeros()
+        except ValueError as exc:
+            raise ConfigError("the roots of phi do not resolve: %s" % exc)
+        dist = domain.R - np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)), initial=-np.inf)
+        if dist < 4.0 * domain.h:
+            raise ConfigError("phi has a zero within 4h of the boundary ring")
+    return Config(raw, phi, k, domain, mode, tuple(stages), raw["output_dir"], restrict)
 
 
 def _solve_report_json(rep) -> dict:
@@ -224,16 +235,18 @@ def _solve_report_json(rep) -> dict:
     return out
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError("cannot serialize %r" % type(obj))
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _peak_rss_mb() -> float:
+    """Peak RSS in MB: the larger of this process's own since exec (VmHWM, as
+    ru_maxrss keeps a launcher's peak) and its reaped workers'."""
+    with open("/proc/self/status") as fh:
+        own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024
 
 
 class _Run:
@@ -257,28 +270,24 @@ class _Run:
     def failures(self) -> list:
         return sorted(check["name"] for check in self.checks if not check["passed"])
 
+    def _keep(self, branch: str, w: np.ndarray, rep) -> None:
+        """Record a solved branch: its field, its report and w_<branch>.csv."""
+        setattr(self, "w_" + branch, w)
+        self.reports[branch] = _solve_report_json(rep)
+        write_field_csv(self.path("w_%s.csv" % branch), self.problem.domain, w)
+
     # stages -----------------------------------------------------------
     def solve_complete(self) -> None:
-        w, rep = solver.solve_complete(self.problem)
-        self.w_complete = w
-        self.reports["complete"] = _solve_report_json(rep)
-        write_field_csv(self.path("w_complete.csv"), self.problem.domain, w)
+        self._keep("complete", *solver.solve_complete(self.problem))
 
     def solve_incomplete(self) -> None:
         profile = solver.make_boundary_subsolution(self.problem)
-        w, rep = solver.solve_newton(self.problem, profile, profile)
-        self.w_incomplete = w
-        self.reports["incomplete"] = _solve_report_json(rep)
-        write_field_csv(self.path("w_incomplete.csv"), self.problem.domain, w)
+        self._keep("incomplete", *solver.solve_newton(self.problem, profile, profile))
 
     def two_solutions(self) -> None:
         pair = solver.two_solutions(self.problem)
-        self.w_complete = pair.w_top
-        self.w_incomplete = pair.w_low
-        self.reports["complete"] = _solve_report_json(pair.report_top)
-        self.reports["incomplete"] = _solve_report_json(pair.report_low)
-        write_field_csv(self.path("w_complete.csv"), self.problem.domain, pair.w_top)
-        write_field_csv(self.path("w_incomplete.csv"), self.problem.domain, pair.w_low)
+        self._keep("complete", pair.w_top, pair.report_top)
+        self._keep("incomplete", pair.w_low, pair.report_low)
 
     def verify(self) -> None:
         prob = self.problem
@@ -374,9 +383,7 @@ class _Run:
                 "error": error,
                 "timing": {"wall_seconds": elapsed, "stages": self.stage_seconds,
                            "workers": workers(),
-                           "peak_rss_mb": max(resource.getrusage(who).ru_maxrss for who in
-                                              (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-                           / 1024},
+                           "peak_rss_mb": _peak_rss_mb()},
             },
         )
 
@@ -419,9 +426,9 @@ def run(cfg: Config) -> int:
         # a grid too large for this machine: the solve, not the config, failed
         status, error = EXIT_SOLVER, str(exc) or type(exc).__name__
     except (ValueError, ArithmeticError, OSError) as exc:
-        # precondition violations (zeros on the ring, roots of P that will not
-        # resolve, normalization residual) and artifacts that cannot be
-        # written are config-class errors
+        # preconditions load cannot check (normalization residual, Gauss map,
+        # develop measures, roots that verify cannot resolve) and artifacts
+        # that cannot be written are config-class errors
         status, error = EXIT_CONFIG, str(exc)
     state.report(status, error, time.perf_counter() - t0)
     if error:

@@ -61,18 +61,10 @@ def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
     """Ring data (2/k) log|phi|, clipped at PROFILE_CLIP: the incomplete branch.
 
     Returned as a full grid (only the ring is consumed), which is also the
-    clipped profile that the incomplete branch starts from.  Refused when a
-    zero of phi sits within 2h of the ring, where the profile is -inf or
-    uselessly deep.
+    clipped profile that the incomplete branch starts from.
     """
-    dom = problem.domain
-    zs = problem.phi.zeros()
-    if zs.size:
-        dist = dom.R - np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)))
-        if dist < 2.0 * dom.h:
-            raise ValueError("phi has a zero within 2h of the boundary ring")
     vals = np.maximum(problem.profile(), PROFILE_CLIP)
-    if not np.all(np.isfinite(vals[dom.ring_mask()])):
+    if not np.all(np.isfinite(vals[problem.domain.ring_mask()])):
         raise ValueError("profile boundary is not finite on the ring")
     return vals
 
@@ -395,7 +387,6 @@ class MonotoneReport:
     residual: float
     band_violations: int
     nonmonotone_steps: int
-    residual_history: list = field(default_factory=list)
 
 
 def monotone_solve(
@@ -410,7 +401,7 @@ def monotone_solve(
     a node-wise Lambda >= dF/dw over [w_minus_i, w_plus_i]; F' is convex in
     w, so its band max sits at an endpoint.  The sweep is taken as the
     correction (Lambda - L)(w_new - w) = L w - F(w), solved by PCG with one
-    multigrid hierarchy per Lambda.  Lambda - L is an M-matrix, so
+    multigrid hierarchy, built once.  Lambda - L is an M-matrix, so
     sweeps preserve order and walk down toward the solution.  The sweeps
     contract the residual by only a few percent each, so a sweep solved to a
     relative residual of 1e-4 contracts as an exact one does; it starts from
@@ -418,9 +409,7 @@ def monotone_solve(
     parallel to the next, and so costs about one V-cycle.  Band exits and
     upward steps are counted, not fatal: near zeros of phi the usual clipped
     bands do not actually contain the solution, and the iteration still
-    converges to the unique fixed point.  If the contraction stalls (the
-    iterate left the band badly enough that Lambda underestimates F'),
-    Lambda is rebuilt around the current iterate and the sweeps continue.
+    converges to the unique fixed point.
 
     The ring values of boundary, or of w_plus when it is None, are the
     Dirichlet data.  Stops at a sup-norm residual of TOL_MONOTONE and raises
@@ -429,20 +418,12 @@ def monotone_solve(
     dom = problem.domain
     if np.any(w_minus > w_plus + 1e-10):
         raise ValueError("band is not ordered: w_minus exceeds w_plus")
-
-    def hierarchy(*fields):
-        lam = 1.1 * np.maximum.reduce([problem.rhs_prime(v) for v in fields])
-        return _Multigrid(lam, dom.h)
-
-    mg = hierarchy(w_minus, w_plus)
-
+    lam = 1.1 * np.maximum(problem.rhs_prime(w_minus), problem.rhs_prime(w_plus))
+    mg = _Multigrid(lam, dom.h)
     w = _set_ring(np.array(w_plus, dtype=float), w_plus if boundary is None else boundary)
     nonmono = 0
     g = problem.residual(w)
     res = interior_max_norm(dom, g)
-    history = [res]
-    it = 0
-    stall = 0
     delta = None
     for it in range(1, MAX_OUTER + 1):
         if res <= TOL_MONOTONE:
@@ -454,21 +435,12 @@ def monotone_solve(
         w = w.copy()
         w[1:-1, 1:-1] += delta[1:-1, 1:-1]
         g = problem.residual(w)
-        res_new = interior_max_norm(dom, g)
-        stall = stall + 1 if res_new >= res else 0
-        res = res_new
-        history.append(res)
-        if stall >= 25:
-            # iterate escaped the band; widen Lambda around where it actually is
-            mg = hierarchy(w_minus, w_plus, w)
-            stall = 0
+        res = interior_max_norm(dom, g)
     else:
         raise ConvergenceError("monotone iteration stalled at residual %.3e" % res)
 
     viol = int(np.sum((w < w_minus - 1e-10) | (w > w_plus + 1e-10)))
-    if len(history) > 200:
-        history = history[:100] + history[-100:]
-    return w, MonotoneReport(it, res, viol, nonmono, history)
+    return w, MonotoneReport(it, res, viol, nonmono)
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +479,18 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
             w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
         except ConvergenceError as exc:
             raise ConvergenceError(str(exc), ContinuationReport(trace, False, exc.report)) from None
-        entry = {
+        change = None if w_prev is None else float(np.max(np.abs((w - w_prev)[inner])))
+        trace.append({
             "M": float(M),
             "newton_iterations": rep.iterations,
             "cg_iterations": rep.cg_iterations,
             "backtracks": rep.backtracks,
             "residual_evaluations": rep.residual_evaluations,
             "residual": rep.residual,
-        }
-        if w_prev is not None:
-            change = float(np.max(np.abs((w - w_prev)[inner])))
-            entry["inner_change"] = change
-            trace.append(entry)
-            if change <= TOL_CONT:
-                return w, ContinuationReport(trace, True, rep)
-        else:
-            entry["inner_change"] = None
-            trace.append(entry)
+            "inner_change": change,
+        })
+        if change is not None and change <= TOL_CONT:
+            return w, ContinuationReport(trace, True, rep)
         w_prev = w
     warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
         trace[-1]["inner_change"],
@@ -556,12 +523,6 @@ def two_solutions(problem: VortexProblem) -> SolutionPair:
         raise ValueError(
             "phi is a polynomial: the complete solution is unique, there is no second one"
         )
-    dom = problem.domain
-    zeros = problem.phi.zeros()
-    if zeros.size:
-        margin = dom.R - 4.0 * dom.h
-        if np.max(np.maximum(np.abs(zeros.real), np.abs(zeros.imag))) > margin:
-            raise ValueError("zeros of phi must sit inside the square with a 4h margin")
     w1, rep1 = solve_complete(problem)
     profile = make_boundary_subsolution(problem)
     try:

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entire import EntireFunction
-from .grid import GridDomain, VortexProblem, parts, run_parts, shared_array, write_table
+from .grid import (GridDomain, VortexProblem, interior_max_norm, parts, run_parts,
+                   shared_array, write_table)
 from .invariants import checked_curvature
 
 WANG_SHIFT = np.log(2.0)
@@ -102,7 +103,7 @@ class NormalizedSolution:
         return r
 
     def residual_norm(self) -> float:
-        return float(np.max(np.abs(self.residual()[1:-1, 1:-1])))
+        return interior_max_norm(self.domain, self.residual())
 
     def restrict_half(self) -> "NormalizedSolution":
         sub, vals = self.domain.restrict_half(self.w)
@@ -128,7 +129,7 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     else:
         w = 0.5 * w_eq1 - 0.5 * WANG_SHIFT
     sol = NormalizedSolution(mode, diff, problem.domain, w)
-    base = float(np.max(np.abs(problem.residual(w_eq1)[1:-1, 1:-1])))
+    base = problem.residual_norm(w_eq1)
     res = sol.residual_norm()
     expected = base if mode is SurfaceMode.WANG_K3 else 0.5 * base
     if res > max(10.0 * 1e-9, 2.0 * expected + 1e-12):

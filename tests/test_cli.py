@@ -242,6 +242,33 @@ def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "residual target" in proc.stderr
+    # refused at load, before any artifact
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pipeline, hs, loads", [
+    pytest.param(("solve-incomplete",), 1, False, id="incomplete-1h"),
+    pytest.param(("solve-incomplete",), 3, False, id="incomplete-3h"),
+    pytest.param(("two-solutions",), 1, False, id="two-solutions-1h"),
+    pytest.param(("two-solutions",), 3, False, id="two-solutions-3h"),
+    pytest.param(("solve-incomplete",), 5, True, id="incomplete-5h-loads"),
+    pytest.param(("two-solutions",), 5, True, id="two-solutions-5h-loads"),
+    # the complete branch's ring data max(profile, 0) + M stay finite
+    pytest.param(("solve-complete",), 1, True, id="complete-1h-loads"),
+])
+def test_zero_near_the_ring_is_refused_at_load(tmp_path, capsys, pipeline, hs, loads):
+    # phi = (z - (R - hs h)) e^z: the incomplete branch's ring data
+    # (2/k) log|phi| are -inf at the zero, so a zero within 4h of the ring is
+    # refused with exit 2 before any artifact is written
+    dom = GridDomain(4.0, 41)
+    cfg = make_cfg(tmp_path, p=((-(dom.R - hs * dom.h), 0.0), (1.0, 0.0)),
+                   q=((0.0, 0.0), (1.0, 0.0)), k=3, R=dom.R, n=dom.n, pipeline=pipeline)
+    if loads:
+        assert cli.load_config(cfg).stages == pipeline
+        return
+    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+    assert "within 4h of the boundary ring" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_artifact_exits_config_with_report(tmp_path):
@@ -326,13 +353,16 @@ def test_compare_requires_matching_mode(tmp_path, capsys):
 
 
 def test_compare_returns_the_failed_run_status(tmp_path, capsys):
-    # the zero of phi at 3.95 sits within 2h of the ring, a precondition of
-    # the incomplete branch: compare stops at that run and returns its status
-    kw = dict(p=((-3.95, 0.0), (1.0, 0.0)), pipeline=("solve-incomplete",))
+    # constant q = 2 at n = 21 loads, but its develop measures overflow (a
+    # precondition failure after load): compare stops at that run and
+    # returns its status
+    kw = dict(k=2, R=2.0, n=21, mode="HARMONIC_K2", pipeline=("solve-complete", "develop"))
     a = make_cfg(tmp_path, name="a.json", out="a", **kw)
     b = make_cfg(tmp_path, name="b.json", out="b", **kw)
     assert cli.main(["compare", a, b]) == cli.EXIT_CONFIG
     assert capsys.readouterr().out == ""
+    assert (tmp_path / "a" / "report.json").exists()
+    assert not (tmp_path / "b").exists()
 
 
 def test_ladder_report_states_whether_it_stabilized(tmp_path):
@@ -383,10 +413,6 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
 
 
 @pytest.mark.parametrize("cfg_kw, message", [
-    # the zero of phi at 3.95 sits within 2h of the ring, a precondition of
-    # the incomplete branch
-    pytest.param(dict(p=((-3.95, 0.0), (1.0, 0.0)), pipeline=("solve-incomplete",)),
-                 "within 2h of the boundary ring", id="zero-on-ring"),
     # the cmc-qz config at n = 65: the 9-node developed grid is too coarse
     pytest.param(dict(p=((0.0, 0.0), (1.0, 0.0)), k=2, R=6.0, n=65, mode="HARMONIC_K2",
                       pipeline=("solve-complete", "verify", "develop", "export"),
@@ -438,6 +464,20 @@ def test_timing_block_names_the_pipeline_stages(tmp_path):
         assert all(set(entry) == {"stage", "seconds"} for entry in timing["stages"])
         assert 0.0 < sum(e["seconds"] for e in timing["stages"]) <= timing["wall_seconds"]
         assert timing["peak_rss_mb"] > 0.0
+
+
+def test_peak_rss_is_the_runs_own(tmp_path):
+    # a launcher that touches 300 MB and then execs the run: Linux carries
+    # ru_maxrss across exec, so the run's own peak must be read elsewhere
+    launcher = ("import os, sys\n"
+                "ballast = b'\\x01' * (300 << 20)\n"
+                "os.execv(sys.executable, [sys.executable, '-m', 'vortexlab.cli', 'run', %r])\n"
+                % make_cfg(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", launcher], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert 0.0 < report["timing"]["peak_rss_mb"] < 150.0
 
 
 def _no_worker_left():
