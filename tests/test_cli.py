@@ -249,6 +249,8 @@ def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
 @pytest.mark.parametrize("pipeline, hs, loads", [
     pytest.param(("solve-incomplete",), 1, False, id="incomplete-1h"),
     pytest.param(("solve-incomplete",), 3, False, id="incomplete-3h"),
+    # a zero at 3.95, a quarter h inside the ring
+    pytest.param(("solve-incomplete",), 0.25, False, id="zero-on-ring"),
     pytest.param(("two-solutions",), 1, False, id="two-solutions-1h"),
     pytest.param(("two-solutions",), 3, False, id="two-solutions-3h"),
     pytest.param(("solve-incomplete",), 5, True, id="incomplete-5h-loads"),
