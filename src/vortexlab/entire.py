@@ -14,7 +14,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 TOL_ROOTS = 1e-10
-MAX_ABERTH = 500
 
 
 def _trim(coeffs) -> tuple[complex, ...]:
@@ -72,41 +71,23 @@ class EntireFunction:
             return np.log(np.abs(pz)) + np.real(npoly.polyval(z, np.asarray(self.q)))
 
     def zeros(self) -> np.ndarray:
-        """All roots of the polynomial part, by simultaneous Aberth iteration.
+        """All roots of the polynomial part: the eigenvalues of its companion
+        matrix (``np.roots``), a backward-stable solve.
 
         Acceptance is the scaled residual |P_monic(z_i)| <= TOL_ROOTS *
-        (1+|z_i|)^deg, meaningful also for clustered (multiple) roots, where
-        the iterates stall at distance ~ TOL_ROOTS^(1/m) from the true root.
-        Output is sorted by (Re, Im) so runs are reproducible.
+        (1+|z_i|)^deg, which a multiple root meets although its eigenvalues
+        split by about eps^(1/m); a P whose coefficients are too large for
+        its computed roots to meet it is refused with ValueError.  Output is
+        sorted by (Re, Im) so runs are reproducible.  ``np.roots`` calls
+        LAPACK, so this runs in the parent process, never in a ``run_parts``
+        worker.
         """
         d = self.degree
         if d == 0:
             return np.zeros(0, dtype=complex)
         monic = np.asarray(self.p, dtype=complex) / self.p[-1]
-        dmonic = npoly.polyder(monic)
-        radius = 1.0 + np.max(np.abs(monic[:-1]))
-        ang = 2 * np.pi * (np.arange(d) + 0.5) / d + 0.4
-        # slight radial wobble: breaks symmetric stalls for real-coefficient P
-        z = radius * np.exp(1j * ang) * (1 + 0.02 * np.cos(3 * ang))
-        ok = np.zeros(d, dtype=bool)
-        for _ in range(MAX_ABERTH):
-            pz = npoly.polyval(z, monic)
-            ok = np.abs(pz) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d
-            dpz = npoly.polyval(z, dmonic)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = pz / dpz
-                pair = z[:, None] - z[None, :]
-                np.fill_diagonal(pair, np.inf)
-                repel = np.sum(1.0 / pair, axis=1)
-                corr = newton / (1.0 - newton * repel)
-            if np.all(ok):
-                # the residual target still admits root errors near 1e-8 on
-                # simple roots; one more step on every root squares them
-                z = z - np.where(np.isfinite(corr), corr, 0.0)
-                break
-            corr = np.where(np.isfinite(corr), corr, 0.05 * radius * np.exp(1j * ang))
-            z = z - np.where(ok, 0.0, corr)
-        if not np.all(ok):
-            raise ValueError("root iteration did not reach the residual target")
+        z = np.roots(monic[::-1]).astype(complex)
+        if not np.all(np.abs(npoly.polyval(z, monic)) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d):
+            raise ValueError("the computed roots do not reach the residual target")
         order = np.lexsort((np.round(z.imag, 12), np.round(z.real, 12)))
         return z[order]

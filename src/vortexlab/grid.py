@@ -35,10 +35,11 @@ def workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def parts(count: int) -> list:
-    """range(count) as contiguous (start, stop) parts, min(count, workers())
-    of them (one when count is 0), sizes differing by at most one."""
-    p = max(1, min(count, workers()))
+def parts(count: int, least: int = 1) -> list:
+    """range(count) as contiguous (start, stop) parts of at least `least`
+    items, min(count // least, workers()) of them (one when that is 0),
+    sizes differing by at most one."""
+    p = max(1, min(count // least, workers()))
     return [(count * k // p, count * (k + 1) // p) for k in range(p)]
 
 
@@ -173,13 +174,17 @@ class GridDomain:
         return sub, np.array(values[sl, sl])
 
 
-def interior_max_norm(domain: GridDomain, values: np.ndarray) -> float:
+def interior_max_norm(values: np.ndarray) -> float:
     """Max absolute value over interior nodes."""
     return float(np.max(np.abs(values[1:-1, 1:-1])))
 
 
 # one % conversion of a write_table format, such as %.17g or %d
 _CONVERSION = re.compile(r"(%[^a-zA-Z]*[a-zA-Z])")
+
+# the fewest table entries a write_table part is forked for: forking and
+# reaping a worker costs a few ms, about what formatting 4096 entries takes
+_PART_ENTRIES = 4096
 
 
 def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
@@ -192,14 +197,15 @@ def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
     once per table, and only full columns per entry.  The CSV artifacts end
     their lines in CRLF, the default; mode "a" appends to the same file.
 
-    The grid rows are formatted in ``parts``, one process each
-    (``run_parts``): part 0 straight into the file, every other part into an
-    unlinked temporary file in the same directory, which is then appended in
-    order, so the bytes are the same at any part count.
+    The grid rows are formatted in ``parts`` of at least _PART_ENTRIES
+    entries, one process each (``run_parts``): part 0 straight into the
+    file, every other part into an unlinked temporary file in the same
+    directory, which is then appended in order, so the bytes are the same at
+    any part count.
     """
     pieces = _CONVERSION.split(fmt + newline)  # text, conversion, text, ..., text
     cols = [np.atleast_2d(c) for c in columns]
-    rows, _ = np.broadcast_shapes(*(c.shape for c in cols))
+    rows, width = np.broadcast_shapes(*(c.shape for c in cols))
     shared = {k: [pieces[2 * k + 1] % v for v in c[0].tolist()]
               for k, c in enumerate(cols) if c.shape[0] == 1 and c.shape[1] > 1}
 
@@ -220,7 +226,7 @@ def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
             fh.write("".join(map(row_fmt.__mod__, zip(*varying))) if varying else row_fmt)
         fh.flush()  # a worker ends in os._exit, which flushes nothing
 
-    bounds = parts(rows)
+    bounds = parts(rows, -(-_PART_ENTRIES // width))
     folder = os.path.dirname(os.path.abspath(path))
     with open(path, mode, newline="") as fh, contextlib.ExitStack() as stack:
         tails = [stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=folder))
@@ -273,7 +279,7 @@ class VortexProblem:
         return r
 
     def residual_norm(self, w: np.ndarray) -> float:
-        return interior_max_norm(self.domain, self.residual(w))
+        return interior_max_norm(self.residual(w))
 
     def profile(self) -> np.ndarray:
         """(2/k) log|phi| at the nodes, read off a2 (exactly 2 log|phi|): -inf

@@ -336,7 +336,7 @@ def solve_newton(
     w = _set_ring(np.array(w0, dtype=float), boundary)
 
     g = problem.residual(w)
-    gnorm = interior_max_norm(dom, g)
+    gnorm = interior_max_norm(g)
     history = [gnorm]
     cg_total = 0
     backtracks = 0
@@ -361,7 +361,7 @@ def solve_newton(
             trial[1:-1, 1:-1] += step * delta[1:-1, 1:-1]
             g_trial = problem.residual(trial)
             evals += 1
-            gn_trial = interior_max_norm(dom, g_trial)
+            gn_trial = interior_max_norm(g_trial)
             if gn_trial < gnorm:
                 break
             step *= 0.5
@@ -423,7 +423,7 @@ def monotone_solve(
     w = _set_ring(np.array(w_plus, dtype=float), w_plus if boundary is None else boundary)
     nonmono = 0
     g = problem.residual(w)
-    res = interior_max_norm(dom, g)
+    res = interior_max_norm(g)
     delta = None
     for it in range(1, MAX_OUTER + 1):
         if res <= TOL_MONOTONE:
@@ -435,7 +435,7 @@ def monotone_solve(
         w = w.copy()
         w[1:-1, 1:-1] += delta[1:-1, 1:-1]
         g = problem.residual(w)
-        res = interior_max_norm(dom, g)
+        res = interior_max_norm(g)
     else:
         raise ConvergenceError("monotone iteration stalled at residual %.3e" % res)
 

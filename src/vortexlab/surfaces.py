@@ -103,7 +103,7 @@ class NormalizedSolution:
         return r
 
     def residual_norm(self) -> float:
-        return interior_max_norm(self.domain, self.residual())
+        return interior_max_norm(self.residual())
 
     def restrict_half(self) -> "NormalizedSolution":
         sub, vals = self.domain.restrict_half(self.w)

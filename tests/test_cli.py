@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vortexlab import cli
+from vortexlab import cli, grid
 from vortexlab.grid import GridDomain
 from vortexlab import invariants as verify
 from vortexlab import solve as solver
@@ -233,7 +233,8 @@ def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
 
 
 def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
-    # Wilkinson's prod_{j=1..20} (z - j): Aberth never meets its residual target
+    # Wilkinson's prod_{j=1..20} (z - j): even its exact roots miss the
+    # residual target, and refusing it must not overflow on the way
     wilkinson = np.polynomial.polynomial.polyfromroots(np.arange(1.0, 21.0))
     cfg = make_cfg(tmp_path, p=[(c, 0.0) for c in wilkinson], q=((0.0, 0.0), (1.0, 0.0)),
                    k=3, R=24.0, n=41, pipeline=("solve-incomplete",))
@@ -242,6 +243,7 @@ def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "residual target" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     # refused at load, before any artifact
     assert not (tmp_path / "out").exists()
 
@@ -489,8 +491,10 @@ def _no_worker_left():
 
 def test_artifacts_are_the_same_at_any_part_count(tmp_path, monkeypatch, use_parts):
     # develop in blocks of 8 rows, 6 blocks at n = 41, split over 1, 2 or 3
-    # processes like the grid rows of every artifact writer
+    # processes like the grid rows of every artifact writer, which here
+    # forks a part for any number of entries
     monkeypatch.setattr(develop, "_ROWS", 8)
+    monkeypatch.setattr(grid, "_PART_ENTRIES", 1)
     cfg_kw = dict(WANG_DEVELOP_KW, pipeline=("solve-incomplete", "verify", "develop", "export"))
     runs = []
     for count in (1, 2, 3):

@@ -53,7 +53,7 @@ def test_zeros_triple_origin():
     f = EntireFunction(p=(0.0, 0.0, 0.0, 1.0))  # z^3
     r = f.zeros()
     assert len(r) == 3
-    assert np.max(np.abs(r)) <= 1e-3  # triple root: accuracy degrades to tol^(1/3)
+    assert np.max(np.abs(r)) <= 1e-3  # a triple root may split by eps^(1/3) = 6e-6
 
 
 def test_zeros_complex_pair():
@@ -75,7 +75,7 @@ _lattice = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     st.sets(st.sampled_from(_lattice), min_size=1, max_size=6),
     st.sampled_from([1.0 + 0j, 2.0 + 0j, -0.5 + 1.0j]),
 )
-# passed the residual target with the root at 1 - 2i still 1.06e-8 off
+# the residual target alone admits this case with the root 1 - 2i 1.06e-8 off
 @example(roots={0j, -1j, -2j, 1 - 2j, 2 - 2j}, scale=1.0 + 0j)
 def test_root_round_trip(roots, scale):
     # integer-lattice roots are separated by >= 1, the benign regime
@@ -87,10 +87,11 @@ def test_root_round_trip(roots, scale):
 
 
 def test_zeros_unresolved_is_a_precondition_error():
-    # Wilkinson's prod_{j=1..20} (z - j): the Aberth iterates never reach the
-    # residual target, which is a precondition of phi, not a solver failure
+    # Wilkinson's prod_{j=1..20} (z - j): its roots miss the residual target
+    # (|P| = 1024 at the exact root 1, against a bound of 1.0e-4), which is
+    # a precondition of phi, not a solver failure; no step overflows
     f = EntireFunction(tuple(np.polynomial.polynomial.polyfromroots(range(1, 21))), q=(0.0, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="residual target"):
         f.zeros()
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from vortexlab import surfaces as dev
+from vortexlab import grid, surfaces as dev
 from vortexlab.grid import GridDomain, write_field_csv, write_table
 
 # the process counts each writer test runs at
@@ -78,9 +78,10 @@ def test_obj_bytes(tmp_path, use_parts):
         assert path.read_bytes() == want
 
 
-def test_short_tables_and_appends(tmp_path, use_parts):
+def test_short_tables_and_appends(tmp_path, use_parts, monkeypatch):
     # fewer grid rows than processes, one grid row, a header, and tables
-    # appended to the first, each at any split
+    # appended to the first, each at any split (a part of one entry is forked)
+    monkeypatch.setattr(grid, "_PART_ENTRIES", 1)
     path = tmp_path / "table.csv"
     vals = _grid_values(8)[:2, :3]
     axis = DOM.axis[:2, None]
@@ -94,3 +95,15 @@ def test_short_tables_and_appends(tmp_path, use_parts):
         write_table(path, "row", "%.17g", (vals[1],), "\n", mode="a")
         assert path.read_bytes() == want
         assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_small_tables_are_written_in_one_process(tmp_path, use_parts, monkeypatch):
+    # a part is forked only for _PART_ENTRIES entries or more: 31 x 31 entries
+    # stay in this process, 129 x 129 go to the three processes
+    split, real = [], grid.run_parts
+    monkeypatch.setattr(grid, "run_parts", lambda bounds, part: split.append(len(bounds))
+                        or real(bounds, part))
+    use_parts(3)
+    for n in (31, N):
+        write_field_csv(tmp_path / "field.csv", GridDomain(2.0, n), _grid_values(8)[:n, :n])
+    assert split == [1, 3]
