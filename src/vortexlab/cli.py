@@ -36,13 +36,16 @@ configs produce byte-identical artifacts; report.json carries wall-clock
 data only inside the isolated "timing" block: wall seconds, the seconds of
 each stage run (in pipeline order, a failed one included), "workers", the
 most processes the row loops of develop and of the artifact writers split
-into (the CPUs the run may use), and peak RSS in MB, the larger of this
-process's own (since it started) and its workers'.
+into (the CPUs the run may use; a pair of ladder rungs uses at most two),
+"blas_threads", the thread count of numpy's OpenBLAS (null when it cannot
+be read), and peak RSS in MB, the larger of this process's own (since it
+started) and its workers'.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import resource
@@ -205,11 +208,11 @@ def _solve_report_json(rep) -> dict:
     """Pinned report schema shared by all solve branches.
 
     The complete branch is the M-ladder, whose report also says whether the
-    ladder stabilized and, in "totals", sums its rungs' counts (the top-level
-    counts are those of the last rung); the incomplete branch is one Newton
-    solve on the subsolution profile.  A failed solve's report has the same
-    schema: the rungs done, and the failing solve's history and counts at
-    the top level.
+    ladder stabilized and, in "totals", sums the counts of the rungs solved
+    (the top-level counts are those of the returned rung); the incomplete
+    branch is one Newton solve on the subsolution profile.  A failed solve's
+    report has the same schema: the rungs done, and the failing solve's
+    history and counts at the top level.
     """
     ladder = isinstance(rep, solver.ContinuationReport)
     newton = rep.newton if ladder else rep
@@ -226,12 +229,7 @@ def _solve_report_json(rep) -> dict:
     if ladder:
         out["stabilized"] = rep.stabilized
         out["warning"] = rep.warning
-        out["totals"] = {
-            "iterations": sum(rung["newton_iterations"] for rung in rep.trace),
-            "cg_iterations": sum(rung["cg_iterations"] for rung in rep.trace),
-            "backtracks": sum(rung["backtracks"] for rung in rep.trace),
-            "residual_evaluations": sum(rung["residual_evaluations"] for rung in rep.trace),
-        }
+        out["totals"] = dict(rep.totals)
     return out
 
 
@@ -247,6 +245,25 @@ def _peak_rss_mb() -> float:
     with open("/proc/self/status") as fh:
         own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
     return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024
+
+
+def _blas_threads() -> int | None:
+    """The thread count in effect of the OpenBLAS that numpy loaded, or None
+    when no loaded OpenBLAS library answers."""
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            getter = getattr(handle, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
 
 
 class _Run:
@@ -382,7 +399,7 @@ class _Run:
                 "exit_status": status,
                 "error": error,
                 "timing": {"wall_seconds": elapsed, "stages": self.stage_seconds,
-                           "workers": workers(),
+                           "workers": workers(), "blas_threads": _blas_threads(),
                            "peak_rss_mb": _peak_rss_mb()},
             },
         )

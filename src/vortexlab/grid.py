@@ -1,5 +1,6 @@
 """Square grids, scalar fields, the discretized vortex problem, the text
-table writer and the row-range workers (``run_parts``) of the big row loops.
+table writer and the forked workers (``run_parts``) of the big row loops
+and of the continuation rungs.
 
 Conventions used everywhere in the package:
 
@@ -50,16 +51,18 @@ def shared_array(shape, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
 
-def run_parts(bounds, part) -> None:
-    """Call part(k, start, stop) for each part (start, stop) = bounds[k].
+def run_parts(bounds, part) -> list:
+    """Call part(k, start, stop) for each part (start, stop) = bounds[k] and
+    return the values it returned, in part order.
 
     Part 0 runs in this process, every other part in a worker forked for it,
     which sees this process's memory as it was at the fork and ends in
-    ``os._exit``; a part hands its results back through memory shared before
-    the fork (``shared_array``) or through files opened before it.  Forking
-    shares the arrays without pickling them; the parts call no BLAS or
-    LAPACK, whose threads do not survive a fork.  With one part nothing is
-    forked.
+    ``os._exit``; a part hands its arrays back through memory shared before
+    the fork (``shared_array``) or through files opened before it, and a
+    small return value, pickled, through the pipe that also carries its
+    exception.  Forking shares the arrays without pickling them; the parts
+    call no BLAS or LAPACK, whose threads do not survive a fork.  With one
+    part nothing is forked.
 
     Every worker is reaped before this returns.  If part 0 raises, the
     workers are killed and its exception propagates.  Otherwise the
@@ -68,7 +71,8 @@ def run_parts(bounds, part) -> None:
     worker that dies without reporting one (killed, or out of memory while
     reporting) counts as a MemoryError that names its signal or status.
     """
-    forked = []  # (pid, read end of the pipe that carries its exception)
+    forked = []  # (pid, read end of the pipe that carries its outcome) of parts 1, 2, ...
+    values = [None] * len(bounds)
     errors = []
     try:
         for k in range(1, len(bounds)):
@@ -76,35 +80,40 @@ def run_parts(bounds, part) -> None:
             pid = os.fork()
             if pid == 0:
                 try:
-                    part(k, *bounds[k])
-                    os._exit(0)
-                except BaseException as exc:  # re-raised by the parent
+                    try:
+                        outcome = (False, part(k, *bounds[k]))
+                    except BaseException as exc:  # re-raised by the parent
+                        outcome = (True, exc)
                     with open(write, "wb") as fh:
-                        fh.write(pickle.dumps(exc))
+                        fh.write(pickle.dumps(outcome))
+                    os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write)
             forked.append((pid, read))
-        part(0, *bounds[0])
+        values[0] = part(0, *bounds[0])
     except BaseException:
         for pid, _ in forked:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, read in forked:
+        for k, (pid, read) in enumerate(forked, 1):
             with open(read, "rb") as fh:
                 data = fh.read()  # before waiting: a full pipe would block the worker
             _, status = os.waitpid(pid, 0)
             if data:
-                errors.append(pickle.loads(data))
+                raised, values[k] = pickle.loads(data)
+                if raised:
+                    errors.append(values[k])
             elif os.WIFSIGNALED(status):
                 errors.append(MemoryError("a worker process was killed by %s"
                                           % signal.Signals(os.WTERMSIG(status)).name))
-            elif status:
+            else:
                 errors.append(MemoryError("a worker process exited with status %d"
                                           % os.waitstatus_to_exitcode(status)))
     if errors:
         raise errors[0]
+    return values
 
 
 @dataclass(frozen=True)

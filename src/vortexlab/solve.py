@@ -23,7 +23,10 @@ Boundary data are full grids of which only the ring is read.  Complete
 solutions come from continuation in the boundary height: solve with ring
 data max(profile, 0) + M for a ladder of M values and stop when the inner
 half-square stops moving.  The profile is (2/k) log|phi|, the barrier that
-every solution of the complete problem dominates.
+every solution of the complete problem dominates.  Each rung is solved on
+its own, from the boundary blow-up profile rather than from the rung
+below, so the rungs go two at a time to forked workers: the last pair
+first, then pairs upward from the bottom until the field stops moving.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import VortexProblem, interior_max_norm
+from .grid import VortexProblem, interior_max_norm, parts, run_parts, shared_array
 
 TOL_NEWTON = 1e-10
 ETA_NEWTON = 0.1  # forcing term: a step's PCG tolerance never exceeds it
@@ -449,10 +452,57 @@ def monotone_solve(
 
 @dataclass
 class ContinuationReport:
-    trace: list  # one dict per rung run: its M, Newton counts and inner change
+    trace: list  # one dict per rung solved, in M order: its M, Newton counts and inner change
     stabilized: bool
-    newton: NewtonReport
+    newton: NewtonReport  # the returned rung's, or the failing solve's
     warning: str | None = None
+    totals: dict = field(init=False)  # the trace's Newton counts summed over its rungs
+
+    def __post_init__(self):
+        self.totals = {key: sum(rung[name] for rung in self.trace) for key, name in (
+            ("iterations", "newton_iterations"), ("cg_iterations", "cg_iterations"),
+            ("backtracks", "backtracks"), ("residual_evaluations", "residual_evaluations"))}
+
+
+def _rung_start(problem: VortexProblem, boundary: np.ndarray) -> np.ndarray:
+    """max(profile, log(2 / (d + delta)^2)): the start of a rung's Newton solve.
+
+    d is the distance to the edge of the square and delta = sqrt(2 e^-b), b
+    the ring data max(profile, 0) + M, so the start equals b on the ring.
+    log(2 / d^2) solves w'' = e^w: the boundary blow-up of Keller and
+    Osserman, which the complete solution follows near a high ring.
+    """
+    dom = problem.domain
+    edge = dom.R - np.abs(dom.axis)
+    with np.errstate(divide="ignore"):  # log 0 = -inf on the ring, where delta rules
+        log_d = np.log(np.minimum(edge[:, None], edge[None, :]))
+    log_delta = 0.5 * (np.log(2.0) - boundary)
+    return np.maximum(problem.profile(), np.log(2.0) - 2.0 * np.logaddexp(log_d, log_delta))
+
+
+def _solve_rungs(problem: VortexProblem, ms) -> tuple[np.ndarray, list]:
+    """Solve the rungs of ring heights ms, each from its own start, in parts.
+
+    Returns the fields, one per rung in shared memory, and per rung its
+    NewtonReport or, when its solve failed, the ConvergenceError.  Every
+    rung is tried whatever the others do, so the rungs finished do not
+    depend on how the rungs were split.
+    """
+    n = problem.domain.n
+    fields = shared_array((len(ms), n, n), float)
+
+    def solve_part(k, start, stop):
+        outcomes = []
+        for i in range(start, stop):
+            bnd = make_boundary_complete(problem, ms[i])
+            try:
+                fields[i], rep = solve_newton(problem, _rung_start(problem, bnd), bnd)
+            except ConvergenceError as exc:
+                rep = exc
+            outcomes.append(rep)
+        return outcomes
+
+    return fields, sum(run_parts(parts(len(ms)), solve_part), [])
 
 
 def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationReport]:
@@ -467,36 +517,62 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     and a warning; on grids where |phi| decays somewhere on the ring the
     layer is subgrid and the inner drift shrinks only like 1/M, so a hard
     stabilization gate there would reject fields that are already within
-    discretization error of the maximal solution.  A rung whose solve fails
-    raises ConvergenceError with the rungs done and that solve's report.
+    discretization error of the maximal solution.
+
+    F increases in w, so each rung has exactly one solution, and every rung
+    is solved from its own start (``_rung_start``), independently of the
+    others, two at a time on the ``run_parts`` workers.  The inner change is
+    assumed to fall with M, so the ladder can only stabilize if its last
+    pair does: that pair is solved first, and if its change exceeds TOL_CONT
+    its top rung is returned unstabilized.  Otherwise the rungs are solved
+    upward in pairs until the first M whose change from M - 2 is at most
+    TOL_CONT, which is returned.  The trace lists the rungs solved, the
+    failing round's finished ones included.  A rung whose solve fails raises
+    ConvergenceError with those rungs and the failed solve's report (the
+    lowest failing M's).
     """
     inner = problem.domain.inner_mask()
-    trace = []
-    w_prev = None
-    for M in DEFAULT_M_VALUES:
-        bnd = make_boundary_complete(problem, M)
-        try:
-            w, rep = solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
-        except ConvergenceError as exc:
-            raise ConvergenceError(str(exc), ContinuationReport(trace, False, exc.report)) from None
-        change = None if w_prev is None else float(np.max(np.abs((w - w_prev)[inner])))
-        trace.append({
-            "M": float(M),
+    ms = DEFAULT_M_VALUES
+    below = dict(zip(ms[1:], ms))
+    fields, reports = {}, {}
+
+    def change(M):
+        if below.get(M) not in fields:
+            return None
+        return float(np.max(np.abs((fields[M] - fields[below[M]])[inner])))
+
+    def report(newton, stabilized, warning=None):
+        trace = [{
+            "M": float(m),
             "newton_iterations": rep.iterations,
             "cg_iterations": rep.cg_iterations,
             "backtracks": rep.backtracks,
             "residual_evaluations": rep.residual_evaluations,
             "residual": rep.residual,
-            "inner_change": change,
-        })
-        if change is not None and change <= TOL_CONT:
-            return w, ContinuationReport(trace, True, rep)
-        w_prev = w
-    warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
-        trace[-1]["inner_change"],
-        DEFAULT_M_VALUES[-1],
-    )
-    return w, ContinuationReport(trace, False, rep, warning)
+            "inner_change": change(m),
+        } for m, rep in sorted(reports.items())]
+        return ContinuationReport(trace, stabilized, newton, warning)
+
+    def solve(rungs):
+        w, outcomes = _solve_rungs(problem, rungs)
+        for M, w_M, rep in zip(rungs, w, outcomes):
+            if not isinstance(rep, ConvergenceError):
+                fields[M], reports[M] = w_M, rep
+        failed = [rep for rep in outcomes if isinstance(rep, ConvergenceError)]
+        if failed:
+            raise ConvergenceError(str(failed[0]), report(failed[0].report, False))
+
+    solve(ms[-2:])
+    if change(ms[-1]) > TOL_CONT:
+        warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
+            change(ms[-1]), ms[-1])
+        return fields[ms[-1]], report(reports[ms[-1]], False, warning)
+    for i, M in enumerate(ms[:-1]):
+        if M not in fields:
+            solve([m for m in ms[i : i + 2] if m not in fields])
+        if change(M) is not None and change(M) <= TOL_CONT:
+            return fields[M], report(reports[M], True)
+    return fields[ms[-1]], report(reports[ms[-1]], True)
 
 
 # ---------------------------------------------------------------------------

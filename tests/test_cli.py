@@ -161,13 +161,14 @@ def test_report_counts_residual_evaluations(tmp_path):
         assert rep["residual_evaluations"] == 1 + rep["newton_iterations"] + rep["backtracks"]
     for rep in (reports["complete"], reports["incomplete"]):
         assert rep["residual_evaluations"] == 1 + rep["iterations"] + rep["backtracks"]
-    # the ladder's own counts are those of its last rung
+    # the ladder's own counts are those of the rung it returned, here the
+    # last one: the e^z ladder does not stabilize
     assert reports["complete"]["residual_evaluations"] == rungs[-1]["residual_evaluations"]
 
 
 def test_ladder_totals_sum_the_rungs(tmp_path):
-    # the top-level counts of a ladder are its last rung's; "totals" adds up
-    # every rung of continuation_trace
+    # the top-level counts of a ladder are its returned rung's; "totals"
+    # adds up every rung of continuation_trace
     cfg = make_cfg(tmp_path, R=6.0, pipeline=("solve-complete",), **EXP_Z_KW)
     assert cli.main(["run", cfg]) == cli.EXIT_OK
     complete = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]["complete"]
@@ -463,7 +464,9 @@ def test_timing_block_names_the_pipeline_stages(tmp_path):
     assert set(reports[0]) == REPORT_KEYS - {"timing"}
     assert "seconds" not in json.dumps(reports[0])
     for timing in timings:
-        assert set(timing) == {"wall_seconds", "stages", "workers", "peak_rss_mb"}
+        assert set(timing) == {"wall_seconds", "stages", "workers", "blas_threads",
+                               "peak_rss_mb"}
+        assert timing["blas_threads"] is None or timing["blas_threads"] >= 1
         assert [entry["stage"] for entry in timing["stages"]] == list(pipeline)
         assert all(set(entry) == {"stage", "seconds"} for entry in timing["stages"])
         assert 0.0 < sum(e["seconds"] for e in timing["stages"]) <= timing["wall_seconds"]
@@ -540,6 +543,97 @@ def test_a_failed_worker_ends_the_run_as_in_process(tmp_path, monkeypatch, use_p
     assert report["exit_status"] == status and report["error"] == error
 
 
+# phi = 100 at n = 41: a ladder that stabilizes at M = 12, so it solves the
+# rungs 22 and 24, then 4 and 6, 8 and 10, 12 and 14
+PHI_100_KW = dict(p=((100.0, 0.0),), k=3)
+
+
+def _fail_rungs(monkeypatch, fails):
+    """Make each Newton solve for which fails(M) holds stop after one V-cycle
+    per step, which fails it, in whichever process it runs.  M is the ring
+    height of the rung solved, None for ring data that are no rung's (the
+    incomplete branch).  Returns the M of each solve made in this process."""
+    real, limit = solver.solve_newton, solver.MAX_PCG
+    calls = []
+
+    def solve_newton(problem, w0, boundary):
+        M = float(np.min(boundary - np.maximum(problem.profile(), 0.0)))
+        M = M if M in solver.DEFAULT_M_VALUES else None
+        calls.append(M)
+        monkeypatch.setattr(solver, "MAX_PCG", 1 if fails(M) else limit)
+        return real(problem, w0, boundary)
+
+    monkeypatch.setattr(solver, "solve_newton", solve_newton)
+    return calls
+
+
+def test_ladder_artifacts_are_the_same_at_any_part_count(tmp_path, use_parts):
+    # the rungs of a round are split over 1 or 2 processes (never 3, a round
+    # has two rungs); an unstabilized two-solutions ladder and one that
+    # stabilizes at M = 12 write the same bytes either way
+    runs = {"dichotomy": dict(EXP_Z_KW, R=4.0, pipeline=("two-solutions", "verify")),
+            "stabilizing": dict(PHI_100_KW, pipeline=("solve-complete", "verify"))}
+    for name, cfg_kw in runs.items():
+        outputs = []
+        for count in (1, 2, 3):
+            use_parts(count)
+            out = "%s%d" % (name, count)
+            assert cli.main(["run", make_cfg(tmp_path, out=out, **cfg_kw)]) == cli.EXIT_OK
+            _no_worker_left()
+            files = {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
+            report = json.loads(files.pop("report.json"))
+            report.pop("timing")
+            report["config"].pop("output_dir")
+            outputs.append((files, report))
+        assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1]["reports"]["complete"]["stabilized"] is True
+
+
+@pytest.mark.parametrize("kill", [False, True], ids=["fails", "killed"])
+def test_a_rung_failing_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeypatch,
+                                                              use_parts, kill):
+    # rung 10 is solved by the worker forked beside rung 8.  Its failed
+    # solve exits 3 with the rungs finished and its own history, as in this
+    # process; a worker killed while solving it exits 3 and names the signal
+    use_parts(2)
+    parent = os.getpid()
+
+    def fails(M):
+        if M == 10.0 and os.getpid() != parent:
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return True
+        return False
+
+    _fail_rungs(monkeypatch, fails)
+    assert cli.main(["run", make_cfg(tmp_path, **PHI_100_KW)]) == cli.EXIT_SOLVER
+    _no_worker_left()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    if kill:
+        assert report["error"] == "a worker process was killed by SIGKILL"
+        return
+    assert "PCG did not reach" in report["error"]
+    complete = report["reports"]["complete"]
+    assert [rung["M"] for rung in complete["continuation_trace"]] == [4.0, 6.0, 8.0, 22.0, 24.0]
+    history = complete["residual_history"]
+    assert len(history) == complete["iterations"] + 1 >= 2
+    assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
+
+
+def test_timing_reads_the_blas_threads_in_effect(tmp_path):
+    # a run started with one OpenBLAS thread reports one, read from the
+    # library numpy loaded; a numpy built on another BLAS reports null
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    cfg = make_cfg(tmp_path, n=21, pipeline=("solve-incomplete",))
+    main = "import sys; from vortexlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", main, "run", cfg],
+                          env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["timing"]["blas_threads"] == (1 if "openblas" in blas else None)
+
+
 def test_timing_includes_the_failed_stage(tmp_path, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("cannot allocate the transfers")
@@ -569,44 +663,30 @@ def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
     assert len(history) == complete["iterations"] + 1 >= 2
     assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
     assert complete["cg_iterations"] >= complete["iterations"] + 1
-    # a ladder that fails on its third rung reports the two rungs it finished
-    real = solver.solve_newton
-    calls = []
-
-    def third_rung_fails(*args):
-        calls.append(None)
-        monkeypatch.setattr(solver, "MAX_PCG", 100 if len(calls) < 3 else 1)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "solve_newton", third_rung_fails)
-    assert cli.main(["run", make_cfg(tmp_path)]) == cli.EXIT_SOLVER
+    # a ladder whose rung M = 8 fails reports every rung it finished: the
+    # last pair, the pair below and M = 10, solved beside the failing rung
+    monkeypatch.undo()
+    _fail_rungs(monkeypatch, lambda M: M == 8.0)
+    assert cli.main(["run", make_cfg(tmp_path, **PHI_100_KW)]) == cli.EXIT_SOLVER
     complete = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]["complete"]
     trace = complete["continuation_trace"]
-    assert [rung["M"] for rung in trace] == list(solver.DEFAULT_M_VALUES[:2])
+    assert [rung["M"] for rung in trace] == [4.0, 6.0, 10.0, 22.0, 24.0]
     assert complete["totals"]["iterations"] == sum(rung["newton_iterations"] for rung in trace)
     assert complete["final_residual"] == complete["residual_history"][-1] > solver.TOL_NEWTON
 
 
 def test_failed_incomplete_branch_keeps_the_finished_ladder(tmp_path, monkeypatch):
-    # two-solutions runs the ladder (11 solve_newton calls here), then the
-    # incomplete branch; when that one fails, the report keeps the finished
+    # two-solutions runs the ladder, then the incomplete branch, whose ring
+    # data are no rung's; when that one fails, the report keeps the finished
     # ladder under "complete", as a run without the failure writes it
     cfg = make_cfg(tmp_path, p=((0.5, 0.0), (1.0, 0.0)), q=((0.0, 0.0), (1.0, 0.0)), k=3,
                    R=4.0, pipeline=("two-solutions",))
     assert cli.main(["run", cfg]) == cli.EXIT_OK
     finished = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
-    real = solver.solve_newton
-    calls = []
-
-    def twelfth_call_fails(*args):
-        calls.append(None)
-        monkeypatch.setattr(solver, "MAX_PCG", 100 if len(calls) < 12 else 1)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "solve_newton", twelfth_call_fails)
+    calls = _fail_rungs(monkeypatch, lambda M: M is None)
     assert cli.main(["run", cfg]) == cli.EXIT_SOLVER
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(calls) == 12 and "PCG did not reach" in report["error"]
+    assert calls[-1] is None and "PCG did not reach" in report["error"]
     assert report["reports"]["complete"] == finished["complete"]
     incomplete = report["reports"]["incomplete"]
     assert incomplete["boundary_kind"] == "SUBSOLUTION_PROFILE"

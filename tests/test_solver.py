@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vortexlab.entire import EntireFunction
 from vortexlab.grid import GridDomain, VortexProblem, interior_max_norm
-from vortexlab import solve
+from vortexlab import solve, surfaces
 
 from conftest import EXP_Z, shared_nodes
 
@@ -227,18 +227,89 @@ def test_ladder_reports_drift_when_domain_is_too_small():
     assert np.all(np.isfinite(w))
 
 
+def _stop(rep):
+    """The M of the rung a ladder returned: the first whose inner change is
+    at most TOL_CONT, else the top one."""
+    stops = [e["M"] for e in rep.trace
+             if e["inner_change"] is not None and e["inner_change"] <= solve.TOL_CONT]
+    return stops[0] if rep.stabilized else rep.trace[-1]["M"]
+
+
 def test_ladder_trace_matches_m_schedule():
-    prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 81))
+    # phi = 100 at n = 41 stabilizes at M = 12: the last pair is solved
+    # first, then pairs from the bottom until the pair holding the stop
+    prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
     _, rep = solve.solve_complete(prob)
-    assert 1 <= len(rep.trace) <= len(solve.DEFAULT_M_VALUES)
-    assert [e["M"] for e in rep.trace] == list(solve.DEFAULT_M_VALUES[: len(rep.trace)])
-    assert rep.trace[0]["inner_change"] is None
-    assert all(e["inner_change"] is not None for e in rep.trace[1:])
+    ms = [e["M"] for e in rep.trace]
+    assert ms == [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 22.0, 24.0]
+    assert rep.stabilized and _stop(rep) == 12.0
+    for e in rep.trace:
+        assert (e["inner_change"] is None) == (e["M"] - 2.0 not in ms)
+    # the top-level counts are the returned rung's, the totals every rung's
+    stop = rep.trace[ms.index(12.0)]
+    assert (rep.newton.iterations, rep.newton.residual) == (stop["newton_iterations"],
+                                                            stop["residual"])
+    assert rep.totals["iterations"] == sum(e["newton_iterations"] for e in rep.trace)
 
 
-def _ez_ladder(monkeypatch):
-    """The e^z ladder (k = 3, R = 6, n = 61), with each rung's Newton report
-    and the tolerance of each PCG solve, in call order."""
+def _warm_start_ladder(problem):
+    """The ladder as solved before its rungs were independent: each rung
+    started from the field of the rung below, stopping at the first M whose
+    inner change is at most TOL_CONT.  Returns (field, stop M, stabilized)."""
+    inner = problem.domain.inner_mask()
+    w_prev = None
+    for M in solve.DEFAULT_M_VALUES:
+        bnd = solve.make_boundary_complete(problem, M)
+        w, _ = solve.solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
+        if w_prev is not None and np.max(np.abs((w - w_prev)[inner])) <= solve.TOL_CONT:
+            return w, M, True
+        w_prev = w
+    return w, M, False
+
+
+def _geometric(diff, mode, R, n):
+    return surfaces.geometric_problem(diff, surfaces.SurfaceMode(mode), GridDomain(R, n))
+
+
+# problems on which the inner change was seen to fall with M, the example
+# configs and the bench workloads, at small n; they stop at M = 6, 12, 18,
+# 24 and unstabilized
+LADDER_PROBLEMS = {
+    "ez-R5": lambda: VortexProblem(EXP_Z, 3, GridDomain(5.0, 41)),  # configs/dichotomy
+    "ez-R6": lambda: VortexProblem(EXP_Z, 3, GridDomain(6.0, 41)),  # dichotomy-ez
+    "z-half-ez": lambda: VortexProblem(EntireFunction(p=(0.5, 1.0), q=(0.0, 1.0)), 3,
+                                       GridDomain(4.0, 41)),
+    "phi-2": lambda: VortexProblem(EntireFunction(p=(2.0,)), 2, GridDomain(4.0, 41)),
+    "phi-100": lambda: VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41)),
+    "z3": lambda: _geometric(EntireFunction(p=(0.0, 0.0, 0.0, 1.0)), "WANG_K3", 6.0, 41),
+    # configs/cmc_gauss and cmc-qz: unstabilized at n = 41, stabilized on the
+    # last rung at n = 61 and at M = 18 at n = 81
+    "qz-41": lambda: _geometric(F_Z, "HARMONIC_K2", 6.0, 41),
+    "qz-61": lambda: _geometric(F_Z, "HARMONIC_K2", 6.0, 61),
+    "qz-81": lambda: _geometric(F_Z, "HARMONIC_K2", 6.0, 81),
+    "affine-z": lambda: _geometric(F_Z, "WANG_K3", 4.0, 41),  # configs/affine_sphere
+    "affine-ez": lambda: _geometric(EXP_Z, "WANG_K3", 2.0, 41),  # affine-ez-develop
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_PROBLEMS))
+def test_independent_rungs_return_the_warm_started_ladder(name):
+    # each rung has one solution, so its start does not matter; that the
+    # ladders stop alike rests on the inner change falling with M.  Both
+    # fields are Newton solves stopped at a residual of TOL_NEWTON, which
+    # leaves them up to 1.7e-12 apart here (ez-R5, where w reaches 27), and
+    # 6.2e-14 of the largest |w|
+    prob = LADDER_PROBLEMS[name]()
+    w_old, stop_old, stabilized_old = _warm_start_ladder(prob)
+    w, rep = solve.solve_complete(prob)
+    assert (_stop(rep), rep.stabilized) == (stop_old, stabilized_old)
+    assert np.max(np.abs(w - w_old)) <= 1e-13 * np.max(np.abs(w_old))
+
+
+def _ez_ladder(monkeypatch, use_parts):
+    """The e^z ladder (k = 3, R = 6, n = 61) in this one process, with each
+    rung's Newton report and the tolerance of each PCG solve, in call order."""
+    use_parts(1)
     reports, tols = [], []
     pcg, newton = solve._pcg, solve.solve_newton
 
@@ -257,23 +328,23 @@ def _ez_ladder(monkeypatch):
     return w, rep, reports, tols
 
 
-def test_forcing_terms_keep_the_ladder_field_at_a_third_of_the_vcycles(monkeypatch):
+def test_forcing_terms_keep_the_ladder_field_at_a_third_of_the_vcycles(monkeypatch, use_parts):
     # ETA_NEWTON = 0 solves every step to the 1e-10 floor: exact Newton steps
-    w, rep, _, _ = _ez_ladder(monkeypatch)
+    w, rep, _, _ = _ez_ladder(monkeypatch, use_parts)
     monkeypatch.setattr(solve, "ETA_NEWTON", 0.0)
-    w_exact, rep_exact, _, tols = _ez_ladder(monkeypatch)
+    w_exact, rep_exact, _, tols = _ez_ladder(monkeypatch, use_parts)
     assert set(tols) == {1e-10}
-    assert np.max(np.abs(w - w_exact)) <= 1e-12  # measured 4.1e-14
+    assert np.max(np.abs(w - w_exact)) <= 1e-12  # measured 1.3e-15
     vcycles = sum(e["cg_iterations"] for e in rep.trace)
     vcycles_exact = sum(e["cg_iterations"] for e in rep_exact.trace)
-    assert 2 * vcycles <= vcycles_exact  # measured 159 against 499
+    assert 2 * vcycles <= vcycles_exact  # measured 42 against 120
 
 
-def test_forcing_term_of_each_step_follows_its_residual(monkeypatch):
+def test_forcing_term_of_each_step_follows_its_residual(monkeypatch, use_parts):
     # step i of a solve is taken at residual history[i]; its PCG stops at a
     # relative max(1e-10, min(ETA_NEWTON, history[i])), and the outer stop
     # stays TOL_NEWTON however loosely the early steps were solved
-    _, rep, reports, tols = _ez_ladder(monkeypatch)
+    _, rep, reports, tols = _ez_ladder(monkeypatch, use_parts)
     assert len(reports) == len(rep.trace)
     expected = []
     for r in reports:
