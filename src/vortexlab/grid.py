@@ -60,9 +60,13 @@ def run_parts(bounds, part) -> list:
     ``os._exit``; a part hands its arrays back through memory shared before
     the fork (``shared_array``) or through files opened before it, and a
     small return value, pickled, through the pipe that also carries its
-    exception.  Forking shares the arrays without pickling them; the parts
-    call no BLAS or LAPACK, whose threads do not survive a fork.  With one
-    part nothing is forked.
+    exception.  Forking shares the arrays without pickling them.  The one
+    BLAS or LAPACK call in a part is the develop pass's ``np.linalg.det``:
+    an LU factorization (getrf) of each 3 x 3 frame on its own, which
+    OpenBLAS runs on the calling thread at that size, so no thread pool
+    (whose threads do not survive a fork) is used, and each determinant's
+    bits follow from its matrix alone, whatever the thread count or the
+    part that computes it.  With one part nothing is forked.
 
     Every worker is reaped before this returns.  If part 0 raises, the
     workers are killed and its exception propagates.  Otherwise the

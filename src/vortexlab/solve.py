@@ -529,17 +529,16 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     TOL_CONT, which is returned.  The trace lists the rungs solved, the
     failing round's finished ones included.  A rung whose solve fails raises
     ConvergenceError with those rungs and the failed solve's report (the
-    lowest failing M's).
+    lowest failing M's).  Each round's fields live in one shared block,
+    unmapped once the round's changes are computed: the ladder keeps copies
+    of the fields it may still return and the inner squares of the changes
+    still to come.
     """
     inner = problem.domain.inner_mask()
     ms = DEFAULT_M_VALUES
     below = dict(zip(ms[1:], ms))
-    fields, reports = {}, {}
-
-    def change(M):
-        if below.get(M) not in fields:
-            return None
-        return float(np.max(np.abs((fields[M] - fields[below[M]])[inner])))
+    above = dict(zip(ms, ms[1:]))
+    insides, changes, reports = {}, {}, {}
 
     def report(newton, stabilized, warning=None):
         trace = [{
@@ -549,28 +548,41 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
             "backtracks": rep.backtracks,
             "residual_evaluations": rep.residual_evaluations,
             "residual": rep.residual,
-            "inner_change": change(m),
+            "inner_change": changes.get(m),
         } for m, rep in sorted(reports.items())]
         return ContinuationReport(trace, stabilized, newton, warning)
 
     def solve(rungs):
+        # copies of the fields of the round that the ladder may still return
+        # (the last pair's, and the first whose change stabilizes), so that
+        # the round's shared block is unmapped when this returns; of the other
+        # rungs only the inner squares that a change still to come needs are
+        # kept
         w, outcomes = _solve_rungs(problem, rungs)
         for M, w_M, rep in zip(rungs, w, outcomes):
             if not isinstance(rep, ConvergenceError):
-                fields[M], reports[M] = w_M, rep
+                insides[M], reports[M] = w_M[inner], rep
+        for M in sorted(insides):
+            if M not in changes and below.get(M) in insides:
+                changes[M] = float(np.max(np.abs(insides[M] - insides[below[M]])))
+        for M in list(insides):
+            if (M in changes or M not in below) and (above.get(M) in changes or M not in above):
+                del insides[M]
         failed = [rep for rep in outcomes if isinstance(rep, ConvergenceError)]
         if failed:
             raise ConvergenceError(str(failed[0]), report(failed[0].report, False))
+        stop = [M for M in rungs if changes.get(M, np.inf) <= TOL_CONT][:1]
+        return {M: np.array(w_M) for M, w_M in zip(rungs, w) if M in ms[-2:] or M in stop}
 
-    solve(ms[-2:])
-    if change(ms[-1]) > TOL_CONT:
+    fields = solve(ms[-2:])
+    if changes[ms[-1]] > TOL_CONT:
         warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
-            change(ms[-1]), ms[-1])
+            changes[ms[-1]], ms[-1])
         return fields[ms[-1]], report(reports[ms[-1]], False, warning)
     for i, M in enumerate(ms[:-1]):
-        if M not in fields:
-            solve([m for m in ms[i : i + 2] if m not in fields])
-        if change(M) is not None and change(M) <= TOL_CONT:
+        if M not in reports:
+            fields.update(solve([m for m in ms[i : i + 2] if m not in reports]))
+        if changes.get(M, np.inf) <= TOL_CONT:
             return fields[M], report(reports[M], True)
     return fields[ms[-1]], report(reports[ms[-1]], True)
 

@@ -26,35 +26,40 @@ holonomy defect.
 
 Coefficients and transfers are stored component-first, as (d, d, ...) stacks
 of grid planes, and multiplied by ``_mul``, which sums plane products.  No
-full-grid transfer stack or coefficient field exists: development is one
-pass over blocks of ``_ROWS`` grid rows, and only the gradient of w is formed
-for the whole grid.  The pass first walks the x-edges of the central column,
-from a cut of the fields to that column.  Each block then forms w, its
-gradient and the differential at its nodes and edge midpoints; builds its
+full-grid transfer stack, coefficient field or frame field exists:
+development is one pass over blocks of ``_ROWS`` grid rows, and only the
+gradient of w is formed for the whole grid.  The pass first walks the
+x-edges of the central column, from a cut of the fields to that column,
+into an (n, d, 3) column of frames.  Each block then forms w, its gradient
+and the differential at its nodes and edge midpoints; builds its
 y-transfers, forming only the d/dy coefficient planes, ``_BLOCK`` matrices
-at a time so the temporaries stay in cache; sweeps its rows along y from the
-central column, straight into the node-first (n, n, rows, 3) layout of
-``DevelopedSurface.frames``; and reduces its plaquettes to their per-node
-ratio a chunk of rows at a time, each chunk building its own x-transfers
-from the d/dx planes.  The blocks are split over one process per usable
-CPU (``grid.run_parts``); the frames and the per-node plaquette ratio live
-in shared memory, and no block reads another's frames, so every bit is the
-same at any process count.  The frame checks after the pass run block by
-block too.  The pass records the holonomy defect in
-``DevelopedSurface.holonomy_defect``; ``holonomy_defect`` runs the same pass
-on given frames.
+at a time so the temporaries stay in cache; sweeps its rows along y from
+the central column into a block-local frame buffer; reduces that buffer to
+its rows of the positions, the metric log-density and (HARMONIC_K2) the
+normals, and to its maxima of the frame checks; and reduces its plaquettes
+to their per-node ratio a chunk of rows at a time, each chunk building its
+own x-transfers from the d/dx planes.  The blocks are split over one
+process per usable CPU (``grid.run_parts``); the outputs live in shared
+memory, each process returns its maxima through its pipe, and no block
+reads another's frames, so every bit is the same at any process count.
+The pass records the holonomy defect in ``DevelopedSurface.holonomy_defect``;
+``holonomy_defect`` runs the same pass again from the surface's solution,
+closing the plaquette loops with a given solution's transfers.
+
+The normalized residual that gates development is evaluated once per
+``NormalizedSolution``, in blocks of ``_ROWS`` rows.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entire import EntireFunction
-from .grid import (GridDomain, VortexProblem, interior_max_norm, parts, run_parts,
-                   shared_array, write_table)
+from .grid import GridDomain, VortexProblem, parts, run_parts, shared_array, write_table
 from .invariants import checked_curvature
 
 WANG_SHIFT = np.log(2.0)
@@ -89,21 +94,27 @@ class NormalizedSolution:
     domain: GridDomain
     w: np.ndarray
 
-    def residual(self) -> np.ndarray:
-        """Interior residual of the normalized equation (zeros on the ring)."""
-        dom = self.domain
-        la = 2.0 * self.differential.log_abs(dom.zz())
-        if self.mode is SurfaceMode.WANG_K3:
-            f = 2.0 * np.exp(self.w) - 4.0 * np.exp(la - 2.0 * self.w)
-        else:
-            f = np.exp(2.0 * self.w) - np.exp(la - 2.0 * self.w)
-        r = dom.laplacian(self.w) - f
-        r[0, :] = r[-1, :] = 0.0
-        r[:, 0] = r[:, -1] = 0.0
-        return r
-
+    @functools.cached_property
     def residual_norm(self) -> float:
-        return interior_max_norm(self.residual())
+        """Interior max-norm of the normalized equation's residual, evaluated
+        once per solution, _ROWS rows at a time: each block forms its own z,
+        log|differential| and right-hand side, and the max over blocks is the
+        max over the grid."""
+        dom = self.domain
+        ax, h2, w = dom.axis, dom.h ** 2, self.w
+        worst = []
+        for r0 in range(1, dom.n - 1, _ROWS):
+            r1 = min(r0 + _ROWS, dom.n - 1)
+            la = 2.0 * self.differential.log_abs(ax[r0:r1, None] + 1j * ax[None, :])
+            rows = w[r0:r1]
+            if self.mode is SurfaceMode.WANG_K3:
+                f = 2.0 * np.exp(rows) - 4.0 * np.exp(la - 2.0 * rows)
+            else:
+                f = np.exp(2.0 * rows) - np.exp(la - 2.0 * rows)
+            lap = (w[r0 + 1:r1 + 1, 1:-1] + w[r0 - 1:r1 - 1, 1:-1] + w[r0:r1, 2:] + w[r0:r1, :-2]
+                   - 4.0 * w[r0:r1, 1:-1]) / h2
+            worst.append(np.max(np.abs(lap - f[:, 1:-1])))
+        return float(np.max(worst))
 
     def restrict_half(self) -> "NormalizedSolution":
         sub, vals = self.domain.restrict_half(self.w)
@@ -130,7 +141,7 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
         w = 0.5 * w_eq1 - 0.5 * WANG_SHIFT
     sol = NormalizedSolution(mode, diff, problem.domain, w)
     base = problem.residual_norm(w_eq1)
-    res = sol.residual_norm()
+    res = sol.residual_norm
     expected = base if mode is SurfaceMode.WANG_K3 else 0.5 * base
     if res > max(10.0 * 1e-9, 2.0 * expected + 1e-12):
         raise ValueError(
@@ -333,13 +344,21 @@ def _transfers(sol: NormalizedSolution, node, mid, axis: int, t, t_rev) -> None:
 
 @dataclass
 class DevelopedSurface:
-    mode: SurfaceMode
-    domain: GridDomain
-    frames: np.ndarray  # (n, n, rows, 3): rows (f, f_z, f_zbar) or (f, f_x, f_y, N)
+    solution: NormalizedSolution  # the solution the frames were developed from
     positions: np.ndarray  # (n, n, 3) real
+    metric: np.ndarray  # (n, n) log-density of the induced metric, read off the frames
     imag_max: float  # WANG only: largest |Im f| seen (reality drift)
     conj_defect: float  # WANG only: max |f_zbar - conj(f_z)|
     holonomy_defect: float  # measured by the pass that developed the frames
+
+    @property
+    def domain(self) -> GridDomain:
+        return self.solution.domain
+
+
+def mdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Minkowski product with signature (+, +, -) on the last axis."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
 def _loop_ratio(down, left, up, right, S):
@@ -349,95 +368,128 @@ def _loop_ratio(down, left, up, right, S):
     return np.max(np.abs(delta), axis=(0, 1)) / np.max(np.abs(S), axis=(0, 1))
 
 
-def _develop_pass(sol: NormalizedSolution, s0=None, frames=None):
-    """Frames and holonomy defect in one pass over blocks of _ROWS grid rows.
+def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = None):
+    """Develop sol's frames and reduce them, in one pass over blocks of _ROWS
+    grid rows, to positions, metric, normals and maxima.
 
-    Given the frame s0 at the central node, the pass allocates the frames in
-    the (n, n, rows, 3) surface layout and first walks the central column's
-    x-edges, built from a cut of the fields to that column; given the frames
-    instead, it only reads them.  Each block then forms the fields of its rows
-    and of the row after it (the far side of its plaquettes) and their
-    y-transfers, develops its rows along y from the central column and, for
-    HARMONIC_K2, scales the tangent rows back to f_x = e^w e1, f_y = e^w e2.
-    Its plaquettes are reduced to their per-node ratio a few rows at a time,
-    each chunk building its own x-transfers.  Beside the frames, only the two
-    gradient planes, one block's fields and y-transfers and one chunk's
-    x-transfers are alive per process.
+    The pass first walks the central column's x-edges from the frame at the
+    central node, built from a cut of the fields to that column.  Each block
+    then forms the fields of its rows and of the row after it (the far side
+    of its plaquettes) and their y-transfers, and develops its rows along y
+    from the central column into a block-local frame buffer; for HARMONIC_K2
+    it scales the tangent rows back to f_x = e^w e1, f_y = e^w e2.  It
+    refuses frames that are not finite, writes its rows of the positions,
+    of the metric (``DevelopedSurface.metric``) and, for HARMONIC_K2, of the
+    normals, and reduces its plaquettes to their per-node ratio a few rows
+    at a time, each chunk building its own x-transfers.  The plaquette loops
+    take their transfers from ``loops`` (sol when not given), so the frames
+    of one solution can be checked against the transfers of another.  Beside
+    the outputs, only the gradient planes, one block's frames, fields and
+    y-transfers and one chunk's x-transfers are alive per process.
 
-    The blocks run in ``parts``, one process each (``run_parts``).  A block
-    reads and writes the frames of its own rows only, and the frames and the
-    per-node ratio live in shared memory, so every bit is the same at any
-    part count.  Returns the frames and the defect as ``holonomy_defect``
-    defines it.
+    The blocks run in ``parts``, one process each (``run_parts``): the
+    outputs live in shared memory, and each part returns its maxima through
+    its pipe.  No block reads another's frames, so every bit is the same at
+    any part count.  Returns the positions, the metric, the normals (None
+    for WANG_K3) and the maxima of |Im f| and |f_zbar - conj(f_z)| (WANG_K3),
+    of |<N,N> + 1| (HARMONIC_K2) and of the plaquette ratio as
+    ``holonomy_defect`` defines it; a maximum the mode does not measure
+    reads 0.
     """
+    loops = sol if loops is None else loops
     n = sol.domain.n
     c = (n - 1) // 2
-    grad = _grad(sol.domain, sol.w)
-    if s0 is not None:
-        frames = shared_array((n, n) + s0.shape, s0.dtype)
-        d = s0.shape[0]
-        node, mid_x, _ = _fields(sol, grad, slice(None), slice(c, c + 1))
-        tx, tx_rev = np.empty((2, d, d, n - 1, 1), s0.dtype)
-        _transfers(sol, node, mid_x, 0, tx, tx_rev)
-        frames[c, c] = s0
-        for i in range(c, n - 1):
-            frames[i + 1, c] = _mul(tx[:, :, i, 0], frames[i, c])
-        for i in range(c - 1, -1, -1):
-            frames[i, c] = _mul(tx_rev[:, :, i, 0], frames[i + 1, c])
-    d, dtype = frames.shape[2], frames.dtype
     cmc = sol.mode is SurfaceMode.HARMONIC_K2
-    rel = shared_array((n - 1, n - 1), float)
+    if cmc:
+        s0 = np.eye(4, 3, k=-1, dtype=float)  # f = 0, e1, e2, N at the origin
+    else:  # as develop_affine_sphere states it
+        a = np.exp(0.5 * sol.w[c, c])
+        s0 = np.array([[0.0, 0.0, 1.0], [0.5 * a, -0.5j * a, 0.0], [0.5 * a, 0.5j * a, 0.0]])
+    d, dtype = s0.shape[0], s0.dtype
+    grad = _grad(sol.domain, sol.w)
+    loop_grad = grad if loops is sol else _grad(loops.domain, loops.w)
+    node, mid_x, _ = _fields(sol, grad, slice(None), slice(c, c + 1))
+    tx, tx_rev = np.empty((2, d, d, n - 1, 1), dtype)
+    _transfers(sol, node, mid_x, 0, tx, tx_rev)
+    column = np.empty((n,) + s0.shape, dtype)
+    column[c] = s0
+    for i in range(c, n - 1):
+        column[i + 1] = _mul(tx[:, :, i, 0], column[i])
+    for i in range(c - 1, -1, -1):
+        column[i] = _mul(tx_rev[:, :, i, 0], column[i + 1])
+    positions = shared_array((n, n, 3), float)
+    metric = shared_array((n, n), float)
+    normals = shared_array((n, n, 3), float) if cmc else None
     step = max(1, _BLOCK // (n - 1))
 
     def develop_blocks(_, b0, b1):
-        # one buffer each for a block's y-transfers and a chunk's x-transfers,
-        # refilled by every block and chunk: arrays freed and allocated anew
-        # per block let the allocator hand their pages back and fault them in
-        # again
+        # one buffer each for a block's frames and y-transfers (a second for
+        # the loops' y-transfers when those are another solution's) and for a
+        # chunk's x-transfers, refilled by every block and chunk: arrays freed
+        # and allocated anew per block let the allocator hand their pages back
+        # and fault them in again
+        frames = np.empty((min(_ROWS, n), n) + s0.shape, dtype)
         ty_buf = np.empty((2, d, d, min(_ROWS + 1, n), n - 1), dtype)
+        loop_buf = ty_buf if loops is sol else np.empty_like(ty_buf)
         tx_buf = np.empty((2, d, d, step, n), dtype)
+        top = np.zeros(4)  # the maxima, in the order returned
         for r0 in range(b0 * _ROWS, min(b1 * _ROWS, n), _ROWS):
             r1 = min(r0 + _ROWS, n)
             node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
             ty, ty_rev = ty_buf[:, :, :, :mid_y[0].shape[0]]
             _transfers(sol, node, mid_y, 1, ty, ty_rev)
-            if s0 is not None:
-                S = frames[r0:r1].transpose(2, 3, 0, 1)
-                for j in range(c, n - 1):
-                    S[..., j + 1] = _mul(ty[:, :, :r1 - r0, j], S[..., j])
-                for j in range(c - 1, -1, -1):
-                    S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
-                if cmc:
-                    frames[r0:r1, :, 1:3] *= np.exp(sol.w[r0:r1])[:, :, None, None]
+            F = frames[:r1 - r0]
+            F[:, c] = column[r0:r1]
+            S = F.transpose(2, 3, 0, 1)
+            for j in range(c, n - 1):
+                S[..., j + 1] = _mul(ty[:, :, :r1 - r0, j], S[..., j])
+            for j in range(c - 1, -1, -1):
+                S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
+            if cmc:
+                F[:, :, 1:3] *= np.exp(sol.w[r0:r1])[:, :, None, None]
+            if not np.all(np.isfinite(F)):
+                raise ArithmeticError("frame propagation produced non-finite values")
+            positions[r0:r1] = F[:, :, 0, :].real
+            # the metric is a measure its caller judges (cli refuses one that
+            # is not finite), so frames too large for it raise no warning
+            with np.errstate(all="ignore"):
+                if cmc:  # <f_x, f_x> = <f_y, f_y> = e^{2w}
+                    fx, fy = F[:, :, 1, :], F[:, :, 2, :]
+                    metric[r0:r1] = np.log(0.5 * (mdot(fx, fx) + mdot(fy, fy)))
+                else:  # the frame volume det(f, f_z, f_zbar) is (i/2) e^w
+                    metric[r0:r1] = np.log(2.0 * np.abs(np.linalg.det(F)))
+            if cmc:
+                N = normals[r0:r1] = F[:, :, 3, :]
+                top[2] = np.maximum(top[2], np.max(np.abs(mdot(N, N) + 1.0)))
+            else:
+                np.maximum(top[:2], (np.max(np.abs(F[:, :, 0, :].imag)),
+                                     np.max(np.abs(F[:, :, 2, :] - np.conj(F[:, :, 1, :])))),
+                           out=top[:2])
+            if loops is not sol:
+                node, mid_x, mid_y = _fields(loops, loop_grad, slice(r0, r1 + 1), slice(None))
+                ty, ty_rev = loop_buf[:, :, :, :mid_y[0].shape[0]]
+                _transfers(loops, node, mid_y, 1, ty, ty_rev)
             k = mid_x[0].shape[0]  # the block's plaquette rows
             for p in range(0, k, step):
                 q = min(p + step, k)
                 tx, tx_rev = tx_buf[:, :, :, :q - p]
-                _transfers(sol, tuple(f[p:q + 1] for f in node), tuple(f[p:q] for f in mid_x),
+                _transfers(loops, tuple(f[p:q + 1] for f in node), tuple(f[p:q] for f in mid_x),
                            0, tx, tx_rev)
-                F = frames[r0 + p:r0 + q, :-1]
+                C = F[p:q, :-1]
                 if cmc:  # the transfers act on the rescaled frame
-                    F = F.copy()
-                    F[:, :, 1:3] *= np.exp(-sol.w[r0 + p:r0 + q, :-1])[:, :, None, None]
-                rel[r0 + p:r0 + q] = _loop_ratio(
-                    ty_rev[:, :, p:q], tx_rev[..., 1:], ty[:, :, p + 1:q + 1], tx[..., :-1],
-                    F.transpose(2, 3, 0, 1))
+                    C = C.copy()
+                    C[:, :, 1:3] *= np.exp(-loops.w[r0 + p:r0 + q, :-1])[:, :, None, None]
+                rel = _loop_ratio(ty_rev[:, :, p:q], tx_rev[..., 1:], ty[:, :, p + 1:q + 1],
+                                  tx[..., :-1], C.transpose(2, 3, 0, 1))
+                # plaquette rows and columns 1 to n - 3: the rim's are left out
+                lo, hi = max(0, 1 - r0 - p), min(q - p, n - 2 - r0 - p)
+                if lo < hi:
+                    top[3] = np.maximum(top[3], np.max(rel[lo:hi, 1:-1]))
             del node, mid_x, mid_y
+        return top
 
-    run_parts(parts(-(-n // _ROWS)), develop_blocks)
-    if rel.shape[0] > 2:
-        rel = rel[1:-1, 1:-1]
-    return frames, float(np.max(rel))
-
-
-def _checked_blocks(frames: np.ndarray):
-    """frames in blocks of _ROWS node rows, each checked to be finite: the
-    checks after the pass need no full-grid temporary."""
-    for r0 in range(0, frames.shape[0], _ROWS):
-        block = frames[r0:r0 + _ROWS]
-        if not np.all(np.isfinite(block)):
-            raise ArithmeticError("frame propagation produced non-finite values")
-        yield block
+    top = np.max(run_parts(parts(-(-n // _ROWS)), develop_blocks), axis=0)
+    return positions, metric, normals, top.tolist()
 
 
 def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
@@ -447,62 +499,38 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
     a = e^{w(0)/2}, f_zbar = conj(f_z): it makes the induced metric at the
     origin equal e^{w(0)} |dz|^2, keeps f real, and fixes the frame volume
     det(f, f_z, f_zbar) = (i/2) e^w, which the system then transports (the
-    coefficient trace is exactly d(w)).  Reality is not enforced during
-    propagation; its drift is measured and gated.
+    coefficient trace is exactly d(w)), so the metric log(2 |det|) compares
+    with w.  Reality is not enforced during propagation; its drift is
+    measured and gated.
     """
     if sol.mode is not SurfaceMode.WANG_K3:
         raise ValueError("affine development needs the k=3 normalization")
-    if sol.residual_norm() > RESIDUAL_GATE:
+    if sol.residual_norm > RESIDUAL_GATE:
         raise ValueError("w does not solve Wang's equation closely enough to develop")
-    n = sol.domain.n
-    c = (n - 1) // 2
-    a = np.exp(0.5 * sol.w[c, c])
-    s0 = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [0.5 * a, -0.5j * a, 0.0],
-            [0.5 * a, 0.5j * a, 0.0],
-        ],
-        dtype=complex,
-    )
-    S, defect = _develop_pass(sol, s0)
-    imag_max = conj_defect = 0.0
-    for B in _checked_blocks(S):
-        imag_max = max(imag_max, float(np.max(np.abs(B[:, :, 0, :].imag))))
-        conj_defect = max(conj_defect, float(np.max(np.abs(B[:, :, 2, :] - np.conj(B[:, :, 1, :])))))
+    positions, metric, _, (imag_max, conj_defect, _, defect) = _develop_pass(sol)
     if imag_max > 1e-6:
         raise ArithmeticError("developed surface lost reality: |Im f| = %.3e" % imag_max)
-    return DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :].real),
-                            imag_max, conj_defect, defect)
-
-
-def mdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Minkowski product with signature (+, +, -) on the last axis."""
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+    return DevelopedSurface(sol, positions, metric, imag_max, conj_defect, defect)
 
 
 def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
     """Integrate the Gauss-Weingarten frame (f, f_x, f_y, N) in R^{2,1}.
 
     Starts at f = 0, f_x = e^{w(0)} e_1, f_y = e^{w(0)} e_2, N = (0, 0, 1):
-    the future-pointing unit timelike normal on the hyperboloid.  Aborts if
-    the normal drifts off the hyperboloid by more than 1e-5 anywhere.
-    Returns the surface and the Gauss map field N.
+    the future-pointing unit timelike normal on the hyperboloid.  The flat
+    Minkowski products <f_x, f_x> = <f_y, f_y> = e^{2w} give the metric,
+    their symmetrized log, which compares with 2 w.  Aborts if the normal
+    drifts off the hyperboloid by more than 1e-5 anywhere.  Returns the
+    surface and the Gauss map field N.
     """
     if sol.mode is not SurfaceMode.HARMONIC_K2:
         raise ValueError("CMC development needs the k=2 normalization")
-    if sol.residual_norm() > RESIDUAL_GATE:
+    if sol.residual_norm > RESIDUAL_GATE:
         raise ValueError("w does not solve the harmonic-map equation closely enough")
-    s0 = np.eye(4, 3, k=-1, dtype=float)  # f = 0, e1, e2, N at the origin
-    S, defect = _develop_pass(sol, s0)
-    drift = 0.0
-    for B in _checked_blocks(S):
-        drift = max(drift, float(np.max(np.abs(mdot(B[:, :, 3, :], B[:, :, 3, :]) + 1.0))))
+    positions, metric, normals, (_, _, drift, defect) = _develop_pass(sol)
     if drift > 1e-5:
         raise ArithmeticError("Gauss map left the hyperboloid: |<N,N>+1| = %.3e" % drift)
-    surf = DevelopedSurface(sol.mode, sol.domain, S, np.ascontiguousarray(S[:, :, 0, :]),
-                            0.0, 0.0, defect)
-    return surf, np.ascontiguousarray(S[:, :, 3, :])
+    return DevelopedSurface(sol, positions, metric, 0.0, 0.0, defect), normals
 
 
 def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float:
@@ -514,28 +542,20 @@ def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float
     compared with max-norms.  Plaquettes touching the region rim are
     excluded: the rim's one-sided gradient stencils would otherwise dominate
     the measurement.  Development records this value in
-    ``surface.holonomy_defect``; this runs the same pass on given frames, so
-    a surface and a solution that do not belong together can be checked
-    against each other.
+    ``surface.holonomy_defect``; this runs the same pass again, developing
+    the frames from the surface's own solution and closing the loops with
+    sol's transfers, so a surface and a solution that do not belong together
+    can be checked against each other.
     """
-    return _develop_pass(sol, frames=surface.frames)[1]
+    return _develop_pass(surface.solution, sol)[3][3]
 
 
 def reconstruct_metric(surface: DevelopedSurface) -> np.ndarray:
-    """Log-density of the induced metric, from the frames alone.
-
-    WANG_K3: the frame volume det(f, f_z, f_zbar) equals (i/2) e^w when f
-    develops an affine sphere with the chosen gauge, so w = log(2 |det|);
-    compare with w_norm.  HARMONIC_K2: the flat Minkowski products give
-    <f_x, f_x> = <f_y, f_y> = e^{2w}; the symmetrized log is returned and
-    compares with 2 w_norm.
-    """
-    if surface.mode is SurfaceMode.WANG_K3:
-        det = np.linalg.det(surface.frames)
-        return np.log(2.0 * np.abs(det))
-    fx = surface.frames[:, :, 1, :]
-    fy = surface.frames[:, :, 2, :]
-    return np.log(0.5 * (mdot(fx, fx) + mdot(fy, fy)))
+    """The metric log-density the develop pass read off the frames,
+    ``surface.metric``: compare with w_norm (WANG_K3) resp. 2 w_norm
+    (HARMONIC_K2).  Kept under this name because the benchmark's tracer
+    (``perfbench/child.py``) wraps it."""
+    return surface.metric
 
 
 def export_mesh(surface: DevelopedSurface, path) -> None:

@@ -64,8 +64,7 @@ def _wang_state(diff: EntireFunction, dom: GridDomain) -> SimpleNamespace:
     w, rep = solve.solve_newton(prob, w0, solve.make_boundary_complete(prob, 0.0))
     sol = surfaces.normalize(w, prob, surfaces.SurfaceMode.WANG_K3)
     surf = surfaces.develop_affine_sphere(sol)
-    rec = surfaces.reconstruct_metric(surf)
-    rec_err = float(np.max(np.abs(rec - sol.w)[1:-1, 1:-1]))
+    rec_err = float(np.max(np.abs(surf.metric - sol.w)[1:-1, 1:-1]))
     return SimpleNamespace(
         prob=prob,
         report=rep,

@@ -247,14 +247,14 @@ def test_criterion_09_metric_round_trip(wang_z_family, criterion_log):
     dom = GridDomain(1.0, 161)
     prob_c = surfaces.geometric_problem(EntireFunction(p=(1.5 + 0.5j,)), WANG, dom)
     sol_c = surfaces.normalize(prob_c.profile(), prob_c, WANG)
-    rec_c = surfaces.reconstruct_metric(surfaces.develop_affine_sphere(sol_c))
+    rec_c = surfaces.develop_affine_sphere(sol_c).metric
     err_c = float(np.max(np.abs(rec_c - sol_c.w)[1:-1, 1:-1]))
 
     prob_h = surfaces.geometric_problem(
         EntireFunction(p=(1.0,), q=(0.0, 2.0)), HARMONIC, dom)
     sol_h = surfaces.normalize(prob_h.profile(), prob_h, HARMONIC)
     surf_h, _ = surfaces.develop_cmc(sol_h)
-    rec_h = surfaces.reconstruct_metric(surf_h)
+    rec_h = surf_h.metric
     err_h = float(np.max(np.abs(rec_h - 2.0 * sol_h.w)[1:-1, 1:-1]))
 
     recs = {n: wang_z_family[n].rec_err for n in (81, 161, 321)}

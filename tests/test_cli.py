@@ -515,6 +515,48 @@ def test_artifacts_are_the_same_at_any_part_count(tmp_path, monkeypatch, use_par
     assert runs[0] == runs[1] == runs[2]
 
 
+# the degenerate exponential q = e^{2z}, whose profile is exact: a CMC
+# development with no Newton step
+CMC_DEVELOP_KW = dict(p=((1.0, 0.0),), q=((0.0, 0.0), (2.0, 0.0)), k=2, R=1.0, n=61,
+                      mode="HARMONIC_K2", pipeline=("solve-incomplete", "develop", "export"))
+
+
+@pytest.mark.parametrize("cfg_kw", [
+    pytest.param(dict(WANG_DEVELOP_KW, pipeline=("solve-incomplete", "develop", "export")),
+                 id="WANG_K3"),
+    pytest.param(CMC_DEVELOP_KW, id="HARMONIC_K2"),
+])
+def test_develop_artifacts_are_the_same_at_any_blas_thread_and_part_count(tmp_path, cfg_kw):
+    # a develop part computes the WANG_K3 metric with np.linalg.det, a
+    # LAPACK call, in whichever process runs its block.  Each child sets
+    # the BLAS threads before numpy loads and the parts as taskset would,
+    # develops in blocks of 8 rows and forks a writer part for any number of
+    # entries
+    script = ("import os, sys\n"
+              "count = int(sys.argv[1])\n"
+              "os.sched_getaffinity = lambda pid: set(range(count))\n"
+              "from vortexlab import cli, grid, surfaces\n"
+              "surfaces._ROWS = 8\n"
+              "grid._PART_ENTRIES = 1\n"
+              "sys.exit(cli.main(['run', sys.argv[2]]))\n")
+    runs = []
+    for threads in ("1", "4"):
+        env = dict(CHILD_ENV, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        for count in (1, 2, 3):
+            out = "out_%s_%d" % (threads, count)
+            cfg = make_cfg(tmp_path, name=out + ".json", out=out, **cfg_kw)
+            proc = subprocess.run([sys.executable, "-c", script, str(count), cfg], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            files = {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
+            report = json.loads(files.pop("report.json"))
+            assert report.pop("timing")["workers"] == count
+            report["config"].pop("output_dir")
+            runs.append((files, report))
+    assert "surface.obj" in runs[0][0]
+    assert all(run == runs[0] for run in runs[1:])
+
+
 @pytest.mark.parametrize("fault, status, error", [
     (MemoryError("cannot allocate the transfers"), cli.EXIT_SOLVER,
      "cannot allocate the transfers"),

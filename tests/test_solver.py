@@ -1,5 +1,8 @@
 """Newton and monotone solvers, continuation ladder, the two-branch picture."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +253,46 @@ def test_ladder_trace_matches_m_schedule():
     assert (rep.newton.iterations, rep.newton.residual) == (stop["newton_iterations"],
                                                             stop["residual"])
     assert rep.totals["iterations"] == sum(e["newton_iterations"] for e in rep.trace)
+
+
+def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
+    # phi = 100 at n = 41 stabilizes at M = 12 after four rounds of two
+    # rungs.  Each round's shared block is unmapped once its changes are
+    # computed; when the ladder returns, numpy holds copies of the last
+    # pair's fields and of the returned one, the inner squares (a quarter of
+    # the grid each) of rungs 14 and 22, whose changes are still to come,
+    # and the inner mask: 3.65 fields' bytes, where all eight fields were
+    # held before
+    use_parts(1)
+    prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
+    blocks, seen = [], []
+    real_shared, real_report = solve.shared_array, solve.ContinuationReport
+
+    def shared_array(shape, dtype):
+        base = a = real_shared(shape, dtype)
+        while isinstance(base, np.ndarray):
+            base = base.base
+        blocks.append(weakref.ref(base))
+        return a
+
+    def report(*args):
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        seen.append((sum(ref() is not None for ref in blocks),
+                     sum(trace.size for trace in held.traces)))
+        return real_report(*args)
+
+    monkeypatch.setattr(solve, "shared_array", shared_array)
+    monkeypatch.setattr(solve, "ContinuationReport", report)
+    tracemalloc.start()
+    try:
+        w, rep = solve.solve_complete(prob)
+    finally:
+        tracemalloc.stop()
+    assert rep.stabilized and _stop(rep) == 12.0 and len(blocks) == 4
+    (alive, held), = seen
+    assert alive == 0
+    assert held < 4 * w.nbytes
 
 
 def _warm_start_ladder(problem):
