@@ -141,9 +141,10 @@ class GridDomain:
     def axis(self) -> np.ndarray:
         return np.linspace(-self.R, self.R, self.n)
 
-    def zz(self) -> np.ndarray:
+    def zz(self, rows: slice = slice(None)) -> np.ndarray:
+        """z at the nodes of the given rows (all by default)."""
         ax = self.axis
-        return ax[:, None] + 1j * ax[None, :]
+        return ax[rows, None] + 1j * ax[None, :]
 
     def interior_mask(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=bool)
@@ -257,13 +258,18 @@ def write_field_csv(path, domain: GridDomain, values: np.ndarray) -> None:
     write_table(path, "x,y,value", "%.17g,%.17g,%.17g", (ax[:, None], ax[None, :], values))
 
 
+# grid rows per block of the coefficient a2
+_ROWS = 64
+
+
 @dataclass
 class VortexProblem:
     """Delta w = e^w - |phi|^2 e^{-(k-1) w} discretized on a square grid.
 
     The coefficient enters only through a2 = 2 log|phi| sampled at the nodes,
     which is -inf at zeros of phi; exp then produces an exact 0 there, so no
-    special-casing is needed anywhere downstream.
+    special-casing is needed anywhere downstream.  a2 is built _ROWS grid
+    rows at a time, so z and the temporaries of log|phi| never span the grid.
     """
 
     phi: EntireFunction
@@ -274,7 +280,11 @@ class VortexProblem:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be an integer >= 2")
-        self.a2 = 2.0 * self.phi.log_abs(self.domain.zz())
+        n = self.domain.n
+        self.a2 = np.empty((n, n))
+        for r0 in range(0, n, _ROWS):
+            rows = slice(r0, r0 + _ROWS)
+            self.a2[rows] = 2.0 * self.phi.log_abs(self.domain.zz(rows))
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """F(w) = e^w - exp(2 log|phi| - (k-1) w)."""

@@ -6,7 +6,8 @@ the plane, and the outer band of the truncated square carries the boundary
 layer of the Dirichlet approximation.
 
 The checks are phrased through h = |phi|^2 e^{-kw}, the quantity bounded
-by 1, as the proofs for this equation are.
+by 1, as the proofs for this equation are.  The curvature and identity
+checks restate the equation, so both bound the residual that Newton stops on.
 """
 
 from __future__ import annotations
@@ -70,23 +71,24 @@ def subunity_check(w: np.ndarray, problem: VortexProblem) -> InvariantReport:
     )
 
 
-def checked_curvature(k_alg: np.ndarray, w: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """k_alg, the curvature of e^w |dz|^2 from an algebraic identity, once it
-    agrees with the stencil form -(1/2) e^{-w} laplacian(w) at all interior
-    nodes; disagreement beyond 10 * TOL_SOLVE * e^{-w} means w does not
-    actually solve its equation, and is raised as an error."""
-    k_sten = -0.5 * np.exp(-w) * domain.laplacian(w)
-    gap = np.abs(k_alg - k_sten)
-    bad = domain.interior_mask() & (gap > 10.0 * TOL_SOLVE * np.exp(-w))
-    if np.any(bad):
-        raise ValueError("algebraic and stencil curvature disagree by %.3e: w is not "
-                         "converged" % float(np.max(gap[bad])))
-    return k_alg
+def check_converged(residual: float) -> None:
+    """Refuse a field whose interior max residual exceeds 20 * TOL_SOLVE.
+
+    A curvature read off an algebraic identity of the equation, such as
+    K = (h - 1)/2, differs from the stencil curvature -(1/2) e^{-w}
+    laplacian(w) by exactly (1/2) e^{-w} r, r the equation's residual.  So
+    the two agree to 10 * TOL_SOLVE * e^{-w} at every interior node exactly
+    when max |r| <= 20 * TOL_SOLVE, and this bound is that cross-check.
+    """
+    if residual > 20.0 * TOL_SOLVE:
+        raise ValueError("algebraic and stencil curvature disagree: residual %.3e, w is not "
+                         "converged" % residual)
 
 
 def curvature_field(w: np.ndarray, problem: VortexProblem) -> np.ndarray:
     """Gauss curvature of e^w |dz|^2 via the identity K = (h-1)/2, checked."""
-    return checked_curvature(0.5 * (h_field(w, problem) - 1.0), w, problem.domain)
+    check_converged(problem.residual_norm(w))
+    return 0.5 * (h_field(w, problem) - 1.0)
 
 
 def ordering_check(w1: np.ndarray, w2: np.ndarray, domain: GridDomain) -> InvariantReport:
@@ -128,11 +130,11 @@ def diagnostics(w: np.ndarray, problem: VortexProblem) -> tuple[float, bool]:
 
     With sigma = log h, on the metric e^w |dz|^2 the field sigma satisfies
     (Delta sigma) e^{-w} = k (e^sigma - 1).  Since log|phi| is harmonic away
-    from zeros, Delta sigma = -k Delta w there, so the check compares
-    -k e^{-w} laplacian(w) with k (h - 1) at the interior nodes more than 2h
-    from every zero of phi, and its residual is exactly k e^{-w} times the
-    solver residual.  (Running the stencil on sigma itself would bury the
-    identity under O(h^2) truncation noise three orders above the tolerance.)
+    from zeros, Delta sigma = -k Delta w there, so at the interior nodes more
+    than 2h from every zero of phi the identity's residual is exactly
+    k e^{-w} |r|, r the solver residual, and that is what is reported.
+    (Running the stencil on sigma itself would bury the identity under
+    O(h^2) truncation noise three orders above the tolerance.)
     """
     dom = problem.domain
     mask = dom.interior_mask()
@@ -140,9 +142,7 @@ def diagnostics(w: np.ndarray, problem: VortexProblem) -> tuple[float, bool]:
     if zs.size:
         dist = np.min(np.abs(dom.zz()[..., None] - zs[None, None, :]), axis=-1)
         mask &= dist > 2.0 * dom.h
-    lhs = -problem.k * np.exp(-w) * dom.laplacian(w)
-    rhs = problem.k * (h_field(w, problem) - 1.0)  # e^sigma = h
-    resid = np.abs(lhs - rhs)
+    resid = problem.k * np.exp(-w) * np.abs(problem.residual(w))
     residual = float(np.max(resid[mask])) if np.any(mask) else 0.0
     return residual, residual <= TOL_IDENTITY
 

@@ -480,31 +480,6 @@ def _rung_start(problem: VortexProblem, boundary: np.ndarray) -> np.ndarray:
     return np.maximum(problem.profile(), np.log(2.0) - 2.0 * np.logaddexp(log_d, log_delta))
 
 
-def _solve_rungs(problem: VortexProblem, ms) -> tuple[np.ndarray, list]:
-    """Solve the rungs of ring heights ms, each from its own start, in parts.
-
-    Returns the fields, one per rung in shared memory, and per rung its
-    NewtonReport or, when its solve failed, the ConvergenceError.  Every
-    rung is tried whatever the others do, so the rungs finished do not
-    depend on how the rungs were split.
-    """
-    n = problem.domain.n
-    fields = shared_array((len(ms), n, n), float)
-
-    def solve_part(k, start, stop):
-        outcomes = []
-        for i in range(start, stop):
-            bnd = make_boundary_complete(problem, ms[i])
-            try:
-                fields[i], rep = solve_newton(problem, _rung_start(problem, bnd), bnd)
-            except ConvergenceError as exc:
-                rep = exc
-            outcomes.append(rep)
-        return outcomes
-
-    return fields, sum(run_parts(parts(len(ms)), solve_part), [])
-
-
 def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationReport]:
     """Approximate the complete (maximal) solution by raising the ring.
 
@@ -526,19 +501,23 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     pair does: that pair is solved first, and if its change exceeds TOL_CONT
     its top rung is returned unstabilized.  Otherwise the rungs are solved
     upward in pairs until the first M whose change from M - 2 is at most
-    TOL_CONT, which is returned.  The trace lists the rungs solved, the
-    failing round's finished ones included.  A rung whose solve fails raises
-    ConvergenceError with those rungs and the failed solve's report (the
-    lowest failing M's).  Each round's fields live in one shared block,
-    unmapped once the round's changes are computed: the ladder keeps copies
-    of the fields it may still return and the inner squares of the changes
-    still to come.
+    TOL_CONT, which is returned.  Each round walks its rungs in ascending M,
+    and a rung's inner change is taken from the inner square of the rung
+    walked before it, when that is M - 2; the round that solves M = 20 walks
+    on to rung 22, kept from the first round.  The trace lists the rungs
+    solved, the failing round's finished ones included: every rung of a
+    round is tried whatever the others do, so they do not depend on how the
+    rungs were split.  A rung whose solve fails raises ConvergenceError with
+    those rungs and the failed solve's report (the lowest failing M's).
+    Each round's fields live in one shared block, unmapped when the round
+    ends: the ladder keeps copies of the last pair's fields and of the field
+    it returns, and the inner square of the rung walked last.
     """
-    inner = problem.domain.inner_mask()
+    dom = problem.domain
+    inner = dom.inner_mask()
     ms = DEFAULT_M_VALUES
-    below = dict(zip(ms[1:], ms))
-    above = dict(zip(ms, ms[1:]))
-    insides, changes, reports = {}, {}, {}
+    solved, fields = {}, {}  # M: (NewtonReport, inner change or None); M: a field kept
+    last = (None, None)  # (M, inner square) of the rung walked last
 
     def report(newton, stabilized, warning=None):
         trace = [{
@@ -548,43 +527,57 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
             "backtracks": rep.backtracks,
             "residual_evaluations": rep.residual_evaluations,
             "residual": rep.residual,
-            "inner_change": changes.get(m),
-        } for m, rep in sorted(reports.items())]
+            "inner_change": change,
+        } for m, (rep, change) in sorted(solved.items())]
         return ContinuationReport(trace, stabilized, newton, warning)
 
     def solve(rungs):
-        # copies of the fields of the round that the ladder may still return
-        # (the last pair's, and the first whose change stabilizes), so that
-        # the round's shared block is unmapped when this returns; of the other
-        # rungs only the inner squares that a change still to come needs are
-        # kept
-        w, outcomes = _solve_rungs(problem, rungs)
-        for M, w_M, rep in zip(rungs, w, outcomes):
-            if not isinstance(rep, ConvergenceError):
-                insides[M], reports[M] = w_M[inner], rep
-        for M in sorted(insides):
-            if M not in changes and below.get(M) in insides:
-                changes[M] = float(np.max(np.abs(insides[M] - insides[below[M]])))
-        for M in list(insides):
-            if (M in changes or M not in below) and (above.get(M) in changes or M not in above):
-                del insides[M]
+        # one round; returns the first rung walked whose change settles, if any
+        nonlocal last
+        w = shared_array((len(rungs), dom.n, dom.n), float)
+
+        def solve_part(k, start, stop):
+            outcomes = []
+            for i in range(start, stop):
+                bnd = make_boundary_complete(problem, rungs[i])
+                try:
+                    w[i], rep = solve_newton(problem, _rung_start(problem, bnd), bnd)
+                except ConvergenceError as exc:
+                    rep = exc
+                outcomes.append(rep)
+            return outcomes
+
+        outcomes = sum(run_parts(parts(len(rungs)), solve_part), [])
+        walk = [(M, w_M, rep) for M, w_M, rep in zip(rungs, w, outcomes)
+                if not isinstance(rep, ConvergenceError)]
+        if walk and walk[-1][0] + 2 in fields:  # M = 20 walks on to rung 22, kept
+            M = walk[-1][0] + 2
+            walk.append((M, fields[M], solved[M][0]))
+        for M, w_M, rep in walk:
+            inside = w_M[inner]
+            change = float(np.max(np.abs(inside - last[1]))) if last[0] == M - 2 else None
+            solved[M], last = (rep, change), (M, inside)
         failed = [rep for rep in outcomes if isinstance(rep, ConvergenceError)]
         if failed:
             raise ConvergenceError(str(failed[0]), report(failed[0].report, False))
-        stop = [M for M in rungs if changes.get(M, np.inf) <= TOL_CONT][:1]
-        return {M: np.array(w_M) for M, w_M in zip(rungs, w) if M in ms[-2:] or M in stop}
+        stop = next((M for M, _, _ in walk
+                     if solved[M][1] is not None and solved[M][1] <= TOL_CONT), None)
+        for M, w_M, _ in walk:
+            if M not in fields and (M in ms[-2:] or M == stop):
+                fields[M] = np.array(w_M)
+        return stop
 
-    fields = solve(ms[-2:])
-    if changes[ms[-1]] > TOL_CONT:
+    solve(ms[-2:])
+    top, change = solved[ms[-1]]
+    if change > TOL_CONT:
         warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
-            changes[ms[-1]], ms[-1])
-        return fields[ms[-1]], report(reports[ms[-1]], False, warning)
-    for i, M in enumerate(ms[:-1]):
-        if M not in reports:
-            fields.update(solve([m for m in ms[i : i + 2] if m not in reports]))
-        if changes.get(M, np.inf) <= TOL_CONT:
-            return fields[M], report(reports[M], True)
-    return fields[ms[-1]], report(reports[ms[-1]], True)
+            change, ms[-1])
+        return fields[ms[-1]], report(top, False, warning)
+    for i in range(0, len(ms) - 2, 2):
+        stop = solve(ms[:-2][i : i + 2])
+        if stop is not None:
+            return fields[stop], report(solved[stop][0], True)
+    return fields[ms[-1]], report(top, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Config validation, pipeline runs, artifact layout, field comparison."""
 
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -662,6 +664,38 @@ def test_a_rung_failing_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeyp
     assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
 
 
+# q = z (the cmc-qz config) at n = 61: a ladder that settles only on its
+# last rung, so it solves every rung, and M = 20 in a round of its own
+QZ_61_KW = dict(p=((0.0, 0.0), (1.0, 0.0)), k=2, R=6.0, n=61, mode="HARMONIC_K2",
+                pipeline=("solve-complete",))
+
+
+@pytest.mark.parametrize("M, finished", [
+    (20.0, [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 22.0, 24.0]),
+    (22.0, [24.0]),
+    (24.0, [22.0]),
+], ids=["M20", "M22", "M24"])
+def test_a_failing_upper_rung_reports_the_rungs_finished(tmp_path, monkeypatch, M, finished):
+    # each rung finished is reported as the ladder without the failure
+    # reports it, except that a rung whose M - 2 did not finish has no inner
+    # change; rung 22's comes from rung 20, in the last round
+    assert cli.main(["run", make_cfg(tmp_path, out="ok", **QZ_61_KW)]) == cli.EXIT_OK
+    ok = json.loads((tmp_path / "ok" / "report.json").read_text())["reports"]["complete"]
+    rungs = {rung["M"]: rung for rung in ok["continuation_trace"]}
+    _fail_rungs(monkeypatch, lambda m: m == M)
+    assert cli.main(["run", make_cfg(tmp_path, **QZ_61_KW)]) == cli.EXIT_SOLVER
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "PCG did not reach" in report["error"]
+    complete = report["reports"]["complete"]
+    assert complete["continuation_trace"] == [
+        dict(rungs[m], inner_change=None) if m - 2.0 not in finished else rungs[m]
+        for m in finished]
+    assert complete["stabilized"] is False and complete["warning"] is None
+    assert complete["totals"]["iterations"] == sum(rungs[m]["newton_iterations"]
+                                                   for m in finished)
+    assert complete["final_residual"] == complete["residual_history"][-1] > solver.TOL_NEWTON
+
+
 def test_timing_reads_the_blas_threads_in_effect(tmp_path):
     # a run started with one OpenBLAS thread reports one, read from the
     # library numpy loaded; a numpy built on another BLAS reports null
@@ -743,6 +777,20 @@ def test_cli_import_leaves_scipy_unloaded():
         env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/child.py wraps these (module, attribute path) pairs by name;
+    # read from its source without running it
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text()
+    traced, = (ast.literal_eval(node.value) for node in ast.parse(source).body
+               if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
+    assert traced
+    for _, modname, attr in traced:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (modname, attr)
 
 
 def test_geometric_run_exports_surface(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from vortexlab.entire import EntireFunction
 from vortexlab.grid import GridDomain
+from vortexlab.invariants import TOL_SOLVE
 from vortexlab import solve
 from vortexlab import surfaces as dev
 
@@ -76,6 +77,24 @@ def test_blaschke_curvature_flat_for_constant():
     sol, _ = _exact_wang_constant(n=41)
     K = dev.blaschke_curvature(sol)
     assert np.abs(K[1:-1, 1:-1]).max() <= 1e-10
+
+
+def test_blaschke_curvature_refuses_an_unconverged_field():
+    # the Blaschke pair differs by (1/2) e^{-w} times the normalized residual,
+    # so a field whose residual exceeds 20 * TOL_SOLVE is refused
+    sol, _ = _exact_wang_constant(n=41)
+    bump = np.exp(-np.abs(sol.domain.zz()) ** 2 / 0.1)
+
+    def bumped(eps):
+        return dev.NormalizedSolution(sol.mode, sol.differential, sol.domain, sol.w + eps * bump)
+
+    unit = bumped(1e-6).residual_norm / 1e-6
+    under, over = (bumped(times * TOL_SOLVE / unit) for times in (10.0, 40.0))
+    assert under.residual_norm == pytest.approx(10.0 * TOL_SOLVE, rel=1e-3)
+    assert over.residual_norm == pytest.approx(40.0 * TOL_SOLVE, rel=1e-3)
+    dev.blaschke_curvature(under)
+    with pytest.raises(ValueError):
+        dev.blaschke_curvature(over)
 
 
 def test_blaschke_curvature_nonpositive_on_solved_field(wang_z_family):

@@ -1,5 +1,10 @@
 """Grid domain, five-point stencil, problem residuals, field CSV files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +16,7 @@ from vortexlab.grid import (
     interior_max_norm,
     write_field_csv,
 )
-from vortexlab import solve
+from vortexlab import grid, solve
 
 
 def test_grid_validation():
@@ -131,6 +136,39 @@ def test_solved_field_residual():
     profile = solve.make_boundary_subsolution(prob)
     w, _ = solve.solve_newton(prob, profile, profile)
     assert prob.residual_norm(w) <= 1e-8
+
+
+def test_coefficient_built_in_row_blocks_has_the_full_grid_bits():
+    # phi = z^2 - 1 at h = 0.05 vanishes at two nodes, and n = 101 ends in a
+    # partial block of rows
+    phi = EntireFunction(p=(-1.0, 0.0, 1.0))
+    dom = GridDomain(2.5, 101)
+    assert dom.n % grid._ROWS != 0
+    full = 2.0 * phi.log_abs(dom.zz())
+    assert np.sum(np.isneginf(full)) == 2
+    assert VortexProblem(phi, 2, dom).a2.tobytes() == full.tobytes()
+
+
+def test_building_a_large_problem_keeps_the_peak_low():
+    # U = e^z in Wang's normalization at n = 1281, whose a2 takes 13 MB.
+    # Forming z and the temporaries of log|phi| over the whole grid at once
+    # raised the peak (VmHWM) by about 150 MB; in row blocks it rises by
+    # about 19 MB
+    code = """if True:
+        from vortexlab.cli import _peak_rss_mb
+        from vortexlab.entire import EntireFunction
+        from vortexlab.grid import GridDomain, VortexProblem
+        before = _peak_rss_mb()
+        VortexProblem(EntireFunction(p=(4.0,), q=(0.0, 1.0)), 3, GridDomain(2.0, 1281))
+        print(_peak_rss_mb() - before)
+    """
+    src = str(Path(grid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 60.0
 
 
 def test_rhs_prime_is_positive():

@@ -259,10 +259,9 @@ def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
     # phi = 100 at n = 41 stabilizes at M = 12 after four rounds of two
     # rungs.  Each round's shared block is unmapped once its changes are
     # computed; when the ladder returns, numpy holds copies of the last
-    # pair's fields and of the returned one, the inner squares (a quarter of
-    # the grid each) of rungs 14 and 22, whose changes are still to come,
-    # and the inner mask: 3.65 fields' bytes, where all eight fields were
-    # held before
+    # pair's fields and of the returned one, the inner square (a quarter of
+    # the grid) of rung 14, the rung walked last, and the inner mask: 3.39
+    # fields' bytes, where all eight fields were held before
     use_parts(1)
     prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
     blocks, seen = [], []
@@ -335,6 +334,18 @@ LADDER_PROBLEMS = {
 }
 
 
+def _rungs_solved(stop, stabilized):
+    """The rungs the schedule solves for a ladder that returns rung `stop`:
+    the last pair; then, if that pair settles, pairs upward from M = 4
+    through the pair that holds the stop (every rung for a stop of 22 or 24)."""
+    ms = [float(M) for M in solve.DEFAULT_M_VALUES]
+    lower = ms[:-2]
+    if not stabilized:
+        return ms[-2:]
+    upto = lower.index(stop) // 2 * 2 + 2 if stop in lower else len(lower)
+    return lower[:upto] + ms[-2:]
+
+
 @pytest.mark.parametrize("name", sorted(LADDER_PROBLEMS))
 def test_independent_rungs_return_the_warm_started_ladder(name):
     # each rung has one solution, so its start does not matter; that the
@@ -347,6 +358,12 @@ def test_independent_rungs_return_the_warm_started_ladder(name):
     w, rep = solve.solve_complete(prob)
     assert (_stop(rep), rep.stabilized) == (stop_old, stabilized_old)
     assert np.max(np.abs(w - w_old)) <= 1e-13 * np.max(np.abs(w_old))
+    # the rungs solved follow from the stop by the schedule, and a rung has
+    # an inner change exactly when M - 2 was solved
+    ms = [e["M"] for e in rep.trace]
+    assert ms == _rungs_solved(_stop(rep), rep.stabilized)
+    for e in rep.trace:
+        assert (e["inner_change"] is None) == (e["M"] - 2.0 not in ms)
 
 
 def _ez_ladder(monkeypatch, use_parts):

@@ -101,6 +101,25 @@ def test_curvature_rejects_unconverged_field():
         inv.curvature_field(prob.profile() + bump, prob)
 
 
+def test_curvature_check_is_a_bound_on_the_residual():
+    # the algebraic and the stencil curvature differ by (1/2) e^{-w} r, so
+    # their 10 * TOL_SOLVE * e^{-w} agreement is max |r| <= 20 * TOL_SOLVE:
+    # a bump on the exact constant passes at 10 * TOL_SOLVE and not at 40
+    prob = VortexProblem(EntireFunction(p=(2.0,)), 2, GridDomain(2.0, 41))
+    w = np.full((41, 41), np.log(2.0))
+    bump = np.exp(-np.abs(prob.domain.zz()) ** 2 / 0.5)
+    unit = prob.residual_norm(w + 1e-6 * bump) / 1e-6
+
+    def bumped(times):
+        out = w + times * inv.TOL_SOLVE / unit * bump
+        assert prob.residual_norm(out) == pytest.approx(times * inv.TOL_SOLVE, rel=1e-3)
+        return out
+
+    inv.curvature_field(bumped(10.0), prob)
+    with pytest.raises(ValueError):
+        inv.curvature_field(bumped(40.0), prob)
+
+
 def test_ordering_check_strictness():
     dom = GridDomain(4.0, 41)
     w = np.zeros((41, 41))
@@ -181,6 +200,16 @@ def test_diagnostics_complete_branch(z_complete_small):
     bumped = w.copy()
     bumped[30, 30] += 1e-3
     assert not inv.diagnostics(bumped, prob)[1]
+
+
+def test_diagnostics_reports_the_scaled_residual(z_complete_small):
+    # the identity's residual is k e^{-w} times the solver residual, taken
+    # over the interior nodes more than 2h from the zero of phi = z
+    prob, w = z_complete_small
+    dom = prob.domain
+    mask = dom.interior_mask() & (np.abs(dom.zz()) > 2.0 * dom.h)
+    expected = np.max((prob.k * np.exp(-w) * np.abs(prob.residual(w)))[mask])
+    assert inv.diagnostics(w, prob) == (expected, True)
 
 
 def test_ray_analytic_left_integral():
