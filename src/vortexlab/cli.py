@@ -299,7 +299,7 @@ class _Run:
 
     def solve_incomplete(self) -> None:
         profile = solver.make_boundary_subsolution(self.problem)
-        self._keep("incomplete", *solver.solve_newton(self.problem, profile, profile))
+        self._keep("incomplete", *solver.solve_newton(self.problem, profile))
 
     def two_solutions(self) -> None:
         pair = solver.two_solutions(self.problem)

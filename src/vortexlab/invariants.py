@@ -72,7 +72,7 @@ def subunity_check(w: np.ndarray, problem: VortexProblem) -> InvariantReport:
 
 
 def check_converged(residual: float) -> None:
-    """Refuse a field whose interior max residual exceeds 20 * TOL_SOLVE.
+    """Refuse a field whose interior max residual exceeds 20 * TOL_SOLVE or is NaN.
 
     A curvature read off an algebraic identity of the equation, such as
     K = (h - 1)/2, differs from the stencil curvature -(1/2) e^{-w}
@@ -80,7 +80,7 @@ def check_converged(residual: float) -> None:
     the two agree to 10 * TOL_SOLVE * e^{-w} at every interior node exactly
     when max |r| <= 20 * TOL_SOLVE, and this bound is that cross-check.
     """
-    if residual > 20.0 * TOL_SOLVE:
+    if not residual <= 20.0 * TOL_SOLVE:
         raise ValueError("algebraic and stencil curvature disagree: residual %.3e, w is not "
                          "converged" % residual)
 

@@ -19,7 +19,7 @@ its one failure is a CG solve that does not converge in MAX_PCG steps.
 Solves are inexact: a Newton step only as far as its residual needs (the
 forcing term ETA_NEWTON), a monotone sweep to a relative 1e-4.
 
-Boundary data are full grids of which only the ring is read.  Complete
+Every solve takes its Dirichlet data from the ring of its start.  Complete
 solutions come from continuation in the boundary height: solve with ring
 data max(profile, 0) + M for a ladder of M values and stop when the inner
 half-square stops moving.  The profile is (2/k) log|phi|, the barrier that
@@ -61,29 +61,19 @@ class ConvergenceError(RuntimeError):
 
 
 def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
-    """Ring data (2/k) log|phi|, clipped at PROFILE_CLIP: the incomplete branch.
-
-    Returned as a full grid (only the ring is consumed), which is also the
-    clipped profile that the incomplete branch starts from.
-    """
+    """(2/k) log|phi|, clipped at PROFILE_CLIP: the incomplete branch's start,
+    whose ring is its Dirichlet data."""
     vals = np.maximum(problem.profile(), PROFILE_CLIP)
     if not np.all(np.isfinite(vals[problem.domain.ring_mask()])):
         raise ValueError("profile boundary is not finite on the ring")
     return vals
 
 
-def make_boundary_complete(problem: VortexProblem, M: float) -> np.ndarray:
-    """Ring data max(profile, 0) + M as a full grid, emulating the blow-up supersolutions."""
-    if M < 0:
-        raise ValueError("M must be nonnegative")
-    return np.maximum(problem.profile(), 0.0) + float(M)
-
-
-def _set_ring(w: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    w[0, :] = boundary[0, :]
-    w[-1, :] = boundary[-1, :]
-    w[:, 0] = boundary[:, 0]
-    w[:, -1] = boundary[:, -1]
+def _set_ring(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    w[0, :] = values[0, :]
+    w[-1, :] = values[-1, :]
+    w[:, 0] = values[:, 0]
+    w[:, -1] = values[:, -1]
     return w
 
 
@@ -320,10 +310,8 @@ class NewtonReport:
     residual_history: list = field(default_factory=list)
 
 
-def solve_newton(
-    problem: VortexProblem, w0: np.ndarray, boundary: np.ndarray
-) -> tuple[np.ndarray, NewtonReport]:
-    """Damped Newton for L w = F(w) with the ring values of boundary as Dirichlet data.
+def solve_newton(problem: VortexProblem, w0: np.ndarray) -> tuple[np.ndarray, NewtonReport]:
+    """Damped Newton for L w = F(w) from w0, whose ring values are the Dirichlet data.
 
     Steps solve (diag(F') - L) delta = L w - F(w) inexactly: PCG stops at a
     relative residual of max(1e-10, min(ETA_NEWTON, |g|)), |g| the current
@@ -331,39 +319,39 @@ def solve_newton(
     cost a V-cycle or two and the last ones are solved tightly enough to keep
     the convergence superlinear.  Steps are halved (at most 40 times) until
     the sup-norm residual actually drops.  Returns once that residual is
-    within TOL_NEWTON.  Raises ConvergenceError if MAX_NEWTON steps do not
-    get there, the line search stalls or a step's PCG does not converge; its
-    report holds the steps taken (a failed PCG counts MAX_PCG V-cycles).
+    within TOL_NEWTON; a NaN residual never is.  Raises ConvergenceError if
+    MAX_NEWTON steps do not get there, the line search stalls or a step's
+    PCG does not converge; its report holds the steps taken (a failed PCG
+    counts MAX_PCG V-cycles).  The report's counts follow from the residual
+    history: one evaluation at the start, one per step and one per backtrack.
     """
-    dom = problem.domain
-    w = _set_ring(np.array(w0, dtype=float), boundary)
-
+    w = np.array(w0, dtype=float)
     g = problem.residual(w)
-    gnorm = interior_max_norm(g)
-    history = [gnorm]
-    cg_total = 0
-    backtracks = 0
-    evals = 1
+    history = [interior_max_norm(g)]
+    cg_total = backtracks = 0
 
-    def report(iterations):
-        return NewtonReport(iterations, gnorm, cg_total, backtracks, evals, history)
+    def report():
+        steps = len(history) - 1
+        return NewtonReport(steps, history[-1], cg_total, backtracks, 1 + steps + backtracks,
+                            history)
 
-    for it in range(1, MAX_NEWTON + 1):
-        if gnorm <= TOL_NEWTON:
-            return w, report(it - 1)
-        tol = max(1e-10, min(ETA_NEWTON, gnorm))
+    while not history[-1] <= TOL_NEWTON:
+        gnorm = history[-1]
+        if len(history) > MAX_NEWTON:
+            raise ConvergenceError("Newton did not reach tolerance: residual %.3e" % gnorm,
+                                   report())
         try:
-            delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), dom.h), g, tol)
+            delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), problem.domain.h), g,
+                                max(1e-10, min(ETA_NEWTON, gnorm)))
         except ConvergenceError as exc:
             cg_total += MAX_PCG
-            raise ConvergenceError(str(exc), report(it - 1)) from None
+            raise ConvergenceError(str(exc), report()) from None
         cg_total += cg_it
         step = 1.0
         for _ in range(41):
             trial = w.copy()
             trial[1:-1, 1:-1] += step * delta[1:-1, 1:-1]
             g_trial = problem.residual(trial)
-            evals += 1
             gn_trial = interior_max_norm(g_trial)
             if gn_trial < gnorm:
                 break
@@ -371,13 +359,10 @@ def solve_newton(
             backtracks += 1
         else:
             raise ConvergenceError("Newton line search stalled at residual %.3e" % gnorm,
-                                   report(it - 1))
-        w, g, gnorm = trial, g_trial, gn_trial
-        history.append(gnorm)
-    if gnorm <= TOL_NEWTON:
-        return w, report(MAX_NEWTON)
-    raise ConvergenceError("Newton did not reach tolerance: residual %.3e" % gnorm,
-                           report(MAX_NEWTON))
+                                   report())
+        w, g = trial, g_trial
+        history.append(gn_trial)
+    return w, report()
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +378,7 @@ class MonotoneReport:
 
 
 def monotone_solve(
-    problem: VortexProblem,
-    w_minus: np.ndarray,
-    w_plus: np.ndarray,
-    boundary: np.ndarray | None = None,
+    problem: VortexProblem, w_minus: np.ndarray, w_plus: np.ndarray
 ) -> tuple[np.ndarray, MonotoneReport]:
     """Downward monotone iteration from the supersolution end of a band.
 
@@ -414,36 +396,32 @@ def monotone_solve(
     bands do not actually contain the solution, and the iteration still
     converges to the unique fixed point.
 
-    The ring values of boundary, or of w_plus when it is None, are the
-    Dirichlet data.  Stops at a sup-norm residual of TOL_MONOTONE and raises
-    ConvergenceError if MAX_OUTER sweeps do not get there.
+    The ring values of w_plus are the Dirichlet data.  Returns once the
+    sup-norm residual is within TOL_MONOTONE, after at most MAX_OUTER sweeps;
+    raises ConvergenceError if those do not get there.
     """
-    dom = problem.domain
     if np.any(w_minus > w_plus + 1e-10):
         raise ValueError("band is not ordered: w_minus exceeds w_plus")
     lam = 1.1 * np.maximum(problem.rhs_prime(w_minus), problem.rhs_prime(w_plus))
-    mg = _Multigrid(lam, dom.h)
-    w = _set_ring(np.array(w_plus, dtype=float), w_plus if boundary is None else boundary)
-    nonmono = 0
+    mg = _Multigrid(lam, problem.domain.h)
+    w = np.array(w_plus, dtype=float)
     g = problem.residual(w)
     res = interior_max_norm(g)
+    sweeps = nonmono = 0
     delta = None
-    for it in range(1, MAX_OUTER + 1):
-        if res <= TOL_MONOTONE:
-            it -= 1
-            break
+    while not res <= TOL_MONOTONE:
+        if sweeps == MAX_OUTER:
+            raise ConvergenceError("monotone iteration stalled at residual %.3e" % res)
         delta, _ = _pcg(mg, g, 1e-4, guess=delta)
         if np.max(delta) > 1e-10:
             nonmono += 1
-        w = w.copy()
         w[1:-1, 1:-1] += delta[1:-1, 1:-1]
         g = problem.residual(w)
         res = interior_max_norm(g)
-    else:
-        raise ConvergenceError("monotone iteration stalled at residual %.3e" % res)
+        sweeps += 1
 
     viol = int(np.sum((w < w_minus - 1e-10) | (w > w_plus + 1e-10)))
-    return w, MonotoneReport(it, res, viol, nonmono)
+    return w, MonotoneReport(sweeps, res, viol, nonmono)
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +442,24 @@ class ContinuationReport:
             ("backtracks", "backtracks"), ("residual_evaluations", "residual_evaluations"))}
 
 
-def _rung_start(problem: VortexProblem, boundary: np.ndarray) -> np.ndarray:
-    """max(profile, log(2 / (d + delta)^2)): the start of a rung's Newton solve.
+def _rung_start(problem: VortexProblem, M: float) -> np.ndarray:
+    """The start of rung M's Newton solve, whose ring is exactly its Dirichlet
+    data b = max(profile, 0) + M, emulating the blow-up supersolutions.
 
-    d is the distance to the edge of the square and delta = sqrt(2 e^-b), b
-    the ring data max(profile, 0) + M, so the start equals b on the ring.
-    log(2 / d^2) solves w'' = e^w: the boundary blow-up of Keller and
+    Inside it is max(profile, log(2 / (d + delta)^2)), d the distance to the
+    edge of the square and delta = sqrt(2 e^-b), which tends to b at the
+    ring.  log(2 / d^2) solves w'' = e^w: the boundary blow-up of Keller and
     Osserman, which the complete solution follows near a high ring.
     """
     dom = problem.domain
+    profile = problem.profile()
+    ring = np.maximum(profile, 0.0) + float(M)
     edge = dom.R - np.abs(dom.axis)
     with np.errstate(divide="ignore"):  # log 0 = -inf on the ring, where delta rules
         log_d = np.log(np.minimum(edge[:, None], edge[None, :]))
-    log_delta = 0.5 * (np.log(2.0) - boundary)
-    return np.maximum(problem.profile(), np.log(2.0) - 2.0 * np.logaddexp(log_d, log_delta))
+    log_delta = 0.5 * (np.log(2.0) - ring)
+    start = np.maximum(profile, np.log(2.0) - 2.0 * np.logaddexp(log_d, log_delta))
+    return _set_ring(start, ring)
 
 
 def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationReport]:
@@ -539,9 +521,8 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
         def solve_part(k, start, stop):
             outcomes = []
             for i in range(start, stop):
-                bnd = make_boundary_complete(problem, rungs[i])
                 try:
-                    w[i], rep = solve_newton(problem, _rung_start(problem, bnd), bnd)
+                    w[i], rep = solve_newton(problem, _rung_start(problem, rungs[i]))
                 except ConvergenceError as exc:
                     rep = exc
                 outcomes.append(rep)
@@ -607,7 +588,7 @@ def two_solutions(problem: VortexProblem) -> SolutionPair:
     w1, rep1 = solve_complete(problem)
     profile = make_boundary_subsolution(problem)
     try:
-        w2, rep2 = solve_newton(problem, profile, profile)
+        w2, rep2 = solve_newton(problem, profile)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), exc.report, rep1) from None
     return SolutionPair(w1, w2, rep1, rep2)

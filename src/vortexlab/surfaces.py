@@ -143,7 +143,7 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     base = problem.residual_norm(w_eq1)
     res = sol.residual_norm
     expected = base if mode is SurfaceMode.WANG_K3 else 0.5 * base
-    if res > max(10.0 * 1e-9, 2.0 * expected + 1e-12):
+    if not res <= max(10.0 * 1e-9, 2.0 * expected + 1e-12):
         raise ValueError(
             "normalization failed its residual lock: %.3e vs base %.3e" % (res, base)
         )
@@ -506,7 +506,7 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
     """
     if sol.mode is not SurfaceMode.WANG_K3:
         raise ValueError("affine development needs the k=3 normalization")
-    if sol.residual_norm > RESIDUAL_GATE:
+    if not sol.residual_norm <= RESIDUAL_GATE:
         raise ValueError("w does not solve Wang's equation closely enough to develop")
     positions, metric, _, (imag_max, conj_defect, _, defect) = _develop_pass(sol)
     if imag_max > 1e-6:
@@ -526,7 +526,7 @@ def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
     """
     if sol.mode is not SurfaceMode.HARMONIC_K2:
         raise ValueError("CMC development needs the k=2 normalization")
-    if sol.residual_norm > RESIDUAL_GATE:
+    if not sol.residual_norm <= RESIDUAL_GATE:
         raise ValueError("w does not solve the harmonic-map equation closely enough")
     positions, metric, normals, (_, _, drift, defect) = _develop_pass(sol)
     if drift > 1e-5:

@@ -60,8 +60,9 @@ def ez_pair():
 
 def _wang_state(diff: EntireFunction, dom: GridDomain) -> SimpleNamespace:
     prob = surfaces.geometric_problem(diff, surfaces.SurfaceMode.WANG_K3, dom)
-    w0 = solve.make_boundary_subsolution(prob)
-    w, rep = solve.solve_newton(prob, w0, solve.make_boundary_complete(prob, 0.0))
+    # the clipped profile inside, the profile capped below at 0 on the ring
+    w0 = solve._set_ring(solve.make_boundary_subsolution(prob), np.maximum(prob.profile(), 0.0))
+    w, rep = solve.solve_newton(prob, w0)
     sol = surfaces.normalize(w, prob, surfaces.SurfaceMode.WANG_K3)
     surf = surfaces.develop_affine_sphere(sol)
     rec_err = float(np.max(np.abs(surf.metric - sol.w)[1:-1, 1:-1]))
@@ -136,7 +137,7 @@ def nested_z_solves():
     w8, _ = solve.solve_complete(p8)
     w12, _ = solve.solve_complete(p12)
     profile = solve.make_boundary_subsolution(p12)
-    w12_prof, _ = solve.solve_newton(p12, profile, profile)
+    w12_prof, _ = solve.solve_newton(p12, profile)
     return SimpleNamespace(p8=p8, p12=p12, w8=w8, w12=w12, w12_prof=w12_prof)
 
 

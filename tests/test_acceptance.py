@@ -58,9 +58,9 @@ def test_criterion_02_monotone_matches_newton(criterion_log):
         for k in (2, 3):
             prob = VortexProblem(fn, k, GridDomain(8.0, 161))
             bd = solve.make_boundary_subsolution(prob)
-            wn, _ = solve.solve_newton(prob, bd, bd)
+            wn, _ = solve.solve_newton(prob, bd)
             lo = np.maximum(prob.profile(), -6.0)
-            wm, repm = solve.monotone_solve(prob, lo, lo + 3.0, boundary=bd)
+            wm, repm = solve.monotone_solve(prob, lo, solve._set_ring(lo + 3.0, bd))
             assert repm.residual <= 1e-8
             worst = max(worst, float(np.max(np.abs(wn - wm))))
     elapsed = time.perf_counter() - t0

@@ -107,6 +107,32 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg_kw, message", [
+    (dict(p=()), "phi.p must be a non-empty list of [re, im] pairs"),
+    (dict(p=((1.0,),)), "phi.p entries must be [re, im] pairs"),
+    (dict(p=((0.0, 0.0),)), "polynomial part must not be identically zero"),
+    (None, "config must be a JSON object"),
+    (dict(extra={"phi": {"q": [[0.0, 1.0]]}}), "phi must be an object with coefficient array p"),
+    (dict(k=1), "k must be an integer >= 2"),
+    (dict(R=-1.0), "R must be a positive number"),
+    (dict(extra={"output_dir": 5}), "output_dir must be a string"),
+    (dict(mode="EQ2"), "mode must be one of"),
+    (dict(pipeline=()), "pipeline must be a non-empty list of stages"),
+    (dict(tol=[0]), "tolerances must be an object"),
+], ids=["p-empty", "p-not-pairs", "p-zero", "not-object", "phi-without-p", "k", "R",
+        "output-dir", "mode", "pipeline-empty", "tolerances"])
+def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
+    if cfg_kw is None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([make_cfg(tmp_path)]))
+        cfg = str(path)
+    else:
+        cfg = make_cfg(tmp_path, **cfg_kw)
+    assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+    assert "vortexlab: " + message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_returns_config_exit_for_missing_file(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "nope.json")])
     assert rc == cli.EXIT_CONFIG
@@ -430,6 +456,10 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
     pytest.param(dict(k=2, R=2.0, n=21, mode="HARMONIC_K2",
                       pipeline=("solve-complete", "develop")),
                  "develop measures are not finite", id="develop-overflow"),
+    # the affine-ez-develop workload at R = 4, n = 81: |Im f| = 1.2e-2
+    pytest.param(dict(p=((1.0, 0.0),), q=((0.0, 0.0), (1.0, 0.0)), k=3, R=4.0, n=81,
+                      mode="WANG_K3", pipeline=("solve-incomplete", "develop")),
+                 "lost reality", id="reality"),
 ])
 def test_precondition_failure_after_load_writes_the_report(tmp_path, capsys, cfg_kw, message):
     # the stage refuses what a floating-point warning would flag, so none is
@@ -594,18 +624,20 @@ PHI_100_KW = dict(p=((100.0, 0.0),), k=3)
 
 def _fail_rungs(monkeypatch, fails):
     """Make each Newton solve for which fails(M) holds stop after one V-cycle
-    per step, which fails it, in whichever process it runs.  M is the ring
-    height of the rung solved, None for ring data that are no rung's (the
-    incomplete branch).  Returns the M of each solve made in this process."""
+    per step, which fails it, in whichever process it runs.  M is the height
+    of the start's ring over the capped profile, None for ring data that are
+    no rung's (the incomplete branch).  Returns the M of each solve made in
+    this process."""
     real, limit = solver.solve_newton, solver.MAX_PCG
     calls = []
 
-    def solve_newton(problem, w0, boundary):
-        M = float(np.min(boundary - np.maximum(problem.profile(), 0.0)))
+    def solve_newton(problem, w0):
+        ring = problem.domain.ring_mask()
+        M = float(np.min((w0 - np.maximum(problem.profile(), 0.0))[ring]))
         M = M if M in solver.DEFAULT_M_VALUES else None
         calls.append(M)
         monkeypatch.setattr(solver, "MAX_PCG", 1 if fails(M) else limit)
-        return real(problem, w0, boundary)
+        return real(problem, w0)
 
     monkeypatch.setattr(solver, "solve_newton", solve_newton)
     return calls

@@ -69,6 +69,38 @@ def test_unconverged_fields_pass_normalize_but_not_develop():
         dev.develop_affine_sphere(sol)
 
 
+def test_cmc_development_refuses_an_unconverged_field():
+    diff = EntireFunction(p=(1.0,))
+    prob = dev.geometric_problem(diff, HARMONIC, GridDomain(2.0, 41))
+    sol = dev.normalize(prob.profile() + 0.3, prob, HARMONIC)
+    assert sol.residual_norm > 1e-2
+    with pytest.raises(ValueError, match="harmonic-map equation"):
+        dev.develop_cmc(sol)
+
+
+def _exp_wang_profile():
+    diff = EntireFunction(p=(1.0,), q=(0.0, 1.0))
+    prob = dev.geometric_problem(diff, WANG, GridDomain(2.0, 41))
+    return prob, prob.profile()
+
+
+def test_normalize_locks_its_substitution(monkeypatch):
+    # the exact U = e^z profile normalizes; a wrong shift leaves a residual
+    # the base field does not have
+    prob, w = _exp_wang_profile()
+    assert dev.normalize(w, prob, WANG).residual_norm <= 1e-11
+    monkeypatch.setattr(dev, "WANG_SHIFT", np.log(2.0) + 1e-3)
+    with pytest.raises(ValueError, match="residual lock"):
+        dev.normalize(w, prob, WANG)
+
+
+def test_normalize_refuses_a_nan_residual():
+    prob, w = _exp_wang_profile()
+    w[20, 20] = np.nan
+    with pytest.raises(ValueError, match="residual lock"):
+        dev.normalize(w, prob, WANG)
+
+
 def test_normalized_wang_solution_satisfies_its_equation(wang_z_family):
     assert wang_z_family[161].sol.residual_norm <= 1e-8
 

@@ -134,7 +134,7 @@ def test_residual_of_exponential_profile():
 def test_solved_field_residual():
     prob = VortexProblem(EntireFunction(p=(0.0, 1.0)), 2, GridDomain(8.0, 201))
     profile = solve.make_boundary_subsolution(prob)
-    w, _ = solve.solve_newton(prob, profile, profile)
+    w, _ = solve.solve_newton(prob, profile)
     assert prob.residual_norm(w) <= 1e-8
 
 

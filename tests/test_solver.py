@@ -25,18 +25,18 @@ def test_subsolution_boundary_is_profile_on_ring():
 
 
 def test_complete_boundary_caps_profile_and_lifts():
+    # a rung's Dirichlet data are the ring of its start, bit for bit
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 1.0)), 3, GridDomain(8.0, 41))
-    vals = solve.make_boundary_complete(prob, 4.0)
-    expect = np.maximum(prob.profile(), 0.0) + 4.0
-    assert np.array_equal(vals, expect)
-    with pytest.raises(ValueError):
-        solve.make_boundary_complete(prob, -1.0)
+    ring = prob.domain.ring_mask()
+    for M in (0.0, 4.0, 24.0):
+        expect = np.maximum(prob.profile(), 0.0) + M
+        assert np.array_equal(solve._rung_start(prob, M)[ring], expect[ring])
 
 
 def test_newton_at_exact_constant_takes_no_steps():
     prob = VortexProblem(EntireFunction(p=(2.0,)), 2, GridDomain(4.0, 41))
     w0 = np.full((41, 41), np.log(2.0))
-    w, rep = solve.solve_newton(prob, w0, solve.make_boundary_subsolution(prob))
+    w, rep = solve.solve_newton(prob, w0)
     assert rep.iterations <= 1
     assert np.array_equal(w, w0)
 
@@ -46,18 +46,79 @@ def test_newton_recovers_profile_from_bumped_start():
     prob = VortexProblem(EXP_Z, 3, dom)
     prof = prob.profile()
     bump = 0.1 * np.exp(-np.abs(dom.zz()) ** 2)
-    w, rep = solve.solve_newton(prob, prof + bump, solve.make_boundary_subsolution(prob))
+    w0 = solve._set_ring(prof + bump, solve.make_boundary_subsolution(prob))
+    w, rep = solve.solve_newton(prob, w0)
     assert np.max(np.abs(w - prof)) <= 1e-8
 
 
+def _half_above_profile(n=81):
+    """The e^z problem (k = 3, R = 4) and a start 0.5 above its profile,
+    with the profile as ring data."""
+    prob = VortexProblem(EXP_Z, 3, GridDomain(4.0, n))
+    return prob, solve._set_ring(prob.profile() + 0.5, solve.make_boundary_subsolution(prob))
+
+
+def _counts(rep):
+    """(steps, V-cycles, backtracks, residual evaluations) of a Newton report,
+    whose evaluations are the start's, one per step and one per backtrack."""
+    assert rep.residual_evaluations == 1 + rep.iterations + rep.backtracks
+    assert rep.residual == rep.residual_history[-1] or np.isnan(rep.residual)
+    assert len(rep.residual_history) == rep.iterations + 1
+    return rep.iterations, rep.cg_iterations, rep.backtracks, rep.residual_evaluations
+
+
 def test_newton_report_history_is_decreasing_to_tolerance():
-    dom = GridDomain(4.0, 81)
-    prob = VortexProblem(EXP_Z, 3, dom)
-    w0 = prob.profile() + 0.5
-    _, rep = solve.solve_newton(prob, w0, solve.make_boundary_subsolution(prob))
+    prob, w0 = _half_above_profile()
+    _, rep = solve.solve_newton(prob, w0)
     hist = rep.residual_history
     assert hist[-1] <= solve.TOL_NEWTON
     assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert _counts(rep) == (5, 16, 0, 6)
+
+
+@pytest.mark.parametrize("limit, counts, residual", [
+    (2, (2, 4, 0, 3), "3.907e-02"),
+    (4, (4, 9, 0, 5), "1.764e-07"),
+], ids=["2", "4"])
+def test_newton_out_of_steps_raises_with_its_report(monkeypatch, limit, counts, residual):
+    # the solve above takes 5 steps; with fewer allowed it stops at the
+    # limit with the residual it reached
+    prob, w0 = _half_above_profile()
+    monkeypatch.setattr(solve, "MAX_NEWTON", limit)
+    with pytest.raises(solve.ConvergenceError) as exc:
+        solve.solve_newton(prob, w0)
+    assert str(exc.value) == "Newton did not reach tolerance: residual " + residual
+    assert _counts(exc.value.report) == counts
+
+
+def test_newton_returns_when_its_last_allowed_step_converges(monkeypatch):
+    prob, w0 = _half_above_profile()
+    w, rep = solve.solve_newton(prob, w0)
+    monkeypatch.setattr(solve, "MAX_NEWTON", 5)
+    w5, rep5 = solve.solve_newton(prob, w0)
+    assert np.array_equal(w5, w)
+    assert _counts(rep5) == _counts(rep) == (5, 16, 0, 6)
+
+
+def test_newton_line_search_stall_raises_with_its_report(monkeypatch):
+    # a residual norm that never drops: every halving of the first step is
+    # tried and counted
+    prob, w0 = _half_above_profile(41)
+    monkeypatch.setattr(solve, "interior_max_norm", lambda g: 1.0)
+    with pytest.raises(solve.ConvergenceError) as exc:
+        solve.solve_newton(prob, w0)
+    assert str(exc.value) == "Newton line search stalled at residual 1.000e+00"
+    assert _counts(exc.value.report) == (0, 2, 41, 42)
+
+
+def test_newton_from_a_nan_start_fails_its_pcg():
+    # a NaN residual is never within tolerance: the first step's PCG never
+    # converges, and the solve fails after MAX_PCG V-cycles
+    prob, w0 = _half_above_profile(41)
+    with pytest.raises(solve.ConvergenceError) as exc:
+        solve.solve_newton(prob, w0 + np.nan)
+    assert str(exc.value) == "PCG did not reach relative residual 1e-01 in 100 iterations"
+    assert _counts(exc.value.report) == (0, solve.MAX_PCG, 0, 1)
 
 
 def _newton_system(n):
@@ -145,9 +206,9 @@ def test_unconverged_pcg_raises(monkeypatch):
 def test_newton_and_monotone_agree_away_from_small_grids():
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 0.0, 1.0)), 3, GridDomain(10.0, 201))
     bd = solve.make_boundary_subsolution(prob)
-    wn, _ = solve.solve_newton(prob, bd, bd)
+    wn, _ = solve.solve_newton(prob, bd)
     lo = np.maximum(prob.profile(), -6.0)
-    wm, repm = solve.monotone_solve(prob, lo, lo + 3.0, boundary=bd)
+    wm, repm = solve.monotone_solve(prob, lo, solve._set_ring(lo + 3.0, bd))
     assert repm.residual <= 1e-9
     assert np.max(np.abs(wn - wm)) <= 1e-7
 
@@ -164,6 +225,21 @@ def test_monotone_clean_band_never_leaves_it():
     assert (w - prof).max() <= 1.0 + 1e-8
 
 
+def test_monotone_returns_when_its_last_allowed_sweep_converges(monkeypatch):
+    # the clean band takes 15 sweeps to 4.4e-10; allowed exactly 15 it
+    # returns the same field, allowed 14 it stalls above TOL_MONOTONE
+    prob = VortexProblem(EXP_Z, 3, GridDomain(6.0, 121))
+    prof = prob.profile()
+    w, rep = solve.monotone_solve(prob, prof, prof + 1.0)
+    assert rep.iterations == 15
+    monkeypatch.setattr(solve, "MAX_OUTER", 15)
+    w15, rep15 = solve.monotone_solve(prob, prof, prof + 1.0)
+    assert np.array_equal(w15, w) and rep15 == rep
+    monkeypatch.setattr(solve, "MAX_OUTER", 14)
+    with pytest.raises(solve.ConvergenceError, match="stalled at residual 2.703e-09"):
+        solve.monotone_solve(prob, prof, prof + 1.0)
+
+
 def test_monotone_band_must_be_ordered():
     prob = VortexProblem(EXP_Z, 3, GridDomain(4.0, 41))
     prof = prob.profile()
@@ -177,9 +253,8 @@ def test_larger_boundary_data_gives_larger_solution(lift):
     # discrete comparison principle: raising the ring raises the field
     prob = VortexProblem(F_Z, 2, GridDomain(4.0, 41))
     bd = solve.make_boundary_subsolution(prob)
-    w_low, _ = solve.solve_newton(prob, bd, bd)
-    ring = bd + lift
-    w_high, _ = solve.solve_newton(prob, w_low + lift, ring)
+    w_low, _ = solve.solve_newton(prob, bd)
+    w_high, _ = solve.solve_newton(prob, solve._set_ring(w_low + lift, bd + lift))
     assert float((w_high - w_low).min()) >= -1e-8
 
 
@@ -301,8 +376,9 @@ def _warm_start_ladder(problem):
     inner = problem.domain.inner_mask()
     w_prev = None
     for M in solve.DEFAULT_M_VALUES:
-        bnd = solve.make_boundary_complete(problem, M)
-        w, _ = solve.solve_newton(problem, bnd if w_prev is None else w_prev, bnd)
+        bnd = np.maximum(problem.profile(), 0.0) + float(M)
+        w0 = bnd if w_prev is None else solve._set_ring(w_prev.copy(), bnd)
+        w, _ = solve.solve_newton(problem, w0)
         if w_prev is not None and np.max(np.abs((w - w_prev)[inner])) <= solve.TOL_CONT:
             return w, M, True
         w_prev = w

@@ -120,6 +120,15 @@ def test_curvature_check_is_a_bound_on_the_residual():
         inv.curvature_field(bumped(40.0), prob)
 
 
+def test_curvature_check_refuses_a_nan_residual():
+    # a NaN node makes the residual NaN, which is no bound at all
+    prob = VortexProblem(EntireFunction(p=(2.0,)), 2, GridDomain(2.0, 41))
+    w = np.full((41, 41), np.log(2.0))
+    w[20, 20] = np.nan
+    with pytest.raises(ValueError, match="w is not converged"):
+        inv.curvature_field(w, prob)
+
+
 def test_ordering_check_strictness():
     dom = GridDomain(4.0, 41)
     w = np.zeros((41, 41))
@@ -230,7 +239,7 @@ def test_ray_limit_extrapolation_on_short_domain():
 def test_ray_quadratic_growth_for_polynomial():
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 1.0)), 2, GridDomain(6.0, 121))
     profile = solve.make_boundary_subsolution(prob)
-    w, _ = solve.solve_newton(prob, profile, profile)
+    w, _ = solve.solve_newton(prob, profile)
     ray = inv.completeness_probe(prob.domain, w, (0.0,))[0]
     pred = ray.r[-1] ** 2 / 2.0
     assert abs(ray.total - pred) <= 0.1 * pred
