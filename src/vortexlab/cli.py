@@ -149,11 +149,10 @@ def load_config(path: str) -> Config:
     k = raw["k"]
     if not isinstance(k, int) or k < 2:
         raise ConfigError("k must be an integer >= 2")
-    n = raw["n"]
-    if not isinstance(n, int) or n < 5 or n % 2 == 0:
-        raise ConfigError("n must be an odd integer >= 5 (the origin must be a node)")
-    if not (isinstance(raw["R"], (int, float)) and raw["R"] > 0):
-        raise ConfigError("R must be a positive number")
+    try:
+        domain = GridDomain(raw["R"], raw["n"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if not isinstance(raw["output_dir"], str):
         raise ConfigError("output_dir must be a string")
     mode = raw["mode"]
@@ -184,14 +183,12 @@ def load_config(path: str) -> Config:
     restrict = tol.get("develop_restrict", 0)
     if not isinstance(restrict, int) or isinstance(restrict, bool) or restrict < 0:
         raise ConfigError("tolerances.develop_restrict must be an integer >= 0")
-    m = n
-    for _ in range(restrict):
-        if (m - 1) % 4 or m < 9:
-            raise ConfigError("develop_restrict %d: a grid of %d nodes cannot be halved "
-                              "((n - 1) must be divisible by 4, and n at least 9)"
-                              % (restrict, m))
-        m = (m - 1) // 2 + 1
-    domain = GridDomain(float(raw["R"]), n)
+    halved = domain
+    try:
+        for _ in range(restrict):
+            halved = halved.half()
+    except ValueError as exc:
+        raise ConfigError("develop_restrict %d: %s" % (restrict, exc))
     if {"solve-incomplete", "two-solutions"} & set(stages):
         # the incomplete branch hugs (2/k) log|phi|, which is -inf at a zero
         try:
@@ -344,24 +341,26 @@ class _Run:
     def develop(self) -> None:
         mode = develop.SurfaceMode(self.cfg.mode)
         w = self.w_complete if self.w_complete is not None else self.w_incomplete
+        problem = self.problem
+        dom = problem.domain
+        for _ in range(self.cfg.develop_restrict):
+            dom, w = dom.restrict_half(w)
+        if self.cfg.develop_restrict:
+            problem = VortexProblem(problem.phi, problem.k, dom)
         # frames whose products overflow give measures that are not finite,
         # which the stage refuses below
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = develop.normalize(w, self.problem, mode)
-            for _ in range(self.cfg.develop_restrict):
-                sol = sol.restrict_half()
+            sol = develop.normalize(w, problem, mode)
             if mode is develop.SurfaceMode.WANG_K3:
                 surface = develop.develop_affine_sphere(sol)
-                normals = None
             else:
-                surface, normals = develop.develop_cmc(sol)
-            target = sol.w if mode is develop.SurfaceMode.WANG_K3 else 2.0 * sol.w
-            measures = {"holonomy_defect": surface.holonomy_defect,
-                        "metric_roundtrip_error": float(np.max(np.abs(surface.metric - target)))}
+                surface = develop.develop_cmc(sol)
+        measures = {"holonomy_defect": surface.holonomy_defect,
+                    "metric_roundtrip_error": surface.metric_roundtrip_error}
         self.develop_info = {
             "mode": mode.value,
-            "grid_R": sol.domain.R,
-            "grid_n": sol.domain.n,
+            "grid_R": dom.R,
+            "grid_n": dom.n,
             "imag_max": surface.imag_max,
             "conj_defect": surface.conj_defect,
             # null, not NaN or Infinity, keeps report.json strict JSON
@@ -371,12 +370,12 @@ class _Run:
             raise ArithmeticError("develop measures are not finite: holonomy defect %r, "
                                   "metric round-trip error %r" % tuple(measures.values()))
         self._surface = surface
-        self._normals = normals
 
     def export(self) -> None:
         develop.export_mesh(self._surface, self.path("surface.obj"))
-        if self._normals is not None:
-            develop.write_gauss_csv(self.path("gauss.csv"), self._surface.domain, self._normals)
+        if self._surface.normals is not None:
+            develop.write_gauss_csv(self.path("gauss.csv"), self._surface.domain,
+                                    self._surface.normals)
 
     def report(self, status: int, error: str | None, elapsed: float) -> None:
         _write_json(

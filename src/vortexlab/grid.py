@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import mmap
+import numbers
 import os
 import pickle
 import re
@@ -122,16 +123,20 @@ def run_parts(bounds, part) -> list:
 
 @dataclass(frozen=True)
 class GridDomain:
-    """Uniform grid on the square [-R, R]^2 with n nodes per side (n odd)."""
+    """Uniform grid on the square [-R, R]^2 with n nodes per side: n an odd
+    integer >= 5, so the origin is a node, and R a finite real > 0, stored as
+    a float (a bool is neither).  ``half`` states when a grid can be halved."""
 
     R: float
     n: int
 
     def __post_init__(self):
-        if self.n < 5 or self.n % 2 == 0:
-            raise ValueError("n must be odd and at least 5")
-        if not (self.R > 0):
-            raise ValueError("R must be positive")
+        n, R = self.n, self.R
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 5 or n % 2 == 0:
+            raise ValueError("n must be an odd integer >= 5 (the origin must be a node)")
+        if not isinstance(R, numbers.Real) or isinstance(R, bool) or not 0 < R < np.inf:
+            raise ValueError("R must be a positive number")
+        object.__setattr__(self, "R", float(R))
 
     @property
     def h(self) -> float:
@@ -174,18 +179,18 @@ class GridDomain:
         ) / self.h**2
         return lap
 
-    def restrict_half(self, values: np.ndarray) -> tuple["GridDomain", np.ndarray]:
-        """Slice out the inner half-square as its own grid (same spacing).
+    def half(self) -> "GridDomain":
+        """The centered half-square's grid, same spacing: needs (n - 1)
+        divisible by 4, so its rim lands on nodes, and n >= 9."""
+        if (self.n - 1) % 4 or self.n < 9:
+            raise ValueError("a grid of %d nodes cannot be halved ((n - 1) must be divisible "
+                             "by 4, and n at least 9)" % self.n)
+        return GridDomain(0.5 * self.R, (self.n - 1) // 2 + 1)
 
-        Requires (n - 1) divisible by 4 so the half-square boundary lands on
-        grid nodes exactly.
-        """
-        if (self.n - 1) % 4 != 0:
-            raise ValueError("restriction needs (n - 1) divisible by 4")
+    def restrict_half(self, values: np.ndarray) -> tuple["GridDomain", np.ndarray]:
+        """The grid of ``half`` and a copy of the values at its nodes."""
         q = (self.n - 1) // 4
-        sl = slice(q, 3 * q + 1)
-        sub = GridDomain(0.5 * self.R, 2 * q + 1)
-        return sub, np.array(values[sl, sl])
+        return self.half(), np.array(values[q:3 * q + 1, q:3 * q + 1])
 
 
 def interior_max_norm(values: np.ndarray) -> float:

@@ -27,24 +27,15 @@ holonomy defect.
 Coefficients and transfers are stored component-first, as (d, d, ...) stacks
 of grid planes, and multiplied by ``_mul``, which sums plane products.  No
 full-grid transfer stack, coefficient field or frame field exists:
-development is one pass over blocks of ``_ROWS`` grid rows, and only the
-gradient of w is formed for the whole grid.  The pass first walks the
-x-edges of the central column, from a cut of the fields to that column,
-into an (n, d, 3) column of frames.  Each block then forms w, its gradient
-and the differential at its nodes and edge midpoints; builds its
-y-transfers, forming only the d/dy coefficient planes, ``_BLOCK`` matrices
-at a time so the temporaries stay in cache; sweeps its rows along y from
-the central column into a block-local frame buffer; reduces that buffer to
-its rows of the positions, the metric log-density and (HARMONIC_K2) the
-normals, and to its maxima of the frame checks; and reduces its plaquettes
-to their per-node ratio a chunk of rows at a time, each chunk building its
-own x-transfers from the d/dx planes.  The blocks are split over one
-process per usable CPU (``grid.run_parts``); the outputs live in shared
-memory, each process returns its maxima through its pipe, and no block
-reads another's frames, so every bit is the same at any process count.
-The pass records the holonomy defect in ``DevelopedSurface.holonomy_defect``;
-``holonomy_defect`` runs the same pass again from the surface's solution,
-closing the plaquette loops with a given solution's transfers.
+development is one pass over blocks of ``_ROWS`` grid rows, whose steps
+``_develop_pass`` states, split over one process per usable CPU
+(``grid.run_parts``); only the gradient of w is formed for the whole grid,
+and each block forms only the coefficient planes its edges need, ``_BLOCK``
+matrices at a time.  The pass returns a ``DevelopedSurface`` that carries
+the outputs and every measure: the frame checks, the holonomy defect and
+the metric round-trip error.  ``holonomy_defect`` runs the same pass again
+from the surface's solution, closing the plaquette loops with a given
+solution's transfers.
 
 The normalized residual that gates development is evaluated once per
 ``NormalizedSolution``, in blocks of ``_ROWS`` rows.
@@ -115,10 +106,6 @@ class NormalizedSolution:
                    - 4.0 * w[r0:r1, 1:-1]) / h2
             worst.append(np.max(np.abs(lap - f[:, 1:-1])))
         return float(np.max(worst))
-
-    def restrict_half(self) -> "NormalizedSolution":
-        sub, vals = self.domain.restrict_half(self.w)
-        return NormalizedSolution(self.mode, self.differential, sub, vals)
 
 
 def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> NormalizedSolution:
@@ -348,9 +335,12 @@ class DevelopedSurface:
     solution: NormalizedSolution  # the solution the frames were developed from
     positions: np.ndarray  # (n, n, 3) real
     metric: np.ndarray  # (n, n) log-density of the induced metric, read off the frames
+    normals: np.ndarray | None  # HARMONIC_K2 only: the Gauss map N, (n, n, 3)
     imag_max: float  # WANG only: largest |Im f| seen (reality drift)
     conj_defect: float  # WANG only: max |f_zbar - conj(f_z)|
+    hyperboloid_drift: float  # HARMONIC_K2 only: max |<N,N> + 1|
     holonomy_defect: float  # measured by the pass that developed the frames
+    metric_roundtrip_error: float  # max |metric - w| (WANG) resp. |metric - 2w| (HARMONIC_K2)
 
     @property
     def domain(self) -> GridDomain:
@@ -391,11 +381,10 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
     The blocks run in ``parts``, one process each (``run_parts``): the
     outputs live in shared memory, and each part returns its maxima through
     its pipe.  No block reads another's frames, so every bit is the same at
-    any part count.  Returns the positions, the metric, the normals (None
-    for WANG_K3) and the maxima of |Im f| and |f_zbar - conj(f_z)| (WANG_K3),
-    of |<N,N> + 1| (HARMONIC_K2) and of the plaquette ratio as
-    ``holonomy_defect`` defines it; a maximum the mode does not measure
-    reads 0.
+    any part count.  Returns sol's ``DevelopedSurface``: the outputs and the
+    maxima of the frame checks, of the plaquette ratio as ``holonomy_defect``
+    defines it and of |metric - w| (WANG_K3) resp. |metric - 2 w|; a maximum
+    the mode does not measure reads 0.
     """
     loops = sol if loops is None else loops
     n = sol.domain.n
@@ -433,7 +422,7 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
         ty_buf = np.empty((2, d, d, min(_ROWS + 1, n), n - 1), dtype)
         loop_buf = ty_buf if loops is sol else np.empty_like(ty_buf)
         tx_buf = np.empty((2, d, d, step, n), dtype)
-        top = np.zeros(4)  # the maxima, in the order returned
+        top = np.zeros(5)  # the maxima, in DevelopedSurface's order
         for r0 in range(b0 * _ROWS, min(b1 * _ROWS, n), _ROWS):
             r1 = min(r0 + _ROWS, n)
             node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
@@ -459,6 +448,8 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
                     metric[r0:r1] = np.log(0.5 * (mdot(fx, fx) + mdot(fy, fy)))
                 else:  # the frame volume det(f, f_z, f_zbar) is (i/2) e^w
                     metric[r0:r1] = np.log(2.0 * np.abs(np.linalg.det(F)))
+                target = 2.0 * sol.w[r0:r1] if cmc else sol.w[r0:r1]
+                top[4] = np.maximum(top[4], np.max(np.abs(metric[r0:r1] - target)))
             if cmc:
                 N = normals[r0:r1] = F[:, :, 3, :]
                 top[2] = np.maximum(top[2], np.max(np.abs(mdot(N, N) + 1.0)))
@@ -490,7 +481,7 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
         return top
 
     top = np.max(run_parts(parts(-(-n // _ROWS)), develop_blocks), axis=0)
-    return positions, metric, normals, top.tolist()
+    return DevelopedSurface(sol, positions, metric, normals, *top.tolist())
 
 
 def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
@@ -508,30 +499,31 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
         raise ValueError("affine development needs the k=3 normalization")
     if not sol.residual_norm <= RESIDUAL_GATE:
         raise ValueError("w does not solve Wang's equation closely enough to develop")
-    positions, metric, _, (imag_max, conj_defect, _, defect) = _develop_pass(sol)
-    if imag_max > 1e-6:
-        raise ArithmeticError("developed surface lost reality: |Im f| = %.3e" % imag_max)
-    return DevelopedSurface(sol, positions, metric, imag_max, conj_defect, defect)
+    surface = _develop_pass(sol)
+    if surface.imag_max > 1e-6:
+        raise ArithmeticError("developed surface lost reality: |Im f| = %.3e" % surface.imag_max)
+    return surface
 
 
-def develop_cmc(sol: NormalizedSolution) -> tuple[DevelopedSurface, np.ndarray]:
+def develop_cmc(sol: NormalizedSolution) -> DevelopedSurface:
     """Integrate the Gauss-Weingarten frame (f, f_x, f_y, N) in R^{2,1}.
 
     Starts at f = 0, f_x = e^{w(0)} e_1, f_y = e^{w(0)} e_2, N = (0, 0, 1):
     the future-pointing unit timelike normal on the hyperboloid.  The flat
     Minkowski products <f_x, f_x> = <f_y, f_y> = e^{2w} give the metric,
     their symmetrized log, which compares with 2 w.  Aborts if the normal
-    drifts off the hyperboloid by more than 1e-5 anywhere.  Returns the
-    surface and the Gauss map field N.
+    drifts off the hyperboloid by more than 1e-5 anywhere.  The surface
+    carries the Gauss map field N as its ``normals``.
     """
     if sol.mode is not SurfaceMode.HARMONIC_K2:
         raise ValueError("CMC development needs the k=2 normalization")
     if not sol.residual_norm <= RESIDUAL_GATE:
         raise ValueError("w does not solve the harmonic-map equation closely enough")
-    positions, metric, normals, (_, _, drift, defect) = _develop_pass(sol)
-    if drift > 1e-5:
-        raise ArithmeticError("Gauss map left the hyperboloid: |<N,N>+1| = %.3e" % drift)
-    return DevelopedSurface(sol, positions, metric, 0.0, 0.0, defect), normals
+    surface = _develop_pass(sol)
+    if surface.hyperboloid_drift > 1e-5:
+        raise ArithmeticError("Gauss map left the hyperboloid: |<N,N>+1| = %.3e"
+                              % surface.hyperboloid_drift)
+    return surface
 
 
 def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float:
@@ -548,7 +540,7 @@ def holonomy_defect(surface: DevelopedSurface, sol: NormalizedSolution) -> float
     sol's transfers, so a surface and a solution that do not belong together
     can be checked against each other.
     """
-    return _develop_pass(surface.solution, sol)[3][3]
+    return _develop_pass(surface.solution, sol).holonomy_defect
 
 
 def reconstruct_metric(surface: DevelopedSurface) -> np.ndarray:

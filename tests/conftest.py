@@ -86,6 +86,15 @@ def wang_z_family():
     return {n: _wang_state(diff, GridDomain(4.0, n)) for n in (81, 161, 321)}
 
 
+def _restrict(prob: VortexProblem, w: np.ndarray, times: int):
+    """w restricted to the centered half-square `times` times, and the
+    problem on that grid: what `vortexlab run` develops."""
+    dom = prob.domain
+    for _ in range(times):
+        dom, w = dom.restrict_half(w)
+    return w, VortexProblem(prob.phi, prob.k, dom)
+
+
 @pytest.fixture(scope="session")
 def z3_family():
     """U = z^3 complete solutions on R = 6, restricted twice before developing."""
@@ -95,8 +104,7 @@ def z3_family():
         dom = GridDomain(6.0, n)
         prob = surfaces.geometric_problem(diff, surfaces.SurfaceMode.WANG_K3, dom)
         w, rep = solve.solve_complete(prob)
-        sol = surfaces.normalize(w, prob, surfaces.SurfaceMode.WANG_K3)
-        inner = sol.restrict_half().restrict_half()
+        inner = surfaces.normalize(*_restrict(prob, w, 2), surfaces.SurfaceMode.WANG_K3)
         surf = surfaces.develop_affine_sphere(inner)
         out[n] = SimpleNamespace(
             report=rep,
@@ -115,8 +123,8 @@ def qz_state():
     w, rep = solve.solve_complete(prob)
     sol = surfaces.normalize(w, prob, surfaces.SurfaceMode.HARMONIC_K2)
     jac = surfaces.jacobian_field(sol)
-    inner = sol.restrict_half().restrict_half().restrict_half()
-    surf, normals = surfaces.develop_cmc(inner)
+    inner = surfaces.normalize(*_restrict(prob, w, 3), surfaces.SurfaceMode.HARMONIC_K2)
+    surf = surfaces.develop_cmc(inner)
     return SimpleNamespace(
         prob=prob,
         report=rep,
@@ -124,7 +132,7 @@ def qz_state():
         jac=jac,
         sol_inner=inner,
         surface=surf,
-        normals=normals,
+        normals=surf.normals,
     )
 
 

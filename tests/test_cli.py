@@ -115,17 +115,26 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     (dict(extra={"phi": {"q": [[0.0, 1.0]]}}), "phi must be an object with coefficient array p"),
     (dict(k=1), "k must be an integer >= 2"),
     (dict(R=-1.0), "R must be a positive number"),
+    # json reads Infinity, and 1e400, as inf; a bool is not a number
+    (dict(R=float("inf")), "R must be a positive number"),
+    ("1e400", "R must be a positive number"),
+    (dict(R=True), "R must be a positive number"),
     (dict(extra={"output_dir": 5}), "output_dir must be a string"),
     (dict(mode="EQ2"), "mode must be one of"),
     (dict(pipeline=()), "pipeline must be a non-empty list of stages"),
     (dict(tol=[0]), "tolerances must be an object"),
 ], ids=["p-empty", "p-not-pairs", "p-zero", "not-object", "phi-without-p", "k", "R",
-        "output-dir", "mode", "pipeline-empty", "tolerances"])
+        "R-infinity", "R-1e400", "R-true", "output-dir", "mode", "pipeline-empty", "tolerances"])
 def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
     if cfg_kw is None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps([make_cfg(tmp_path)]))
         cfg = str(path)
+    elif isinstance(cfg_kw, str):  # R as raw text, which json.dumps would not write
+        cfg = make_cfg(tmp_path)
+        text = Path(cfg).read_text()
+        Path(cfg).write_text(text.replace('"R": 4.0', '"R": ' + cfg_kw))
+        assert cfg_kw in Path(cfg).read_text()
     else:
         cfg = make_cfg(tmp_path, **cfg_kw)
     assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
@@ -850,6 +859,28 @@ def test_wang_run_with_restriction(tmp_path):
     assert dev["grid_R"] == pytest.approx(1.0)
     assert dev["grid_n"] == 41
     assert dev["holonomy_defect"] <= 1e-8
+
+
+def test_develop_reads_only_the_develop_grid(tmp_path, monkeypatch):
+    # with develop_restrict 1 the normalization lock, the develop gate and
+    # the frames read the inner half of the solved field only, so a field
+    # whose ring is NaN develops to the same mesh.  The complete branch
+    # solved without a ladder would be +inf on its ring
+    kw = dict(p=((1.0, 0.0),), q=((0.0, 0.0), (1.0, 0.0)), k=3, R=2.0, n=81, mode="WANG_K3",
+              pipeline=("solve-incomplete", "develop", "export"), tol={"develop_restrict": 1})
+    assert cli.main(["run", make_cfg(tmp_path, out="plain", **kw)]) == cli.EXIT_OK
+    solve_newton = solver.solve_newton
+
+    def nan_ring(problem, w0):
+        w, rep = solve_newton(problem, w0)
+        w[problem.domain.ring_mask()] = np.nan
+        return w, rep
+
+    monkeypatch.setattr(solver, "solve_newton", nan_ring)
+    assert cli.main(["run", make_cfg(tmp_path, "nan.json", out="nan", **kw)]) == cli.EXIT_OK
+    assert "nan" in (tmp_path / "nan" / "w_incomplete.csv").read_text()
+    surface = [(tmp_path / out / "surface.obj").read_bytes() for out in ("plain", "nan")]
+    assert surface[0] == surface[1]
 
 
 @st.composite

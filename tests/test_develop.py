@@ -406,8 +406,9 @@ def test_blocked_transfers_equal_full_stacks(mode, block, monkeypatch, use_parts
     # of a block built 3 (block 40) or 5 (block 65) rows at a time; the
     # blocks run in 1, 2 or 3 processes (one when there is one block).  What
     # the blocks reduce their frames to equals what the frames swept from
-    # full transfer stacks give, and so does the defect, also when the loops
-    # are closed with another solution's transfers, as holonomy_defect does
+    # full transfer stacks give, and so do the defect, also when the loops
+    # are closed with another solution's transfers, as holonomy_defect does,
+    # and the metric round-trip error, max |metric - w| resp. |metric - 2 w|
     dom = GridDomain(0.6, 13)
     zz = dom.zz()
     w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
@@ -430,17 +431,23 @@ def test_blocked_transfers_equal_full_stacks(mode, block, monkeypatch, use_parts
     defect = _full_stack_defect(full, scaled[id(sol)])
     other_defect = _full_stack_defect(_full_stack_transfers(other), scaled[id(other)])
     positions, metric, normals, maxima = _full_stack_outputs(mode, frames)
+    roundtrip = float(np.max(np.abs(metric - (w if mode is WANG else 2.0 * w))))
     monkeypatch.setattr(dev, "_BLOCK", block)
     for rows in (1, 4, 6, 64):
         monkeypatch.setattr(dev, "_ROWS", rows)
         for count in (1, 2, 3):
             use_parts(count)
-            got = dev._develop_pass(sol)
-            assert np.array_equal(got[0], positions)
-            assert np.array_equal(got[1], metric)
-            assert got[2] is None if normals is None else np.array_equal(got[2], normals)
-            assert got[3] == maxima + [defect]
-            surf = dev.DevelopedSurface(sol, got[0], got[1], 0.0, 0.0, defect)
+            surf = dev._develop_pass(sol)
+            assert surf.solution is sol
+            assert np.array_equal(surf.positions, positions)
+            assert np.array_equal(surf.metric, metric)
+            if normals is None:
+                assert surf.normals is None
+            else:
+                assert np.array_equal(surf.normals, normals)
+            assert [surf.imag_max, surf.conj_defect, surf.hyperboloid_drift,
+                    surf.holonomy_defect] == maxima + [defect]
+            assert surf.metric_roundtrip_error == roundtrip
             assert dev.holonomy_defect(surf, sol) == defect
             assert dev.holonomy_defect(surf, other) == other_defect
 
@@ -454,11 +461,11 @@ def test_minkowski_product_signature():
 
 def test_cmc_development_of_degenerate_exponential():
     sol = _exact_cmc_exponential()
-    surf, normals = dev.develop_cmc(sol)
+    surf = dev.develop_cmc(sol)
     assert surf.holonomy_defect <= 1e-6
     assert np.abs(surf.metric - 2.0 * sol.w)[1:-1, 1:-1].max() <= 1e-6
-    assert np.abs(dev.mdot(normals, normals) + 1.0).max() <= 1e-6
-    assert normals[..., 2].min() >= 1.0 - 1e-9  # future-pointing sheet
+    assert np.abs(dev.mdot(surf.normals, surf.normals) + 1.0).max() <= 1e-6
+    assert surf.normals[..., 2].min() >= 1.0 - 1e-9  # future-pointing sheet
 
 
 @pytest.mark.xfail(
@@ -470,7 +477,7 @@ def test_cmc_development_of_degenerate_exponential():
 )
 def test_cmc_development_of_degenerate_exponential_wide():
     sol = _exact_cmc_exponential(R=3.0, n=121)
-    surf, normals = dev.develop_cmc(sol)
+    surf = dev.develop_cmc(sol)
     assert surf.holonomy_defect <= 1e-6
 
 

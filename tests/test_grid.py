@@ -26,6 +26,15 @@ def test_grid_validation():
         GridDomain(2.0, 3)  # too small
     with pytest.raises(ValueError):
         GridDomain(-1.0, 41)
+    # a bool is not a number, and R must be finite
+    for R in (np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="R must be a positive number"):
+            GridDomain(R, 41)
+    with pytest.raises(ValueError, match="n must be an odd integer >= 5"):
+        GridDomain(2.0, True)
+    dom = GridDomain(np.float32(2.5), np.int64(41))
+    assert type(dom.R) is float and dom.R == 2.5 and dom.n == 41
+    assert type(GridDomain(2, 41).R) is float
 
 
 def test_spacing_and_axis():
@@ -94,7 +103,7 @@ def test_restrict_half_keeps_spacing():
     dom = GridDomain(4.0, 81)
     vals = dom.zz().real
     sub, v = dom.restrict_half(vals)
-    assert sub.R == 2.0 and sub.n == 41
+    assert sub == dom.half() == GridDomain(2.0, 41)
     assert sub.h == pytest.approx(dom.h, abs=0)
     assert np.array_equal(v, vals[20:61, 20:61])
 
@@ -103,6 +112,11 @@ def test_restrict_half_needs_aligned_grid():
     dom = GridDomain(4.0, 79)  # (n-1) % 4 != 0
     with pytest.raises(ValueError):
         dom.restrict_half(np.zeros((79, 79)))
+    # the half of 9 nodes has 5; a half of 3 nodes is no grid
+    assert GridDomain(4.0, 9).half() == GridDomain(2.0, 5)
+    for n in (79, 5):
+        with pytest.raises(ValueError, match="cannot be halved"):
+            GridDomain(4.0, n).half()
 
 
 def test_inner_mask_is_centered_half_square():

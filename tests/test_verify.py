@@ -222,10 +222,14 @@ def test_diagnostics_reports_the_scaled_residual(z_complete_small):
 
 
 def test_ray_analytic_left_integral():
-    dom = GridDomain(18.0, 73)
-    w = (2.0 / 3.0) * dom.zz().real
-    ray = inv.completeness_probe(dom, w, (np.pi,))[0]
-    assert abs(ray.total - 3.0) <= 0.02
+    # w = (2/3) x along theta = pi: the length tends to 3, and at R = 60 the
+    # last window [R/2, R] adds less than EPS_RAY
+    for R, n, verdict in ((18.0, 73, "INDETERMINATE"), (60.0, 121, "CONVERGENT")):
+        dom = GridDomain(R, n)
+        w = (2.0 / 3.0) * dom.zz().real
+        ray = inv.completeness_probe(dom, w, (np.pi,))[0]
+        assert ray.verdict == verdict
+        assert abs(ray.total - 3.0) <= 0.02
 
 
 def test_ray_limit_extrapolation_on_short_domain():
