@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import numbers
 import os
 import resource
 import sys
@@ -86,6 +87,8 @@ MODES = ("EQ1", "WANG_K3", "HARMONIC_K2")
 REQUIRED = ("phi", "k", "R", "n", "mode", "pipeline", "output_dir")
 KEYS = REQUIRED + ("tolerances",)
 RAY_ANGLES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
+# the counts of a NewtonReport, as report.json names them
+COUNTS = ("iterations", "cg_iterations", "backtracks", "residual_evaluations")
 
 
 class ConfigError(ValueError):
@@ -112,12 +115,11 @@ class Config:
 def _coeffs(raw, what: str) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("%s must be a non-empty list of [re, im] pairs" % what)
-    out = []
     for item in raw:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError("%s entries must be [re, im] pairs" % what)
-        out.append(complex(float(item[0]), float(item[1])))
-    return tuple(out)
+        if not (isinstance(item, list) and len(item) == 2 and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in item)):
+            raise ConfigError("%s entries must be [re, im] pairs of numbers" % what)
+    return tuple(complex(float(re), float(im)) for re, im in raw)
 
 
 def _refuse_unknown(obj: dict, known: tuple, where: str) -> None:
@@ -202,31 +204,30 @@ def load_config(path: str) -> Config:
 
 
 def _solve_report_json(rep) -> dict:
-    """Pinned report schema shared by all solve branches.
+    """Pinned report schema shared by all solve branches, and the one place
+    that names its keys.
 
-    The complete branch is the M-ladder, whose report also says whether the
-    ladder stabilized and, in "totals", sums the counts of the rungs solved
-    (the top-level counts are those of the returned rung); the incomplete
-    branch is one Newton solve on the subsolution profile.  A failed solve's
-    report has the same schema: the rungs done, and the failing solve's
-    history and counts at the top level.
+    The incomplete branch is one Newton solve on the subsolution profile.
+    The complete branch is the M-ladder, whose top-level counts are those
+    of the returned rung; its "continuation_trace" lists every rung tried
+    and "totals" sums their counts.  A failed solve's report has the same
+    schema, with the failing solve's history and counts at the top level.
     """
     ladder = isinstance(rep, solver.ContinuationReport)
     newton = rep.newton if ladder else rep
-    out = {
-        "iterations": newton.iterations,
-        "cg_iterations": newton.cg_iterations,
-        "backtracks": newton.backtracks,
-        "residual_evaluations": newton.residual_evaluations,
-        "final_residual": newton.residual,
-        "residual_history": list(newton.residual_history),
-        "boundary_kind": "COMPLETE_APPROX" if ladder else "SUBSOLUTION_PROFILE",
-        "continuation_trace": [dict(entry) for entry in rep.trace] if ladder else [],
-    }
+    out = {name: getattr(newton, name) for name in COUNTS}
+    out.update(final_residual=newton.residual, residual_history=list(newton.residual_history),
+               boundary_kind="COMPLETE_APPROX" if ladder else "SUBSOLUTION_PROFILE",
+               continuation_trace=[])
     if ladder:
-        out["stabilized"] = rep.stabilized
-        out["warning"] = rep.warning
-        out["totals"] = dict(rep.totals)
+        # a rung's Newton steps are named apart from the ladder's "iterations"
+        out["continuation_trace"] = [
+            {"newton_iterations" if name == "iterations" else name: getattr(rung, name)
+             for name in COUNTS} | {"M": M, "residual": rung.residual, "inner_change": change}
+            for M, rung, change in rep.trace]
+        out["totals"] = {name: sum(getattr(rung, name) for _, rung, _ in rep.trace)
+                         for name in COUNTS}
+        out.update(stabilized=rep.stabilized, warning=rep.warning)
     return out
 
 

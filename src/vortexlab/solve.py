@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import VortexProblem, interior_max_norm, parts, run_parts, shared_array
+from .grid import VortexProblem, interior_max_norm, parts, run_parts
 
 TOL_NEWTON = 1e-10
 ETA_NEWTON = 0.1  # forcing term: a step's PCG tolerance never exceeds it
@@ -50,7 +50,7 @@ DEFAULT_M_VALUES = tuple(range(4, 25, 2))
 class ConvergenceError(RuntimeError):
     """A solve that stopped short of its tolerance; report is what it did, or
     None: a NewtonReport, or for the ladder a ContinuationReport of the rungs
-    done whose newton is the failing solve's.  complete is the finished
+    tried whose newton is the failing solve's.  complete is the finished
     ladder's ContinuationReport when the incomplete branch of
     ``two_solutions`` failed after it, else None."""
 
@@ -430,16 +430,10 @@ def monotone_solve(
 
 @dataclass
 class ContinuationReport:
-    trace: list  # one dict per rung solved, in M order: its M, Newton counts and inner change
+    trace: list  # (M, NewtonReport, inner change or None) per rung tried, in M order
     stabilized: bool
     newton: NewtonReport  # the returned rung's, or the failing solve's
     warning: str | None = None
-    totals: dict = field(init=False)  # the trace's Newton counts summed over its rungs
-
-    def __post_init__(self):
-        self.totals = {key: sum(rung[name] for rung in self.trace) for key, name in (
-            ("iterations", "newton_iterations"), ("cg_iterations", "cg_iterations"),
-            ("backtracks", "backtracks"), ("residual_evaluations", "residual_evaluations"))}
 
 
 def _rung_start(problem: VortexProblem, M: float) -> np.ndarray:
@@ -486,70 +480,61 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     TOL_CONT, which is returned.  Each round walks its rungs in ascending M,
     and a rung's inner change is taken from the inner square of the rung
     walked before it, when that is M - 2; the round that solves M = 20 walks
-    on to rung 22, kept from the first round.  The trace lists the rungs
-    solved, the failing round's finished ones included: every rung of a
-    round is tried whatever the others do, so they do not depend on how the
-    rungs were split.  A rung whose solve fails raises ConvergenceError with
-    those rungs and the failed solve's report (the lowest failing M's).
-    Each round's fields live in one shared block, unmapped when the round
-    ends: the ladder keeps copies of the last pair's fields and of the field
-    it returns, and the inner square of the rung walked last.
+    on to rung 22, kept from the first round.  The trace lists every rung
+    tried: every rung of a round is tried whatever the others do, so the
+    trace does not depend on how the rungs were split, and a failed rung is
+    listed with its failed solve's report and no inner change.  A rung whose
+    solve fails raises ConvergenceError with that trace and the failed
+    solve's report (the lowest failing M's).  Each part returns its rungs'
+    fields; the ladder keeps those of the last pair and the one it returns,
+    and the inner square of the rung walked last.
     """
-    dom = problem.domain
-    inner = dom.inner_mask()
+    inner = problem.domain.inner_mask()
     ms = DEFAULT_M_VALUES
-    solved, fields = {}, {}  # M: (NewtonReport, inner change or None); M: a field kept
+    tried, fields = {}, {}  # M: (NewtonReport, inner change or None); M: a field kept
     last = (None, None)  # (M, inner square) of the rung walked last
 
     def report(newton, stabilized, warning=None):
-        trace = [{
-            "M": float(m),
-            "newton_iterations": rep.iterations,
-            "cg_iterations": rep.cg_iterations,
-            "backtracks": rep.backtracks,
-            "residual_evaluations": rep.residual_evaluations,
-            "residual": rep.residual,
-            "inner_change": change,
-        } for m, (rep, change) in sorted(solved.items())]
+        trace = [(float(M), rep, change) for M, (rep, change) in sorted(tried.items())]
         return ContinuationReport(trace, stabilized, newton, warning)
 
     def solve(rungs):
         # one round; returns the first rung walked whose change settles, if any
         nonlocal last
-        w = shared_array((len(rungs), dom.n, dom.n), float)
 
         def solve_part(k, start, stop):
+            # (M, field, NewtonReport), or (M, None, ConvergenceError), per rung
             outcomes = []
-            for i in range(start, stop):
+            for M in rungs[start:stop]:
                 try:
-                    w[i], rep = solve_newton(problem, _rung_start(problem, rungs[i]))
+                    outcomes.append((M, *solve_newton(problem, _rung_start(problem, M))))
                 except ConvergenceError as exc:
-                    rep = exc
-                outcomes.append(rep)
+                    outcomes.append((M, None, exc))
             return outcomes
 
         outcomes = sum(run_parts(parts(len(rungs)), solve_part), [])
-        walk = [(M, w_M, rep) for M, w_M, rep in zip(rungs, w, outcomes)
-                if not isinstance(rep, ConvergenceError)]
+        walk = [outcome for outcome in outcomes if outcome[1] is not None]
         if walk and walk[-1][0] + 2 in fields:  # M = 20 walks on to rung 22, kept
             M = walk[-1][0] + 2
-            walk.append((M, fields[M], solved[M][0]))
+            walk.append((M, fields[M], tried[M][0]))
         for M, w_M, rep in walk:
             inside = w_M[inner]
             change = float(np.max(np.abs(inside - last[1]))) if last[0] == M - 2 else None
-            solved[M], last = (rep, change), (M, inside)
-        failed = [rep for rep in outcomes if isinstance(rep, ConvergenceError)]
+            tried[M], last = (rep, change), (M, inside)
+        failed = [(M, exc) for M, w_M, exc in outcomes if w_M is None]
+        tried.update((M, (exc.report, None)) for M, exc in failed)
         if failed:
-            raise ConvergenceError(str(failed[0]), report(failed[0].report, False))
+            exc = failed[0][1]
+            raise ConvergenceError(str(exc), report(exc.report, False))
         stop = next((M for M, _, _ in walk
-                     if solved[M][1] is not None and solved[M][1] <= TOL_CONT), None)
+                     if tried[M][1] is not None and tried[M][1] <= TOL_CONT), None)
         for M, w_M, _ in walk:
-            if M not in fields and (M in ms[-2:] or M == stop):
-                fields[M] = np.array(w_M)
+            if M in ms[-2:] or M == stop:
+                fields[M] = w_M
         return stop
 
     solve(ms[-2:])
-    top, change = solved[ms[-1]]
+    top, change = tried[ms[-1]]
     if change > TOL_CONT:
         warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
             change, ms[-1])
@@ -557,7 +542,7 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     for i in range(0, len(ms) - 2, 2):
         stop = solve(ms[:-2][i : i + 2])
         if stop is not None:
-            return fields[stop], report(solved[stop][0], True)
+            return fields[stop], report(tried[stop][0], True)
     return fields[ms[-1]], report(top, True)
 
 

@@ -130,7 +130,8 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     base = problem.residual_norm(w_eq1)
     res = sol.residual_norm
     expected = base if mode is SurfaceMode.WANG_K3 else 0.5 * base
-    if not res <= max(10.0 * 1e-9, 2.0 * expected + 1e-12):
+    # a residual that is not finite is refused: inf would pass against an inf base
+    if not (np.isfinite(res) and res <= max(10.0 * 1e-9, 2.0 * expected + 1e-12)):
         raise ValueError(
             "normalization failed its residual lock: %.3e vs base %.3e" % (res, base)
         )

@@ -110,6 +110,10 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("cfg_kw, message", [
     (dict(p=()), "phi.p must be a non-empty list of [re, im] pairs"),
     (dict(p=((1.0,),)), "phi.p entries must be [re, im] pairs"),
+    # json's true, and a string, are not numbers, though float() reads them
+    (dict(p=((True, 0.0),)), "phi.p entries must be [re, im] pairs of numbers"),
+    (dict(p=(("1", "0"),)), "phi.p entries must be [re, im] pairs of numbers"),
+    (dict(q=((1.0, False),)), "phi.q entries must be [re, im] pairs of numbers"),
     (dict(p=((0.0, 0.0),)), "polynomial part must not be identically zero"),
     (None, "config must be a JSON object"),
     (dict(extra={"phi": {"q": [[0.0, 1.0]]}}), "phi must be an object with coefficient array p"),
@@ -123,8 +127,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     (dict(mode="EQ2"), "mode must be one of"),
     (dict(pipeline=()), "pipeline must be a non-empty list of stages"),
     (dict(tol=[0]), "tolerances must be an object"),
-], ids=["p-empty", "p-not-pairs", "p-zero", "not-object", "phi-without-p", "k", "R",
-        "R-infinity", "R-1e400", "R-true", "output-dir", "mode", "pipeline-empty", "tolerances"])
+], ids=["p-empty", "p-not-pairs", "p-true", "p-string", "q-false", "p-zero", "not-object",
+        "phi-without-p", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir", "mode",
+        "pipeline-empty", "tolerances"])
 def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
     if cfg_kw is None:
         path = tmp_path / "cfg.json"
@@ -652,18 +657,24 @@ def _fail_rungs(monkeypatch, fails):
     return calls
 
 
-def test_ladder_artifacts_are_the_same_at_any_part_count(tmp_path, use_parts):
+def test_ladder_artifacts_are_the_same_at_any_part_count(tmp_path, monkeypatch, use_parts):
     # the rungs of a round are split over 1 or 2 processes (never 3, a round
-    # has two rungs); an unstabilized two-solutions ladder and one that
-    # stabilizes at M = 12 write the same bytes either way
-    runs = {"dichotomy": dict(EXP_Z_KW, R=4.0, pipeline=("two-solutions", "verify")),
-            "stabilizing": dict(PHI_100_KW, pipeline=("solve-complete", "verify"))}
-    for name, cfg_kw in runs.items():
+    # has two rungs); an unstabilized two-solutions ladder, one that
+    # stabilizes at M = 12, and that one with rung 10 failing write the same
+    # bytes either way.  At 2 parts rung 10 fails in a worker, and its
+    # report crosses the pipe
+    runs = {"dichotomy": (dict(EXP_Z_KW, R=4.0, pipeline=("two-solutions", "verify")),
+                          cli.EXIT_OK),
+            "stabilizing": (dict(PHI_100_KW, pipeline=("solve-complete", "verify")), cli.EXIT_OK),
+            "failing": (PHI_100_KW, cli.EXIT_SOLVER)}
+    for name, (cfg_kw, status) in runs.items():
+        if name == "failing":
+            _fail_rungs(monkeypatch, lambda M: M == 10.0)
         outputs = []
         for count in (1, 2, 3):
             use_parts(count)
             out = "%s%d" % (name, count)
-            assert cli.main(["run", make_cfg(tmp_path, out=out, **cfg_kw)]) == cli.EXIT_OK
+            assert cli.main(["run", make_cfg(tmp_path, out=out, **cfg_kw)]) == status
             _no_worker_left()
             files = {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
             report = json.loads(files.pop("report.json"))
@@ -671,15 +682,20 @@ def test_ladder_artifacts_are_the_same_at_any_part_count(tmp_path, use_parts):
             report["config"].pop("output_dir")
             outputs.append((files, report))
         assert outputs[0] == outputs[1] == outputs[2]
-    assert outputs[0][1]["reports"]["complete"]["stabilized"] is True
+        if name == "stabilizing":
+            assert outputs[0][1]["reports"]["complete"]["stabilized"] is True
+    trace = outputs[0][1]["reports"]["complete"]["continuation_trace"]
+    assert [rung["M"] for rung in trace] == [4.0, 6.0, 8.0, 10.0, 22.0, 24.0]
+    assert trace[3]["residual"] > solver.TOL_NEWTON
 
 
 @pytest.mark.parametrize("kill", [False, True], ids=["fails", "killed"])
 def test_a_rung_failing_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeypatch,
                                                               use_parts, kill):
     # rung 10 is solved by the worker forked beside rung 8.  Its failed
-    # solve exits 3 with the rungs finished and its own history, as in this
-    # process; a worker killed while solving it exits 3 and names the signal
+    # solve exits 3 with the rungs tried, itself among them, and its own
+    # history, as in this process; a worker killed while solving it exits 3
+    # and names the signal
     use_parts(2)
     parent = os.getpid()
 
@@ -699,7 +715,8 @@ def test_a_rung_failing_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeyp
         return
     assert "PCG did not reach" in report["error"]
     complete = report["reports"]["complete"]
-    assert [rung["M"] for rung in complete["continuation_trace"]] == [4.0, 6.0, 8.0, 22.0, 24.0]
+    assert [rung["M"] for rung in complete["continuation_trace"]] == [4.0, 6.0, 8.0, 10.0,
+                                                                      22.0, 24.0]
     history = complete["residual_history"]
     assert len(history) == complete["iterations"] + 1 >= 2
     assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
@@ -716,10 +733,12 @@ QZ_61_KW = dict(p=((0.0, 0.0), (1.0, 0.0)), k=2, R=6.0, n=61, mode="HARMONIC_K2"
     (22.0, [24.0]),
     (24.0, [22.0]),
 ], ids=["M20", "M22", "M24"])
-def test_a_failing_upper_rung_reports_the_rungs_finished(tmp_path, monkeypatch, M, finished):
+def test_a_failing_upper_rung_reports_the_rungs_tried(tmp_path, monkeypatch, M, finished):
     # each rung finished is reported as the ladder without the failure
     # reports it, except that a rung whose M - 2 did not finish has no inner
-    # change; rung 22's comes from rung 20, in the last round
+    # change; rung 22's comes from rung 20, in the last round.  The failed
+    # rung is listed too, with the failed solve's counts and last residual,
+    # which the top level also reports, and no inner change
     assert cli.main(["run", make_cfg(tmp_path, out="ok", **QZ_61_KW)]) == cli.EXIT_OK
     ok = json.loads((tmp_path / "ok" / "report.json").read_text())["reports"]["complete"]
     rungs = {rung["M"]: rung for rung in ok["continuation_trace"]}
@@ -728,12 +747,16 @@ def test_a_failing_upper_rung_reports_the_rungs_finished(tmp_path, monkeypatch, 
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "PCG did not reach" in report["error"]
     complete = report["reports"]["complete"]
-    assert complete["continuation_trace"] == [
-        dict(rungs[m], inner_change=None) if m - 2.0 not in finished else rungs[m]
-        for m in finished]
+    failed = {"M": M, "newton_iterations": complete["iterations"],
+              "cg_iterations": complete["cg_iterations"], "backtracks": complete["backtracks"],
+              "residual_evaluations": complete["residual_evaluations"],
+              "residual": complete["final_residual"], "inner_change": None}
+    assert complete["continuation_trace"] == sorted(
+        [dict(rungs[m], inner_change=None) if m - 2.0 not in finished else rungs[m]
+         for m in finished] + [failed], key=lambda rung: rung["M"])
     assert complete["stabilized"] is False and complete["warning"] is None
-    assert complete["totals"]["iterations"] == sum(rungs[m]["newton_iterations"]
-                                                   for m in finished)
+    assert complete["totals"]["iterations"] == sum(rung["newton_iterations"]
+                                                   for rung in complete["continuation_trace"])
     assert complete["final_residual"] == complete["residual_history"][-1] > solver.TOL_NEWTON
 
 
@@ -773,21 +796,27 @@ def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
     assert report["exit_status"] == cli.EXIT_SOLVER
     assert "PCG did not reach" in report["error"]
     # the report keeps what the failed solve did: its steps, each with at
-    # least one V-cycle, and the failed PCG's one
+    # least one V-cycle, and the failed PCG's one.  Both rungs of the first
+    # round fail; the trace lists both, and the top level is rung 22's
     complete = report["reports"]["complete"]
-    assert complete["continuation_trace"] == [] and complete["stabilized"] is False
+    trace = complete["continuation_trace"]
+    assert [rung["M"] for rung in trace] == [22.0, 24.0] and complete["stabilized"] is False
+    assert trace[0]["residual"] == complete["final_residual"]
+    assert all(rung["inner_change"] is None and rung["residual"] > solver.TOL_NEWTON
+               for rung in trace)
     history = complete["residual_history"]
     assert len(history) == complete["iterations"] + 1 >= 2
     assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
     assert complete["cg_iterations"] >= complete["iterations"] + 1
-    # a ladder whose rung M = 8 fails reports every rung it finished: the
-    # last pair, the pair below and M = 10, solved beside the failing rung
+    # a ladder whose rung M = 8 fails reports every rung it tried: the last
+    # pair, the pair below, M = 8 and M = 10, solved beside the failing rung
     monkeypatch.undo()
     _fail_rungs(monkeypatch, lambda M: M == 8.0)
     assert cli.main(["run", make_cfg(tmp_path, **PHI_100_KW)]) == cli.EXIT_SOLVER
     complete = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]["complete"]
     trace = complete["continuation_trace"]
-    assert [rung["M"] for rung in trace] == [4.0, 6.0, 10.0, 22.0, 24.0]
+    assert [rung["M"] for rung in trace] == [4.0, 6.0, 8.0, 10.0, 22.0, 24.0]
+    assert trace[2]["residual"] == complete["final_residual"]
     assert complete["totals"]["iterations"] == sum(rung["newton_iterations"] for rung in trace)
     assert complete["final_residual"] == complete["residual_history"][-1] > solver.TOL_NEWTON
 

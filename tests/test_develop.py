@@ -95,10 +95,15 @@ def test_normalize_locks_its_substitution(monkeypatch):
 
 
 def test_normalize_refuses_a_nan_residual():
+    # a NaN node, and a ring of +inf (as the complete field has), whose
+    # residual is inf in the normalization and in the base equation alike
     prob, w = _exp_wang_profile()
-    w[20, 20] = np.nan
-    with pytest.raises(ValueError, match="residual lock"):
-        dev.normalize(w, prob, WANG)
+    nan_node, inf_ring = w.copy(), w.copy()
+    nan_node[20, 20] = np.nan
+    inf_ring[prob.domain.ring_mask()] = np.inf
+    for field in (nan_node, inf_ring):
+        with pytest.raises(ValueError, match="residual lock"):
+            dev.normalize(field, prob, WANG)
 
 
 def test_normalized_wang_solution_satisfies_its_equation(wang_z_family):

@@ -301,16 +301,15 @@ def test_ladder_reports_drift_when_domain_is_too_small():
     w, rep = solve.solve_complete(prob)
     assert not rep.stabilized
     assert rep.warning is not None and "still moving" in rep.warning
-    assert rep.trace[-1]["M"] == solve.DEFAULT_M_VALUES[-1]
+    assert rep.trace[-1][0] == solve.DEFAULT_M_VALUES[-1]
     assert np.all(np.isfinite(w))
 
 
 def _stop(rep):
     """The M of the rung a ladder returned: the first whose inner change is
     at most TOL_CONT, else the top one."""
-    stops = [e["M"] for e in rep.trace
-             if e["inner_change"] is not None and e["inner_change"] <= solve.TOL_CONT]
-    return stops[0] if rep.stabilized else rep.trace[-1]["M"]
+    stops = [M for M, _, change in rep.trace if change is not None and change <= solve.TOL_CONT]
+    return stops[0] if rep.stabilized else rep.trace[-1][0]
 
 
 def test_ladder_trace_matches_m_schedule():
@@ -318,54 +317,49 @@ def test_ladder_trace_matches_m_schedule():
     # first, then pairs from the bottom until the pair holding the stop
     prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
     _, rep = solve.solve_complete(prob)
-    ms = [e["M"] for e in rep.trace]
+    ms = [M for M, _, _ in rep.trace]
     assert ms == [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 22.0, 24.0]
     assert rep.stabilized and _stop(rep) == 12.0
-    for e in rep.trace:
-        assert (e["inner_change"] is None) == (e["M"] - 2.0 not in ms)
-    # the top-level counts are the returned rung's, the totals every rung's
-    stop = rep.trace[ms.index(12.0)]
-    assert (rep.newton.iterations, rep.newton.residual) == (stop["newton_iterations"],
-                                                            stop["residual"])
-    assert rep.totals["iterations"] == sum(e["newton_iterations"] for e in rep.trace)
+    for M, _, change in rep.trace:
+        assert (change is None) == (M - 2.0 not in ms)
+    # the report's Newton report is the returned rung's
+    assert rep.newton is rep.trace[ms.index(12.0)][1]
 
 
 def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
     # phi = 100 at n = 41 stabilizes at M = 12 after four rounds of two
-    # rungs.  Each round's shared block is unmapped once its changes are
-    # computed; when the ladder returns, numpy holds copies of the last
-    # pair's fields and of the returned one, the inner square (a quarter of
-    # the grid) of rung 14, the rung walked last, and the inner mask: 3.39
-    # fields' bytes, where all eight fields were held before
+    # rungs, whose parts return their fields.  When the ladder returns, three
+    # of the eight fields solved are alive: the last pair's and the returned
+    # one.  Numpy then holds those, the inner square (a quarter of the grid)
+    # of rung 14, the rung walked last, and the inner mask: 3.39 fields'
+    # bytes, where all eight fields were held before
     use_parts(1)
     prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
-    blocks, seen = [], []
-    real_shared, real_report = solve.shared_array, solve.ContinuationReport
+    solved, seen = [], []
+    real_newton, real_report = solve.solve_newton, solve.ContinuationReport
 
-    def shared_array(shape, dtype):
-        base = a = real_shared(shape, dtype)
-        while isinstance(base, np.ndarray):
-            base = base.base
-        blocks.append(weakref.ref(base))
-        return a
+    def solve_newton(*args):
+        w, rep = real_newton(*args)
+        solved.append(weakref.ref(w))
+        return w, rep
 
     def report(*args):
         held = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-        seen.append((sum(ref() is not None for ref in blocks),
+        seen.append((sum(ref() is not None for ref in solved),
                      sum(trace.size for trace in held.traces)))
         return real_report(*args)
 
-    monkeypatch.setattr(solve, "shared_array", shared_array)
+    monkeypatch.setattr(solve, "solve_newton", solve_newton)
     monkeypatch.setattr(solve, "ContinuationReport", report)
     tracemalloc.start()
     try:
         w, rep = solve.solve_complete(prob)
     finally:
         tracemalloc.stop()
-    assert rep.stabilized and _stop(rep) == 12.0 and len(blocks) == 4
+    assert rep.stabilized and _stop(rep) == 12.0 and len(solved) == 8
     (alive, held), = seen
-    assert alive == 0
+    assert alive == 3
     assert held < 4 * w.nbytes
 
 
@@ -436,10 +430,10 @@ def test_independent_rungs_return_the_warm_started_ladder(name):
     assert np.max(np.abs(w - w_old)) <= 1e-13 * np.max(np.abs(w_old))
     # the rungs solved follow from the stop by the schedule, and a rung has
     # an inner change exactly when M - 2 was solved
-    ms = [e["M"] for e in rep.trace]
+    ms = [M for M, _, _ in rep.trace]
     assert ms == _rungs_solved(_stop(rep), rep.stabilized)
-    for e in rep.trace:
-        assert (e["inner_change"] is None) == (e["M"] - 2.0 not in ms)
+    for M, _, change in rep.trace:
+        assert (change is None) == (M - 2.0 not in ms)
 
 
 def _ez_ladder(monkeypatch, use_parts):
@@ -471,8 +465,8 @@ def test_forcing_terms_keep_the_ladder_field_at_a_third_of_the_vcycles(monkeypat
     w_exact, rep_exact, _, tols = _ez_ladder(monkeypatch, use_parts)
     assert set(tols) == {1e-10}
     assert np.max(np.abs(w - w_exact)) <= 1e-12  # measured 1.3e-15
-    vcycles = sum(e["cg_iterations"] for e in rep.trace)
-    vcycles_exact = sum(e["cg_iterations"] for e in rep_exact.trace)
+    vcycles = sum(rung.cg_iterations for _, rung, _ in rep.trace)
+    vcycles_exact = sum(rung.cg_iterations for _, rung, _ in rep_exact.trace)
     assert 2 * vcycles <= vcycles_exact  # measured 42 against 120
 
 
