@@ -26,9 +26,10 @@ A config is a single JSON document:
       "tolerances": {"develop_restrict": 1}
     }
 
-Unknown keys, also in "tolerances", and a stage named twice are refused.
-So is a pipeline that solves the incomplete branch, whose ring data are
-(2/k) log|phi|, if phi has a zero within 4h of the ring or unresolved roots.
+Unknown keys, also in "phi" and "tolerances", integers past a double's range
+and a stage named twice are refused.  So is a pipeline that solves the
+incomplete branch, whose ring data are (2/k) log|phi|, if phi has a zero
+within 4h of the ring or unresolved roots.
 Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 (WANG_K3, HARMONIC_K2) "phi" holds the differential (U resp. q) and the
 solver runs on the matching base-equation problem.  Determinism: identical
@@ -129,10 +130,18 @@ def _refuse_unknown(obj: dict, known: tuple, where: str) -> None:
                           % (", ".join(map(repr, unknown)), where, known))
 
 
+def _parse_int(text: str) -> int:
+    # json reads 1e400 as inf, which later checks refuse, but 10**400 as an
+    # int that overflows wherever it meets a float
+    if np.isinf(float(text)):
+        raise ConfigError("integer %s... is past the range of a double" % text[:12])
+    return int(text)
+
+
 def load_config(path: str) -> Config:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_parse_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     if not isinstance(raw, dict):
@@ -143,6 +152,7 @@ def load_config(path: str) -> Config:
             raise ConfigError("config is missing %r" % key)
     if not isinstance(raw["phi"], dict) or "p" not in raw["phi"]:
         raise ConfigError("phi must be an object with coefficient array p")
+    _refuse_unknown(raw["phi"], ("p", "q"), "phi")
     try:
         phi = EntireFunction(_coeffs(raw["phi"]["p"], "phi.p"),
                              _coeffs(raw["phi"].get("q", [[0.0, 0.0]]), "phi.q"))
@@ -265,13 +275,14 @@ def _blas_threads() -> int | None:
 
 
 class _Run:
-    """State threaded through the stages of one `run`; stage "a-b" is method a_b."""
+    """State threaded through the stages of one `run`; stage "a-b" is method a_b.
+    `fields` maps each solved branch to its field; later stages read it in
+    sorted order, so "complete" comes first whichever branch was solved first."""
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.problem = None  # built by `run`, where running out of memory is reported
-        self.w_complete = None
-        self.w_incomplete = None
+        self.fields: dict = {}
         self.reports: dict = {}
         self.checks: list = []
         self.rays: dict = {}
@@ -286,8 +297,8 @@ class _Run:
         return sorted(check["name"] for check in self.checks if not check["passed"])
 
     def _keep(self, branch: str, w: np.ndarray, rep) -> None:
-        """Record a solved branch: its field, its report and w_<branch>.csv."""
-        setattr(self, "w_" + branch, w)
+        """Record a solved branch: its field in `fields`, its report, w_<branch>.csv."""
+        self.fields[branch] = w
         self.reports[branch] = _solve_report_json(rep)
         write_field_csv(self.path("w_%s.csv" % branch), self.problem.domain, w)
 
@@ -300,15 +311,13 @@ class _Run:
         self._keep("incomplete", *solver.solve_newton(self.problem, profile))
 
     def two_solutions(self) -> None:
-        pair = solver.two_solutions(self.problem)
-        self._keep("complete", pair.w_top, pair.report_top)
-        self._keep("incomplete", pair.w_low, pair.report_low)
+        for branch, (w, rep) in solver.two_solutions(self.problem).items():
+            self._keep(branch, w, rep)
 
     def verify(self) -> None:
         prob = self.problem
         dom = prob.domain
-        fields = [("complete", self.w_complete), ("incomplete", self.w_incomplete)]
-        fields = [(tag, w) for tag, w in fields if w is not None]
+        fields = sorted(self.fields.items())
         profiles = {}
         for tag, w in fields:
             self.checks.append(dict(verify.subunity_check(w, prob).to_dict(), name="subunity_" + tag))
@@ -330,18 +339,17 @@ class _Run:
                 }
                 for p in profiles[tag]
             ]
-        if self.w_complete is not None:
+        if "complete" in self.fields:
             self.checks.append(
-                verify.no_gap_check(self.w_complete, prob, verify.NO_GAP_DELTA).to_dict())
-        if self.w_complete is not None and self.w_incomplete is not None:
-            self.checks.append(
-                verify.ordering_check(self.w_complete, self.w_incomplete, dom).to_dict())
+                verify.no_gap_check(self.fields["complete"], prob, verify.NO_GAP_DELTA).to_dict())
+        if len(fields) == 2:
+            self.checks.append(verify.ordering_check(fields[0][1], fields[1][1], dom).to_dict())
         # rays.csv holds the rays of the primary (complete if solved) field
         verify.write_rays_csv(self.path("rays.csv"), profiles[fields[0][0]])
 
     def develop(self) -> None:
         mode = develop.SurfaceMode(self.cfg.mode)
-        w = self.w_complete if self.w_complete is not None else self.w_incomplete
+        w = self.fields[min(self.fields)]  # the complete branch, if solved
         problem = self.problem
         dom = problem.domain
         for _ in range(self.cfg.develop_restrict):

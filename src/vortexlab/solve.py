@@ -550,30 +550,21 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
 # the dichotomy: one solution or two
 
 
-@dataclass
-class SolutionPair:
-    w_top: np.ndarray
-    w_low: np.ndarray
-    report_top: ContinuationReport
-    report_low: NewtonReport
+def two_solutions(problem: VortexProblem) -> dict:
+    """Two distinct solutions for non-polynomial phi, keyed by branch name:
+    {"complete": (w, ContinuationReport), "incomplete": (w, NewtonReport)}.
 
-
-def two_solutions(problem: VortexProblem) -> SolutionPair:
-    """Produce two distinct solutions for non-polynomial phi.
-
-    The first is the complete one (continuation with raised ring); the second
-    hugs the barrier: Newton started on the clipped profile with the profile
-    itself as ring data.  For polynomial phi the complete solution is the
-    only one, so asking for two is refused.
+    The complete one is the ladder's; the incomplete one hugs the barrier:
+    Newton started on the clipped profile, with the profile as ring data.
+    For polynomial phi the complete solution is the only one: refused.
     """
     if problem.phi.is_polynomial():
         raise ValueError(
             "phi is a polynomial: the complete solution is unique, there is no second one"
         )
-    w1, rep1 = solve_complete(problem)
+    complete = solve_complete(problem)
     profile = make_boundary_subsolution(problem)
     try:
-        w2, rep2 = solve_newton(problem, profile)
+        return {"complete": complete, "incomplete": solve_newton(problem, profile)}
     except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), exc.report, rep1) from None
-    return SolutionPair(w1, w2, rep1, rep2)
+        raise ConvergenceError(str(exc), exc.report, complete[1]) from None

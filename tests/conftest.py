@@ -52,10 +52,10 @@ def use_parts(monkeypatch):
 
 @pytest.fixture(scope="session")
 def ez_pair():
-    """Both branches of the dichotomy for phi = e^z, k = 3, R = 6, n = 201."""
+    """Both branches of the dichotomy for phi = e^z, k = 3, R = 6, n = 201:
+    branches is what ``two_solutions`` returns, branch name: (w, report)."""
     prob = VortexProblem(EXP_Z, 3, GridDomain(6.0, 201))
-    pair = solve.two_solutions(prob)
-    return SimpleNamespace(prob=prob, pair=pair)
+    return SimpleNamespace(prob=prob, branches=solve.two_solutions(prob))
 
 
 def _wang_state(diff: EntireFunction, dom: GridDomain) -> SimpleNamespace:

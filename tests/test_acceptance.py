@@ -110,11 +110,12 @@ def test_criterion_04_domain_insensitivity(nested_z_solves, criterion_log):
 
 
 def test_criterion_05_dichotomy_for_exp(ez_pair, criterion_log):
-    prob, pair = ez_pair.prob, ez_pair.pair
+    prob = ez_pair.prob
+    w_top, w_low = ez_pair.branches["complete"][0], ez_pair.branches["incomplete"][0]
     dom = prob.domain
     x = dom.zz().real
-    slope_err = float(np.max(np.abs(pair.w_low - (2.0 / 3.0) * x)))
-    gap = pair.w_top - pair.w_low
+    slope_err = float(np.max(np.abs(w_low - (2.0 / 3.0) * x)))
+    gap = w_top - w_low
     inner = dom.inner_mask()
     gap_strict = float(np.min(gap[inner & dom.interior_mask()]))
     gap_left = float(np.min(gap[inner & (x <= 1e-12 * dom.R)]))
@@ -135,8 +136,8 @@ def test_criterion_05_dichotomy_for_exp(ez_pair, criterion_log):
     fall = math.log(g0 / gx) if min(g0, gx) > 0.0 else float("nan")
     k, half = prob.k, ax[ix]
     fall_wkb = half / (2.0 * k) + k ** 1.5 * math.expm1(half / k)
-    ray_low = inv.completeness_probe(dom, pair.w_low, [math.pi])[0]
-    ray_top = inv.completeness_probe(dom, pair.w_top, [math.pi])[0]
+    ray_low = inv.completeness_probe(dom, w_low, [math.pi])[0]
+    ray_top = inv.completeness_probe(dom, w_top, [math.pi])[0]
     limit = ray_low.limit_estimate
     a_ok = slope_err <= 1e-8
     b1_ok = gap_strict > 0.0

@@ -53,6 +53,9 @@ def make_cfg(tmp_path, name="cfg.json", *, p=((2.0, 0.0),), q=None, k=2, R=4.0,
 
 
 EXP_Z_KW = dict(p=((1.0, 0.0),), q=((0.0, 0.0), (1.0, 0.0)), k=3, mode="EQ1")
+# a value make_cfg writes where a refusal case puts raw JSON text instead
+RAW = 0.123456789
+HUGE = "9" * 401  # an integer past the range of a double, as JSON text
 
 
 def test_config_requires_phi(tmp_path):
@@ -117,29 +120,40 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     (dict(p=((0.0, 0.0),)), "polynomial part must not be identically zero"),
     (None, "config must be a JSON object"),
     (dict(extra={"phi": {"q": [[0.0, 1.0]]}}), "phi must be an object with coefficient array p"),
+    # a misspelled q would otherwise leave phi polynomial
+    (dict(extra={"phi": {"p": [[1.0, 0.0]], "Q": [[0.0, 0.0], [1.0, 0.0]]}}),
+     "unknown key 'Q' in phi"),
+    ((dict(p=((RAW, 0.0),)), HUGE), "integer 999999999999... is past the range of a double"),
+    ((dict(q=((0.0, 0.0), (0.0, RAW))), "-" + HUGE), "integer -99999999999... is past the range"),
+    ((dict(R=RAW), HUGE), "integer 999999999999... is past the range of a double"),
+    ((dict(EXP_Z_KW, n=RAW, pipeline=("two-solutions",)), "1" + HUGE),
+     "integer 199999999999... is past the range of a double"),
+    ((dict(k=RAW), HUGE), "integer 999999999999... is past the range of a double"),
     (dict(k=1), "k must be an integer >= 2"),
     (dict(R=-1.0), "R must be a positive number"),
     # json reads Infinity, and 1e400, as inf; a bool is not a number
     (dict(R=float("inf")), "R must be a positive number"),
-    ("1e400", "R must be a positive number"),
+    ((dict(R=RAW), "1e400"), "R must be a positive number"),
     (dict(R=True), "R must be a positive number"),
     (dict(extra={"output_dir": 5}), "output_dir must be a string"),
     (dict(mode="EQ2"), "mode must be one of"),
     (dict(pipeline=()), "pipeline must be a non-empty list of stages"),
     (dict(tol=[0]), "tolerances must be an object"),
 ], ids=["p-empty", "p-not-pairs", "p-true", "p-string", "q-false", "p-zero", "not-object",
-        "phi-without-p", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir", "mode",
-        "pipeline-empty", "tolerances"])
+        "phi-without-p", "phi-unknown-key", "p-huge-int", "q-huge-int", "R-huge-int",
+        "n-huge-int", "k-huge-int", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir",
+        "mode", "pipeline-empty", "tolerances"])
 def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
     if cfg_kw is None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps([make_cfg(tmp_path)]))
         cfg = str(path)
-    elif isinstance(cfg_kw, str):  # R as raw text, which json.dumps would not write
-        cfg = make_cfg(tmp_path)
+    elif isinstance(cfg_kw, tuple):  # raw text in place of RAW, which json.dumps would not write
+        cfg_kw, raw = cfg_kw
+        cfg = make_cfg(tmp_path, **cfg_kw)
         text = Path(cfg).read_text()
-        Path(cfg).write_text(text.replace('"R": 4.0', '"R": ' + cfg_kw))
-        assert cfg_kw in Path(cfg).read_text()
+        Path(cfg).write_text(text.replace(json.dumps(RAW), raw))
+        assert raw in Path(cfg).read_text()
     else:
         cfg = make_cfg(tmp_path, **cfg_kw)
     assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
@@ -273,6 +287,21 @@ def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
         # precondition failures are refused before any artifact is written
         assert not (tmp_path / out).exists() or not any((tmp_path / out).iterdir()), pipeline
         assert "polynomial" in capsys.readouterr().err
+
+
+def test_branch_order_does_not_follow_the_pipeline(tmp_path):
+    # the incomplete branch solved first is still checked, probed and
+    # compared second, as two-solutions has it
+    files = []
+    for i, pipeline in enumerate([("solve-incomplete", "solve-complete", "verify"),
+                                  ("two-solutions", "verify")]):
+        out = "out%d" % i
+        cfg = make_cfg(tmp_path, "cfg%d.json" % i, **EXP_Z_KW,
+                       pipeline=pipeline, out=out)
+        assert cli.main(["run", cfg]) == cli.EXIT_OK, pipeline
+        files.append({name: (tmp_path / out / name).read_bytes() for name in (
+            "invariants.json", "rays.csv", "w_complete.csv", "w_incomplete.csv")})
+    assert files[0] == files[1]
 
 
 def test_unresolvable_roots_exit_config_without_traceback(tmp_path):

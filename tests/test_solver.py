@@ -495,14 +495,14 @@ def test_two_solutions_requires_transcendental_phi():
 def test_two_solutions_with_zero_factor_split_widely():
     # z e^z mixes a root with exponential growth; the branches stay apart
     prob = VortexProblem(EntireFunction(p=(0.0, 1.0), q=(0.0, 1.0)), 3, GridDomain(6.0, 121))
-    pair = solve.two_solutions(prob)
-    gap = pair.w_top - pair.w_low
+    branches = solve.two_solutions(prob)
+    gap = branches["complete"][0] - branches["incomplete"][0]
     assert gap.max() > 0.1
     assert gap[prob.domain.inner_mask()].min() > 0.0
 
 
 def test_dichotomy_pair_ordered_and_converged(ez_pair):
-    pair = ez_pair.pair
-    assert pair.report_low.residual <= solve.TOL_NEWTON
-    gap = pair.w_top - pair.w_low
+    (w_top, _), (w_low, report_low) = ez_pair.branches["complete"], ez_pair.branches["incomplete"]
+    assert report_low.residual <= solve.TOL_NEWTON
+    gap = w_top - w_low
     assert gap[ez_pair.prob.domain.inner_mask()].min() > 0.0

@@ -139,7 +139,8 @@ def test_ordering_check_strictness():
 
 
 def test_ordering_of_dichotomy_pair(ez_pair):
-    rep = inv.ordering_check(ez_pair.pair.w_top, ez_pair.pair.w_low, ez_pair.prob.domain)
+    rep = inv.ordering_check(ez_pair.branches["complete"][0], ez_pair.branches["incomplete"][0],
+                             ez_pair.prob.domain)
     assert rep.passed
     assert rep.margin > 0.0
 
@@ -151,12 +152,13 @@ def test_ordering_of_dichotomy_pair(ez_pair):
     "below 0.01; only the unscreened left region shows an O(1) gap",
 )
 def test_ordering_margin_of_dichotomy_is_large(ez_pair):
-    rep = inv.ordering_check(ez_pair.pair.w_top, ez_pair.pair.w_low, ez_pair.prob.domain)
+    rep = inv.ordering_check(ez_pair.branches["complete"][0], ez_pair.branches["incomplete"][0],
+                             ez_pair.prob.domain)
     assert rep.margin > 0.01
 
 
 def test_strong_comparison_no_interior_contact(ez_pair):
-    gap = ez_pair.pair.w_top - ez_pair.pair.w_low
+    gap = ez_pair.branches["complete"][0] - ez_pair.branches["incomplete"][0]
     inner = ez_pair.prob.domain.inner_mask() & ez_pair.prob.domain.interior_mask()
     assert np.all(gap[inner] > 0.0)
 
@@ -252,8 +254,8 @@ def test_ray_quadratic_growth_for_polynomial():
 
 def test_ray_lengths_ordered_with_fields(ez_pair):
     angles = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-    top = inv.completeness_probe(ez_pair.prob.domain, ez_pair.pair.w_top, angles)
-    low = inv.completeness_probe(ez_pair.prob.domain, ez_pair.pair.w_low, angles)
+    top = inv.completeness_probe(ez_pair.prob.domain, ez_pair.branches["complete"][0], angles)
+    low = inv.completeness_probe(ez_pair.prob.domain, ez_pair.branches["incomplete"][0], angles)
     for a, b in zip(top, low):
         assert np.all(a.length >= b.length - 1e-12)
     # the divergent branch dwarfs the profile branch leftward
