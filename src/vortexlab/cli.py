@@ -110,7 +110,7 @@ class Config:
     mode: str
     stages: tuple
     output_dir: str
-    develop_restrict: int
+    develop_domain: GridDomain  # the grid develop runs on: tolerances.develop_restrict halvings
 
 
 def _coeffs(raw, what: str) -> tuple:
@@ -195,10 +195,10 @@ def load_config(path: str) -> Config:
     restrict = tol.get("develop_restrict", 0)
     if not isinstance(restrict, int) or isinstance(restrict, bool) or restrict < 0:
         raise ConfigError("tolerances.develop_restrict must be an integer >= 0")
-    halved = domain
+    develop_domain = domain
     try:
         for _ in range(restrict):
-            halved = halved.half()
+            develop_domain = develop_domain.half()
     except ValueError as exc:
         raise ConfigError("develop_restrict %d: %s" % (restrict, exc))
     if {"solve-incomplete", "two-solutions"} & set(stages):
@@ -210,7 +210,7 @@ def load_config(path: str) -> Config:
         dist = domain.R - np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)), initial=-np.inf)
         if dist < 4.0 * domain.h:
             raise ConfigError("phi has a zero within 4h of the boundary ring")
-    return Config(raw, phi, k, domain, mode, tuple(stages), raw["output_dir"], restrict)
+    return Config(raw, phi, k, domain, mode, tuple(stages), raw["output_dir"], develop_domain)
 
 
 def _solve_report_json(rep) -> dict:
@@ -350,12 +350,10 @@ class _Run:
     def develop(self) -> None:
         mode = develop.SurfaceMode(self.cfg.mode)
         w = self.fields[min(self.fields)]  # the complete branch, if solved
-        problem = self.problem
-        dom = problem.domain
-        for _ in range(self.cfg.develop_restrict):
-            dom, w = dom.restrict_half(w)
-        if self.cfg.develop_restrict:
-            problem = VortexProblem(problem.phi, problem.k, dom)
+        problem, dom = self.problem, self.cfg.develop_domain
+        if dom != problem.domain:
+            s = problem.domain.window(dom.R)  # a contiguous copy, as develop reads rows
+            w, problem = np.array(w[s, s]), VortexProblem(problem.phi, problem.k, dom)
         # frames whose products overflow give measures that are not finite,
         # which the stage refuses below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -468,7 +466,7 @@ def compare(cfg_a: Config, cfg_b: Config) -> int:
         raise ConfigError("compare needs matching grid spacing (got h=%g vs %g)"
                           % (dom_a.h, dom_b.h))
     half = min(dom_a.R, dom_b.R) / 2.0
-    windows = [slice(*np.searchsorted(dom.axis, [-half - 1e-9, half + 1e-9])) for dom in (dom_a, dom_b)]
+    windows = [dom.window(half) for dom in (dom_a, dom_b)]
     if windows[0].stop - windows[0].start != windows[1].stop - windows[1].start:
         raise ConfigError("inner squares do not align node-for-node")
     inner, branches = [], []

@@ -89,5 +89,8 @@ class EntireFunction:
         z = np.roots(monic[::-1]).astype(complex)
         if not np.all(np.abs(npoly.polyval(z, monic)) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d):
             raise ValueError("the computed roots do not reach the residual target")
-        order = np.lexsort((np.round(z.imag, 12), np.round(z.real, 12)))
-        return z[order]
+        # keys rounded to 12 decimals; past |x| = 1e4, where doubles lie more
+        # than 1e-12 apart, rounding merges none and would overflow past 1.8e296
+        keys = [np.where(np.abs(x) < 1e4, np.round(np.clip(x, -1e4, 1e4), 12), x)
+                for x in (z.imag, z.real)]
+        return z[np.lexsort(keys)]

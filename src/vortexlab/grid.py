@@ -124,8 +124,9 @@ def run_parts(bounds, part) -> list:
 @dataclass(frozen=True)
 class GridDomain:
     """Uniform grid on the square [-R, R]^2 with n nodes per side: n an odd
-    integer >= 5, so the origin is a node, and R a finite real > 0, stored as
-    a float (a bool is neither).  ``half`` states when a grid can be halved."""
+    integer >= 5, so the origin is a node, whose (n, n) array numpy can hold,
+    and R a finite real > 0, stored as a float (a bool is neither).  ``half``
+    states when a grid can be halved."""
 
     R: float
     n: int
@@ -134,6 +135,9 @@ class GridDomain:
         n, R = self.n, self.R
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 5 or n % 2 == 0:
             raise ValueError("n must be an odd integer >= 5 (the origin must be a node)")
+        if n * n * 8 > np.iinfo(np.intp).max:
+            raise ValueError("n is too large: an (n, n) array of doubles exceeds numpy's "
+                             "largest array")
         if not isinstance(R, numbers.Real) or isinstance(R, bool) or not 0 < R < np.inf:
             raise ValueError("R must be a positive number")
         object.__setattr__(self, "R", float(R))
@@ -159,15 +163,17 @@ class GridDomain:
     def ring_mask(self) -> np.ndarray:
         return ~self.interior_mask()
 
-    def inner_mask(self) -> np.ndarray:
-        """Nodes of the centered half-square |x| <= R/2, |y| <= R/2.
+    def window(self, half_width: float) -> slice:
+        """The one rule for a centered square: the slice s of the nodes with
+        |x| <= half_width (to 1e-12 R), so values[s, s] is that square."""
+        keep = np.flatnonzero(np.abs(self.axis) <= half_width + 1e-12 * self.R)
+        return slice(keep[0], keep[-1] + 1)
 
-        Quantities of record (invariants, convergence of the continuation,
-        field comparisons) are evaluated here, far from the Dirichlet ring.
-        """
-        ax = self.axis
-        keep = np.abs(ax) <= 0.5 * self.R + 1e-12 * self.R
-        return keep[:, None] & keep[None, :]
+    @property
+    def inner(self) -> slice:
+        """window(R/2): the half-square where quantities of record are
+        evaluated, far from the Dirichlet ring."""
+        return self.window(0.5 * self.R)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -180,17 +186,12 @@ class GridDomain:
         return lap
 
     def half(self) -> "GridDomain":
-        """The centered half-square's grid, same spacing: needs (n - 1)
+        """The grid of the nodes ``window(R/2)``, same spacing: needs (n - 1)
         divisible by 4, so its rim lands on nodes, and n >= 9."""
         if (self.n - 1) % 4 or self.n < 9:
             raise ValueError("a grid of %d nodes cannot be halved ((n - 1) must be divisible "
                              "by 4, and n at least 9)" % self.n)
         return GridDomain(0.5 * self.R, (self.n - 1) // 2 + 1)
-
-    def restrict_half(self, values: np.ndarray) -> tuple["GridDomain", np.ndarray]:
-        """The grid of ``half`` and a copy of the values at its nodes."""
-        q = (self.n - 1) // 4
-        return self.half(), np.array(values[q:3 * q + 1, q:3 * q + 1])
 
 
 def interior_max_norm(values: np.ndarray) -> float:

@@ -38,13 +38,14 @@ class InvariantReport:
         return asdict(self)
 
 
-def _witness(domain: GridDomain, mask: np.ndarray, values: np.ndarray, pick) -> dict:
-    """Extremal node of `values` restricted to mask; pick is argmax or argmin."""
-    flat = np.where(mask, values, -np.inf if pick is np.argmax else np.inf)
-    idx = pick(flat)
-    i, j = np.unravel_index(idx, values.shape)
-    ax = domain.axis
-    return {"x": float(ax[i]), "y": float(ax[j]), "value": float(values[i, j])}
+def _extreme(domain: GridDomain, values: np.ndarray, pick) -> tuple[float, dict]:
+    """The extreme of `values` over the inner half-square and its node, as
+    (value, witness); pick is np.argmax or np.argmin."""
+    s = domain.inner
+    inside = values[s, s]
+    i, j = np.unravel_index(pick(inside), inside.shape)
+    ax, value = domain.axis[s], float(inside[i, j])
+    return value, {"x": float(ax[i]), "y": float(ax[j]), "value": value}
 
 
 def h_field(w: np.ndarray, problem: VortexProblem) -> np.ndarray:
@@ -58,16 +59,13 @@ def subunity_check(w: np.ndarray, problem: VortexProblem) -> InvariantReport:
     Strict margin 1 - max h is reported; it is positive for nonconstant phi
     and exactly 0 for the constant and profile solutions.
     """
-    dom = problem.domain
-    inner = dom.inner_mask()
-    h = h_field(w, problem)
-    hmax = float(np.max(h[inner]))
+    hmax, witness = _extreme(problem.domain, h_field(w, problem), np.argmax)
     return InvariantReport(
         name="subunity",
         passed=hmax <= 1.0 + TOL_SUBUNITY,
         margin=1.0 - hmax,
         tolerance=TOL_SUBUNITY,
-        witness=_witness(dom, inner, h, np.argmax),
+        witness=witness,
     )
 
 
@@ -93,15 +91,13 @@ def curvature_field(w: np.ndarray, problem: VortexProblem) -> np.ndarray:
 
 def ordering_check(w1: np.ndarray, w2: np.ndarray, domain: GridDomain) -> InvariantReport:
     """Strict ordering w1 > w2 on the inner half-square (margin = min gap)."""
-    inner = domain.inner_mask()
-    eta = w1 - w2
-    margin = float(np.min(eta[inner]))
+    margin, witness = _extreme(domain, w1 - w2, np.argmin)
     return InvariantReport(
         name="ordering",
         passed=margin > 0.0,
         margin=margin,
         tolerance=0.0,
-        witness=_witness(domain, inner, eta, np.argmin),
+        witness=witness,
     )
 
 
@@ -111,16 +107,13 @@ def no_gap_check(
     """No solution stays delta-separated from the subunity bound: max h > delta."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    dom = problem.domain
-    inner = dom.inner_mask()
-    h = h_field(w, problem)
-    hmax = float(np.max(h[inner]))
+    hmax, witness = _extreme(problem.domain, h_field(w, problem), np.argmax)
     return InvariantReport(
         name="no_gap",
         passed=hmax > delta,
         margin=hmax - delta,
         tolerance=0.0,
-        witness=_witness(dom, inner, h, np.argmax),
+        witness=witness,
         extra={"delta": delta},
     )
 

@@ -310,6 +310,18 @@ class NewtonReport:
     residual_history: list = field(default_factory=list)
 
 
+def _stated(problem: VortexProblem, f, w: np.ndarray, what: str) -> np.ndarray:
+    """f(w), or ValueError naming the first interior node where double
+    precision cannot state it (exp overflows, or inf - inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f(w)
+    bad = np.argwhere(~np.isfinite(values[1:-1, 1:-1]))
+    if bad.size:
+        raise ValueError("double precision cannot state this start: its %s is not finite at "
+                         "(x, y) = (%.6g, %.6g)" % (what, *problem.domain.axis[bad[0] + 1]))
+    return values
+
+
 def solve_newton(problem: VortexProblem, w0: np.ndarray) -> tuple[np.ndarray, NewtonReport]:
     """Damped Newton for L w = F(w) from w0, whose ring values are the Dirichlet data.
 
@@ -322,11 +334,13 @@ def solve_newton(problem: VortexProblem, w0: np.ndarray) -> tuple[np.ndarray, Ne
     within TOL_NEWTON; a NaN residual never is.  Raises ConvergenceError if
     MAX_NEWTON steps do not get there, the line search stalls or a step's
     PCG does not converge; its report holds the steps taken (a failed PCG
-    counts MAX_PCG V-cycles).  The report's counts follow from the residual
-    history: one evaluation at the start, one per step and one per backtrack.
+    counts MAX_PCG V-cycles).  Raises ValueError, before any PCG step, if
+    the start's residual or F' is not finite at an interior node.  The
+    report's counts follow from the residual history: one evaluation at the
+    start, one per step and one per backtrack.
     """
     w = np.array(w0, dtype=float)
-    g = problem.residual(w)
+    g = _stated(problem, problem.residual, w, "residual")
     history = [interior_max_norm(g)]
     cg_total = backtracks = 0
 
@@ -340,8 +354,10 @@ def solve_newton(problem: VortexProblem, w0: np.ndarray) -> tuple[np.ndarray, Ne
         if len(history) > MAX_NEWTON:
             raise ConvergenceError("Newton did not reach tolerance: residual %.3e" % gnorm,
                                    report())
+        slope = (_stated(problem, problem.rhs_prime, w, "F'") if len(history) == 1
+                 else problem.rhs_prime(w))
         try:
-            delta, cg_it = _pcg(_Multigrid(problem.rhs_prime(w), problem.domain.h), g,
+            delta, cg_it = _pcg(_Multigrid(slope, problem.domain.h), g,
                                 max(1e-10, min(ETA_NEWTON, gnorm)))
         except ConvergenceError as exc:
             cg_total += MAX_PCG
@@ -489,7 +505,7 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     fields; the ladder keeps those of the last pair and the one it returns,
     and the inner square of the rung walked last.
     """
-    inner = problem.domain.inner_mask()
+    inner = problem.domain.inner
     ms = DEFAULT_M_VALUES
     tried, fields = {}, {}  # M: (NewtonReport, inner change or None); M: a field kept
     last = (None, None)  # (M, inner square) of the rung walked last
@@ -518,7 +534,7 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
             M = walk[-1][0] + 2
             walk.append((M, fields[M], tried[M][0]))
         for M, w_M, rep in walk:
-            inside = w_M[inner]
+            inside = w_M[inner, inner].copy()  # keeps no rung's field alive
             change = float(np.max(np.abs(inside - last[1]))) if last[0] == M - 2 else None
             tried[M], last = (rep, change), (M, inside)
         failed = [(M, exc) for M, w_M, exc in outcomes if w_M is None]

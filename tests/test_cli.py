@@ -129,6 +129,11 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     ((dict(EXP_Z_KW, n=RAW, pipeline=("two-solutions",)), "1" + HUGE),
      "integer 199999999999... is past the range of a double"),
     ((dict(k=RAW), HUGE), "integer 999999999999... is past the range of a double"),
+    # an (n, n) array of doubles past numpy's largest array size
+    (dict(n=1000000000000001), "n is too large"),
+    # the root -1e300: its 12-decimal sort key would overflow
+    (dict(p=((1e300, 0.0), (1.0, 0.0)), k=3, R=2.0, n=21, mode="WANG_K3",
+          pipeline=("solve-incomplete",)), "phi has a zero within 4h of the boundary ring"),
     (dict(k=1), "k must be an integer >= 2"),
     (dict(R=-1.0), "R must be a positive number"),
     # json reads Infinity, and 1e400, as inf; a bool is not a number
@@ -141,7 +146,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     (dict(tol=[0]), "tolerances must be an object"),
 ], ids=["p-empty", "p-not-pairs", "p-true", "p-string", "q-false", "p-zero", "not-object",
         "phi-without-p", "phi-unknown-key", "p-huge-int", "q-huge-int", "R-huge-int",
-        "n-huge-int", "k-huge-int", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir",
+        "n-huge-int", "k-huge-int", "n-too-large", "root-far-out", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir",
         "mode", "pipeline-empty", "tolerances"])
 def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
     if cfg_kw is None:
@@ -271,9 +276,9 @@ def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, messa
     assert message in err and "Traceback" not in err
     good = cli.load_config(make_cfg(tmp_path, "good.json", n=41, **kw,
                                     tol={"develop_restrict": 2}))
-    assert good.develop_restrict == 2
+    assert good.develop_domain == GridDomain(0.5, 11)
     default = cli.load_config(make_cfg(tmp_path, "default.json", n=41, **kw))
-    assert default.develop_restrict == 0
+    assert default.develop_domain == default.domain
 
 
 def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
@@ -488,6 +493,14 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
     assert report["error"] == (detail or "MemoryError")
 
 
+def test_grid_past_memory_is_a_solver_failure(tmp_path):
+    # numpy can index a grid of 100000001 nodes a side, so load takes it;
+    # its 71 PiB cannot be allocated, which is exit 3, as out of memory
+    assert cli.main(["run", make_cfg(tmp_path, n=100000001)]) == cli.EXIT_SOLVER
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "Unable to allocate" in report["error"]
+
+
 @pytest.mark.parametrize("cfg_kw, message", [
     # the cmc-qz config at n = 65: the 9-node developed grid is too coarse
     pytest.param(dict(p=((0.0, 0.0), (1.0, 0.0)), k=2, R=6.0, n=65, mode="HARMONIC_K2",
@@ -503,6 +516,17 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, module, name, 
     pytest.param(dict(p=((1.0, 0.0),), q=((0.0, 0.0), (1.0, 0.0)), k=3, R=4.0, n=81,
                       mode="WANG_K3", pipeline=("solve-incomplete", "develop")),
                  "lost reality", id="reality"),
+    # starts whose e^w overflows: phi = e^{1e300 z} on the ladder's rungs,
+    # and e^z at R = 1e6 on both branches
+    pytest.param(dict(p=((1.0, 0.0),), q=((0.0, 0.0), (1e300, 0.0)), k=3, R=2.0, n=21,
+                      pipeline=("solve-complete",)),
+                 "double precision cannot state this start: its residual is not finite at "
+                 "(x, y) = (0.2, -1.8)", id="start-overflow-q"),
+    pytest.param(dict(EXP_Z_KW, R=1e6, n=21, pipeline=("two-solutions",)),
+                 "its residual is not finite at (x, y) = (100000, -900000)",
+                 id="start-overflow-R"),
+    pytest.param(dict(EXP_Z_KW, R=1e6, n=21, pipeline=("solve-incomplete",)),
+                 "its residual is not finite at (x, y) = (", id="start-overflow-incomplete"),
 ])
 def test_precondition_failure_after_load_writes_the_report(tmp_path, capsys, cfg_kw, message):
     # the stage refuses what a floating-point warning would flag, so none is
@@ -749,6 +773,28 @@ def test_a_rung_failing_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeyp
     history = complete["residual_history"]
     assert len(history) == complete["iterations"] + 1 >= 2
     assert complete["final_residual"] == history[-1] > solver.TOL_NEWTON
+
+
+def test_a_rung_refused_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeypatch,
+                                                               use_parts):
+    # rung 10, solved by the worker forked beside rung 8, starts where double
+    # precision cannot state its residual: the refusal comes back with its
+    # type, so the run exits 2 with the report, as in this process
+    use_parts(2)
+    parent, real = os.getpid(), solver.solve_newton
+
+    def solve_newton(problem, w0):
+        M = float(np.min((w0 - np.maximum(problem.profile(), 0.0))[problem.domain.ring_mask()]))
+        if M == 10.0 and os.getpid() != parent:
+            w0 = np.where(problem.domain.interior_mask(), np.inf, w0)
+        return real(problem, w0)
+
+    monkeypatch.setattr(solver, "solve_newton", solve_newton)
+    assert cli.main(["run", make_cfg(tmp_path, **PHI_100_KW)]) == cli.EXIT_CONFIG
+    _no_worker_left()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"] == ("double precision cannot state this start: its residual is not "
+                               "finite at (x, y) = (-3.8, -3.8)")
 
 
 # q = z (the cmc-qz config) at n = 61: a ladder that settles only on its

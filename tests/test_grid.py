@@ -99,33 +99,32 @@ def test_stencil_is_negative_semidefinite(seed):
     assert float(np.sum(u[1:-1, 1:-1] * lap[1:-1, 1:-1])) <= 1e-12
 
 
-def test_restrict_half_keeps_spacing():
-    dom = GridDomain(4.0, 81)
-    vals = dom.zz().real
-    sub, v = dom.restrict_half(vals)
-    assert sub == dom.half() == GridDomain(2.0, 41)
-    assert sub.h == pytest.approx(dom.h, abs=0)
-    assert np.array_equal(v, vals[20:61, 20:61])
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 100), odd=st.booleans(), R=st.floats(1e-3, 1e3))
+def test_window_is_the_centered_square(q, odd, R):
+    # n = 4q + 1 can be halved (from 9 nodes on), n = 4q + 3 cannot
+    n = 4 * q + 1 + 2 * odd
+    dom = GridDomain(R, n)
+    ax = dom.axis
+    keep = np.flatnonzero(np.abs(ax) <= 0.5 * R + 1e-12 * R)
+    assert np.array_equal(np.arange(n)[dom.inner], keep)
+    assert (n - 1) // 2 in keep and 0 not in keep and n - 1 not in keep
+    if not odd and n >= 9:
+        sub = dom.half()
+        assert sub.h == pytest.approx(dom.h, abs=0)
+        s = dom.window(sub.R)
+        assert s == dom.inner == slice(q, 3 * q + 1)
+        assert len(ax[s]) == sub.n
+        assert np.allclose(ax[s], sub.axis, rtol=0, atol=1e-12 * R)
 
 
-def test_restrict_half_needs_aligned_grid():
-    dom = GridDomain(4.0, 79)  # (n-1) % 4 != 0
-    with pytest.raises(ValueError):
-        dom.restrict_half(np.zeros((79, 79)))
+def test_half_needs_aligned_grid():
     # the half of 9 nodes has 5; a half of 3 nodes is no grid
+    assert GridDomain(4.0, 81).half() == GridDomain(2.0, 41)
     assert GridDomain(4.0, 9).half() == GridDomain(2.0, 5)
-    for n in (79, 5):
+    for n in (79, 5):  # (n-1) % 4 != 0, and too few nodes
         with pytest.raises(ValueError, match="cannot be halved"):
             GridDomain(4.0, n).half()
-
-
-def test_inner_mask_is_centered_half_square():
-    dom = GridDomain(4.0, 81)
-    m = dom.inner_mask()
-    ax = dom.axis
-    xs = np.broadcast_to(ax[:, None], m.shape)
-    assert np.all(np.abs(xs[m]) <= 2.0 + 1e-12)
-    assert m[20, 20] and m[60, 60] and not m[19, 40]
 
 
 def test_interior_max_norm_excludes_ring():

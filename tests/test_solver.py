@@ -1,5 +1,6 @@
 """Newton and monotone solvers, continuation ladder, the two-branch picture."""
 
+import re
 import tracemalloc
 import weakref
 
@@ -111,14 +112,22 @@ def test_newton_line_search_stall_raises_with_its_report(monkeypatch):
     assert _counts(exc.value.report) == (0, 2, 41, 42)
 
 
-def test_newton_from_a_nan_start_fails_its_pcg():
-    # a NaN residual is never within tolerance: the first step's PCG never
-    # converges, and the solve fails after MAX_PCG V-cycles
+def test_newton_refuses_a_start_double_precision_cannot_state(monkeypatch):
+    # a start whose residual or F' is not finite at an interior node is
+    # refused, naming the first such node, before any V-cycle runs
+    def no_pcg(*args, **kwargs):
+        raise AssertionError("a PCG step was taken")
+
+    monkeypatch.setattr(solve, "_pcg", no_pcg)
     prob, w0 = _half_above_profile(41)
-    with pytest.raises(solve.ConvergenceError) as exc:
+    with pytest.raises(ValueError, match=re.escape(
+            "its residual is not finite at (x, y) = (-3.8, -3.8)")):
         solve.solve_newton(prob, w0 + np.nan)
-    assert str(exc.value) == "PCG did not reach relative residual 1e-01 in 100 iterations"
-    assert _counts(exc.value.report) == (0, solve.MAX_PCG, 0, 1)
+    # at w = -300, e^{a2 - 2w} = e^709.5 is a double and twice it is not: the
+    # residual is finite, F' = e^w + 2 e^{a2 - 2w} is not
+    prob = VortexProblem(EntireFunction(p=(np.exp(54.75),)), 3, GridDomain(4.0, 41))
+    with pytest.raises(ValueError, match=re.escape("its F' is not finite at (x, y) = (-3.8, -3.8)")):
+        solve.solve_newton(prob, np.full((41, 41), -300.0))
 
 
 def _newton_system(n):
@@ -265,7 +274,8 @@ def test_ladder_reaches_constant_solution():
     target = (2.0 / 3.0) * np.log(100.0)
     # the ladder stops once the inner field moves < 1e-6 per rung, so the
     # remaining distance to the limit is a small multiple of that
-    assert np.max(np.abs(w - target)[prob.domain.inner_mask()]) <= 1e-5
+    inner = prob.domain.inner
+    assert np.max(np.abs(w - target)[inner, inner]) <= 1e-5
 
 
 def test_ladder_is_boundary_insensitive_for_polynomials(nested_z_solves):
@@ -279,8 +289,8 @@ def test_polynomial_branches_coincide(nested_z_solves):
     # for polynomial phi the subsolution-boundary field and the lifted-bound
     # continuation land on the same solution away from the ring
     st12 = nested_z_solves
-    inner = st12.p12.domain.inner_mask()
-    assert np.abs(st12.w12 - st12.w12_prof)[inner].max() <= 1e-2
+    inner = st12.p12.domain.inner
+    assert np.abs(st12.w12 - st12.w12_prof)[inner, inner].max() <= 1e-2
 
 
 def test_shared_grid_alignment_example():
@@ -367,13 +377,13 @@ def _warm_start_ladder(problem):
     """The ladder as solved before its rungs were independent: each rung
     started from the field of the rung below, stopping at the first M whose
     inner change is at most TOL_CONT.  Returns (field, stop M, stabilized)."""
-    inner = problem.domain.inner_mask()
+    inner = problem.domain.inner
     w_prev = None
     for M in solve.DEFAULT_M_VALUES:
         bnd = np.maximum(problem.profile(), 0.0) + float(M)
         w0 = bnd if w_prev is None else solve._set_ring(w_prev.copy(), bnd)
         w, _ = solve.solve_newton(problem, w0)
-        if w_prev is not None and np.max(np.abs((w - w_prev)[inner])) <= solve.TOL_CONT:
+        if w_prev is not None and np.max(np.abs((w - w_prev)[inner, inner])) <= solve.TOL_CONT:
             return w, M, True
         w_prev = w
     return w, M, False
@@ -498,11 +508,13 @@ def test_two_solutions_with_zero_factor_split_widely():
     branches = solve.two_solutions(prob)
     gap = branches["complete"][0] - branches["incomplete"][0]
     assert gap.max() > 0.1
-    assert gap[prob.domain.inner_mask()].min() > 0.0
+    inner = prob.domain.inner
+    assert gap[inner, inner].min() > 0.0
 
 
 def test_dichotomy_pair_ordered_and_converged(ez_pair):
     (w_top, _), (w_low, report_low) = ez_pair.branches["complete"], ez_pair.branches["incomplete"]
     assert report_low.residual <= solve.TOL_NEWTON
     gap = w_top - w_low
-    assert gap[ez_pair.prob.domain.inner_mask()].min() > 0.0
+    inner = ez_pair.prob.domain.inner
+    assert gap[inner, inner].min() > 0.0
