@@ -118,6 +118,25 @@ def test_window_is_the_centered_square(q, odd, R):
         assert np.allclose(ax[s], sub.axis, rtol=0, atol=1e-12 * R)
 
 
+def test_restrict_half_keeps_spacing():
+    dom = GridDomain(4.0, 81)
+    vals = dom.zz().real
+    sub = dom.half()
+    s = dom.window(sub.R)
+    assert sub == GridDomain(2.0, 41)
+    assert sub.h == pytest.approx(dom.h, abs=0)
+    assert np.array_equal(vals[s, s], vals[20:61, 20:61])
+
+
+def test_inner_mask_is_centered_half_square():
+    dom = GridDomain(4.0, 81)
+    s = dom.inner
+    ax = dom.axis
+    assert np.all(np.abs(ax[s]) <= 2.0 + 1e-12)
+    assert s == slice(20, 61)
+    assert abs(ax[19]) > 2.0 and abs(ax[61]) > 2.0
+
+
 def test_half_needs_aligned_grid():
     # the half of 9 nodes has 5; a half of 3 nodes is no grid
     assert GridDomain(4.0, 81).half() == GridDomain(2.0, 41)
