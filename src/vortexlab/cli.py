@@ -207,8 +207,9 @@ def load_config(path: str) -> Config:
             zs = phi.zeros()
         except ValueError as exc:
             raise ConfigError("the roots of phi do not resolve: %s" % exc)
-        dist = domain.R - np.max(np.maximum(np.abs(zs.real), np.abs(zs.imag)), initial=-np.inf)
-        if dist < 4.0 * domain.h:
+        # a zero within 4h of the ring on either side makes the profile too steep there
+        dist = np.abs(domain.R - np.maximum(np.abs(zs.real), np.abs(zs.imag)))
+        if np.any(dist < 4.0 * domain.h):
             raise ConfigError("phi has a zero within 4h of the boundary ring")
     return Config(raw, phi, k, domain, mode, tuple(stages), raw["output_dir"], develop_domain)
 

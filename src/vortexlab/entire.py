@@ -77,20 +77,17 @@ class EntireFunction:
         Acceptance is the scaled residual |P_monic(z_i)| <= TOL_ROOTS *
         (1+|z_i|)^deg, which a multiple root meets although its eigenvalues
         split by about eps^(1/m); a P whose coefficients are too large for
-        its computed roots to meet it is refused with ValueError.  Output is
-        sorted by (Re, Im) so runs are reproducible.  ``np.roots`` calls
-        LAPACK, so this runs in the parent process, never in a ``run_parts``
-        worker.
+        its computed roots to meet it is refused with ValueError.  Either side
+        rounds to +inf past the largest double (inf - inf refuses, as NaN).
+        The roots come in ``np.roots``' order.  ``np.roots`` calls LAPACK, so
+        this runs in the parent process, never in a ``run_parts`` worker.
         """
         d = self.degree
         if d == 0:
             return np.zeros(0, dtype=complex)
         monic = np.asarray(self.p, dtype=complex) / self.p[-1]
         z = np.roots(monic[::-1]).astype(complex)
-        if not np.all(np.abs(npoly.polyval(z, monic)) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d):
-            raise ValueError("the computed roots do not reach the residual target")
-        # keys rounded to 12 decimals; past |x| = 1e4, where doubles lie more
-        # than 1e-12 apart, rounding merges none and would overflow past 1.8e296
-        keys = [np.where(np.abs(x) < 1e4, np.round(np.clip(x, -1e4, 1e4), 12), x)
-                for x in (z.imag, z.real)]
-        return z[np.lexsort(keys)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.abs(npoly.polyval(z, monic)) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d):
+                raise ValueError("the computed roots do not reach the residual target")
+        return z

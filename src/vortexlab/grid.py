@@ -150,18 +150,10 @@ class GridDomain:
     def axis(self) -> np.ndarray:
         return np.linspace(-self.R, self.R, self.n)
 
-    def zz(self, rows: slice = slice(None)) -> np.ndarray:
-        """z at the nodes of the given rows (all by default)."""
+    def zz(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+        """z at the nodes of the given rows and columns (all by default)."""
         ax = self.axis
-        return ax[rows, None] + 1j * ax[None, :]
-
-    def interior_mask(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=bool)
-        m[1:-1, 1:-1] = True
-        return m
-
-    def ring_mask(self) -> np.ndarray:
-        return ~self.interior_mask()
+        return ax[rows, None] + 1j * ax[None, cols]
 
     def window(self, half_width: float) -> slice:
         """The one rule for a centered square: the slice s of the nodes with
@@ -175,14 +167,19 @@ class GridDomain:
         evaluated, far from the Dirichlet ring."""
         return self.window(0.5 * self.R)
 
+    def laplacian_rows(self, v: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """The 5-point Laplacian of the field v at rows r0 to r1 - 1
+        (1 <= r0 < r1 <= n - 1) and the interior columns: E + W + N + S - 4 C,
+        over h^2, in that order."""
+        return (v[r0 + 1:r1 + 1, 1:-1] + v[r0 - 1:r1 - 1, 1:-1] + v[r0:r1, 2:] + v[r0:r1, :-2]
+                - 4.0 * v[r0:r1, 1:-1]) / self.h**2
+
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.n, self.n):
             raise ValueError("field shape does not match the grid")
         lap = np.zeros_like(v)
-        lap[1:-1, 1:-1] = (
-            v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]
-        ) / self.h**2
+        lap[1:-1, 1:-1] = self.laplacian_rows(v, 1, self.n - 1)
         return lap
 
     def half(self) -> "GridDomain":
@@ -292,17 +289,13 @@ class VortexProblem:
             rows = slice(r0, r0 + _ROWS)
             self.a2[rows] = 2.0 * self.phi.log_abs(self.domain.zz(rows))
 
-    def rhs(self, w: np.ndarray) -> np.ndarray:
-        """F(w) = e^w - exp(2 log|phi| - (k-1) w)."""
-        return np.exp(w) - np.exp(self.a2 - (self.k - 1) * w)
-
     def rhs_prime(self, w: np.ndarray) -> np.ndarray:
         """dF/dw, strictly positive: the discrete problem is monotone."""
         return np.exp(w) + (self.k - 1) * np.exp(self.a2 - (self.k - 1) * w)
 
     def residual(self, w: np.ndarray) -> np.ndarray:
-        """Laplacian(w) - F(w) on the interior, zeros on the ring."""
-        r = self.domain.laplacian(w) - self.rhs(w)
+        """Laplacian(w) - F(w), F(w) = e^w - |phi|^2 e^{-(k-1) w}, inside; zeros on the ring."""
+        r = self.domain.laplacian(w) - (np.exp(w) - np.exp(self.a2 - (self.k - 1) * w))
         r[0, :] = r[-1, :] = 0.0
         r[:, 0] = r[:, -1] = 0.0
         return r

@@ -64,7 +64,7 @@ def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
     """(2/k) log|phi|, clipped at PROFILE_CLIP: the incomplete branch's start,
     whose ring is its Dirichlet data."""
     vals = np.maximum(problem.profile(), PROFILE_CLIP)
-    if not np.all(np.isfinite(vals[problem.domain.ring_mask()])):
+    if not (np.all(np.isfinite(vals[[0, -1]])) and np.all(np.isfinite(vals[:, [0, -1]]))):
         raise ValueError("profile boundary is not finite on the ring")
     return vals
 
@@ -261,8 +261,14 @@ def _pcg(
     is within tol * |b| (2-norms).  A guess (zero ring) starts the iteration
     from its best multiple in the energy norm.  Returns (x, V-cycles spent);
     raises ConvergenceError after MAX_PCG iterations.
+
+    The iteration solves for x 2^-e, b 2^-e scaled to max |b| in [1/2, 1) by
+    the exponent e of max |b|, so no dot product overflows; every step is
+    linear in b, so the scaling is exact and changes no bit of x.
     """
     fine = mg.levels[0]
+    e = np.frexp(np.max(np.abs(b)))[1]
+    b = np.ldexp(b, -e)
     x = np.zeros_like(b)
     atol = tol * np.sqrt(_dot(b, b))
     if atol == 0.0:
@@ -275,7 +281,7 @@ def _pcg(
         x += beta * guess
         r -= beta * Ap
         if np.sqrt(_dot(r, r)) <= atol:
-            return x, 0
+            return np.ldexp(x, e), 0
     z = mg(r)
     p = z
     rz = _dot(r, z)
@@ -285,7 +291,7 @@ def _pcg(
         x += alpha * p
         r -= alpha * Ap
         if np.sqrt(_dot(r, r)) <= atol:
-            return x, it
+            return np.ldexp(x, e), it
         z = mg(r)
         rz_new = _dot(r, z)
         p *= rz_new / rz

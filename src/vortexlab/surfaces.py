@@ -37,8 +37,8 @@ the metric round-trip error.  ``holonomy_defect`` runs the same pass again
 from the surface's solution, closing the plaquette loops with a given
 solution's transfers.
 
-The normalized residual that gates development is evaluated once per
-``NormalizedSolution``, in blocks of ``_ROWS`` rows.
+The normalized residual, which gates development (``check_converged``), is
+evaluated once per ``NormalizedSolution``, in blocks of ``_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .grid import GridDomain, VortexProblem, parts, run_parts, shared_array, wri
 from .invariants import check_converged
 
 WANG_SHIFT = np.log(2.0)
-RESIDUAL_GATE = 1e-7
 
 
 class SurfaceMode(str, enum.Enum):
@@ -91,8 +90,7 @@ class NormalizedSolution:
         once per solution, _ROWS rows at a time: each block forms its own z,
         log|differential| and right-hand side, and the max over blocks is the
         max over the grid."""
-        dom = self.domain
-        h2, w = dom.h ** 2, self.w
+        dom, w = self.domain, self.w
         worst = []
         for r0 in range(1, dom.n - 1, _ROWS):
             r1 = min(r0 + _ROWS, dom.n - 1)
@@ -102,9 +100,7 @@ class NormalizedSolution:
                 f = 2.0 * np.exp(rows) - 4.0 * np.exp(la - 2.0 * rows)
             else:
                 f = np.exp(2.0 * rows) - np.exp(la - 2.0 * rows)
-            lap = (w[r0 + 1:r1 + 1, 1:-1] + w[r0 - 1:r1 - 1, 1:-1] + w[r0:r1, 2:] + w[r0:r1, :-2]
-                   - 4.0 * w[r0:r1, 1:-1]) / h2
-            worst.append(np.max(np.abs(lap - f[:, 1:-1])))
+            worst.append(np.max(np.abs(dom.laplacian_rows(w, r0, r1) - f[:, 1:-1])))
         return float(np.max(worst))
 
 
@@ -292,8 +288,7 @@ def _fields(sol: NormalizedSolution, grad, rows: slice, cols: slice):
     (node, mid_x, mid_y) inputs of the coefficient planes.  grad is
     ``_grad`` of sol.w over the whole grid."""
     h = sol.domain.h
-    ax = sol.domain.axis
-    zz = ax[rows, None] + 1j * ax[None, cols]
+    zz = sol.domain.zz(rows, cols)
     ev = sol.differential.eval
     fields = tuple(f[rows, cols] for f in (sol.w,) + grad)
     node = fields + (ev(zz),)
@@ -498,8 +493,7 @@ def develop_affine_sphere(sol: NormalizedSolution) -> DevelopedSurface:
     """
     if sol.mode is not SurfaceMode.WANG_K3:
         raise ValueError("affine development needs the k=3 normalization")
-    if not sol.residual_norm <= RESIDUAL_GATE:
-        raise ValueError("w does not solve Wang's equation closely enough to develop")
+    check_converged(sol.residual_norm)
     surface = _develop_pass(sol)
     if surface.imag_max > 1e-6:
         raise ArithmeticError("developed surface lost reality: |Im f| = %.3e" % surface.imag_max)
@@ -518,8 +512,7 @@ def develop_cmc(sol: NormalizedSolution) -> DevelopedSurface:
     """
     if sol.mode is not SurfaceMode.HARMONIC_K2:
         raise ValueError("CMC development needs the k=2 normalization")
-    if not sol.residual_norm <= RESIDUAL_GATE:
-        raise ValueError("w does not solve the harmonic-map equation closely enough")
+    check_converged(sol.residual_norm)
     surface = _develop_pass(sol)
     if surface.hyperboloid_drift > 1e-5:
         raise ArithmeticError("Gauss map left the hyperboloid: |<N,N>+1| = %.3e"

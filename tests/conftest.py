@@ -17,6 +17,13 @@ from vortexlab import surfaces
 
 EXP_Z = EntireFunction(p=(1.0,), q=(0.0, 1.0))
 
+
+def ring_values(a: np.ndarray) -> np.ndarray:
+    """The entries of a grid field on its boundary ring, edge by edge (the
+    corners twice)."""
+    return np.concatenate((a[0], a[-1], a[:, 0], a[:, -1]))
+
+
 _acceptance_log = []
 
 

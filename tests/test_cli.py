@@ -23,6 +23,8 @@ from vortexlab import invariants as verify
 from vortexlab import solve as solver
 from vortexlab import surfaces as develop
 
+from conftest import ring_values
+
 SRC_DIR = str(Path(cli.__file__).resolve().parents[1])
 # the environment of a child interpreter that imports this checkout's package
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -131,9 +133,6 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     ((dict(k=RAW), HUGE), "integer 999999999999... is past the range of a double"),
     # an (n, n) array of doubles past numpy's largest array size
     (dict(n=1000000000000001), "n is too large"),
-    # the root -1e300: its 12-decimal sort key would overflow
-    (dict(p=((1e300, 0.0), (1.0, 0.0)), k=3, R=2.0, n=21, mode="WANG_K3",
-          pipeline=("solve-incomplete",)), "phi has a zero within 4h of the boundary ring"),
     (dict(k=1), "k must be an integer >= 2"),
     (dict(R=-1.0), "R must be a positive number"),
     # json reads Infinity, and 1e400, as inf; a bool is not a number
@@ -146,7 +145,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     (dict(tol=[0]), "tolerances must be an object"),
 ], ids=["p-empty", "p-not-pairs", "p-true", "p-string", "q-false", "p-zero", "not-object",
         "phi-without-p", "phi-unknown-key", "p-huge-int", "q-huge-int", "R-huge-int",
-        "n-huge-int", "k-huge-int", "n-too-large", "root-far-out", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir",
+        "n-huge-int", "k-huge-int", "n-too-large", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir",
         "mode", "pipeline-empty", "tolerances"])
 def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
     if cfg_kw is None:
@@ -333,14 +332,17 @@ def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
     pytest.param(("two-solutions",), 1, False, id="two-solutions-1h"),
     pytest.param(("two-solutions",), 3, False, id="two-solutions-3h"),
     pytest.param(("solve-incomplete",), 5, True, id="incomplete-5h-loads"),
+    # zeros outside the square: h outside the ring is refused, 5h loads
+    pytest.param(("solve-incomplete",), -1, False, id="incomplete-1h-outside"),
+    pytest.param(("solve-incomplete",), -5, True, id="incomplete-5h-outside-loads"),
     pytest.param(("two-solutions",), 5, True, id="two-solutions-5h-loads"),
     # the complete branch's ring data max(profile, 0) + M stay finite
     pytest.param(("solve-complete",), 1, True, id="complete-1h-loads"),
 ])
 def test_zero_near_the_ring_is_refused_at_load(tmp_path, capsys, pipeline, hs, loads):
     # phi = (z - (R - hs h)) e^z: the incomplete branch's ring data
-    # (2/k) log|phi| are -inf at the zero, so a zero within 4h of the ring is
-    # refused with exit 2 before any artifact is written
+    # (2/k) log|phi| are -inf at the zero, so a zero within 4h of the ring,
+    # on either side, is refused with exit 2 before any artifact is written
     dom = GridDomain(4.0, 41)
     cfg = make_cfg(tmp_path, p=((-(dom.R - hs * dom.h), 0.0), (1.0, 0.0)),
                    q=((0.0, 0.0), (1.0, 0.0)), k=3, R=dom.R, n=dom.n, pipeline=pipeline)
@@ -350,6 +352,42 @@ def test_zero_near_the_ring_is_refused_at_load(tmp_path, capsys, pipeline, hs, l
     assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
     assert "within 4h of the boundary ring" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg_kw", [
+    pytest.param(dict(mode="WANG_K3", pipeline=("solve-incomplete", "verify")), id="wang-z-10"),
+    pytest.param(dict(q=((0.0, 0.0), (1.0, 0.0)), pipeline=("two-solutions", "verify")),
+                 id="eq1-z-10-exp"),
+])
+def test_a_zero_far_outside_the_square_runs(tmp_path, cfg_kw):
+    # U = z - 10 and phi = (z - 10) e^z on [-2, 2]^2: the zero lies 40h
+    # outside the ring, so the profile is finite and gentle on the grid
+    cfg = make_cfg(tmp_path, p=((-10.0, 0.0), (1.0, 0.0)), k=3, R=2.0, n=21, **cfg_kw)
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+
+
+def test_a_zero_past_the_double_range_loads_without_a_warning(tmp_path):
+    # p = 1e300 + z: its zero -1e300 lies far outside the square, and neither
+    # the roots' acceptance nor the load's distance test overflows.  The
+    # incomplete branch then meets double precision's limit at large w
+    # (its line search stalls), which the run reports as a solver failure
+    cfg = make_cfg(tmp_path, p=((1e300, 0.0), (1.0, 0.0)), k=3, R=2.0, n=21, mode="WANG_K3",
+                   pipeline=("solve-incomplete",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", cfg]) in (cli.EXIT_OK, cli.EXIT_SOLVER)
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_a_right_hand_side_past_the_square_root_of_the_double_range(tmp_path, capsys):
+    # e^z at R = 1000: Newton's right-hand side reaches |g| ~ 1e218, whose
+    # square no double holds.  PCG scales it by a power of two first, so no
+    # dot product overflows, and the run ends in the line search's stall
+    cfg = make_cfg(tmp_path, **dict(EXP_Z_KW, R=1000.0, n=21, pipeline=("two-solutions",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", cfg]) == cli.EXIT_SOLVER
+    assert "Newton line search stalled at residual 4.785e+218" in capsys.readouterr().err
 
 
 def test_unwritable_artifact_exits_config_with_report(tmp_path):
@@ -699,8 +737,7 @@ def _fail_rungs(monkeypatch, fails):
     calls = []
 
     def solve_newton(problem, w0):
-        ring = problem.domain.ring_mask()
-        M = float(np.min((w0 - np.maximum(problem.profile(), 0.0))[ring]))
+        M = float(np.min(ring_values(w0 - np.maximum(problem.profile(), 0.0))))
         M = M if M in solver.DEFAULT_M_VALUES else None
         calls.append(M)
         monkeypatch.setattr(solver, "MAX_PCG", 1 if fails(M) else limit)
@@ -784,9 +821,10 @@ def test_a_rung_refused_in_a_worker_ends_the_run_as_in_process(tmp_path, monkeyp
     parent, real = os.getpid(), solver.solve_newton
 
     def solve_newton(problem, w0):
-        M = float(np.min((w0 - np.maximum(problem.profile(), 0.0))[problem.domain.ring_mask()]))
+        M = float(np.min(ring_values(w0 - np.maximum(problem.profile(), 0.0))))
         if M == 10.0 and os.getpid() != parent:
-            w0 = np.where(problem.domain.interior_mask(), np.inf, w0)
+            w0 = w0.copy()
+            w0[1:-1, 1:-1] = np.inf
         return real(problem, w0)
 
     monkeypatch.setattr(solver, "solve_newton", solve_newton)
@@ -977,7 +1015,7 @@ def test_develop_reads_only_the_develop_grid(tmp_path, monkeypatch):
 
     def nan_ring(problem, w0):
         w, rep = solve_newton(problem, w0)
-        w[problem.domain.ring_mask()] = np.nan
+        w[[0, -1]] = w[:, [0, -1]] = np.nan
         return w, rep
 
     monkeypatch.setattr(solver, "solve_newton", nan_ring)

@@ -74,7 +74,7 @@ def test_cmc_development_refuses_an_unconverged_field():
     prob = dev.geometric_problem(diff, HARMONIC, GridDomain(2.0, 41))
     sol = dev.normalize(prob.profile() + 0.3, prob, HARMONIC)
     assert sol.residual_norm > 1e-2
-    with pytest.raises(ValueError, match="harmonic-map equation"):
+    with pytest.raises(ValueError, match="w is not converged"):
         dev.develop_cmc(sol)
 
 
@@ -100,7 +100,7 @@ def test_normalize_refuses_a_nan_residual():
     prob, w = _exp_wang_profile()
     nan_node, inf_ring = w.copy(), w.copy()
     nan_node[20, 20] = np.nan
-    inf_ring[prob.domain.ring_mask()] = np.inf
+    inf_ring[[0, -1]] = inf_ring[:, [0, -1]] = np.inf
     for field in (nan_node, inf_ring):
         with pytest.raises(ValueError, match="residual lock"):
             dev.normalize(field, prob, WANG)
@@ -116,17 +116,22 @@ def test_blaschke_curvature_flat_for_constant():
     assert np.abs(K[1:-1, 1:-1]).max() <= 1e-10
 
 
-def test_blaschke_curvature_refuses_an_unconverged_field():
-    # the Blaschke pair differs by (1/2) e^{-w} times the normalized residual,
-    # so a field whose residual exceeds 20 * TOL_SOLVE is refused
-    sol, _ = _exact_wang_constant(n=41)
+def _bumped(sol, residual):
+    """sol plus a smooth bump, scaled so that its normalized residual is
+    about the given one."""
     bump = np.exp(-np.abs(sol.domain.zz()) ** 2 / 0.1)
 
     def bumped(eps):
         return dev.NormalizedSolution(sol.mode, sol.differential, sol.domain, sol.w + eps * bump)
 
-    unit = bumped(1e-6).residual_norm / 1e-6
-    under, over = (bumped(times * TOL_SOLVE / unit) for times in (10.0, 40.0))
+    return bumped(residual / (bumped(1e-6).residual_norm / 1e-6))
+
+
+def test_blaschke_curvature_refuses_an_unconverged_field():
+    # the Blaschke pair differs by (1/2) e^{-w} times the normalized residual,
+    # so a field whose residual exceeds 20 * TOL_SOLVE is refused
+    sol, _ = _exact_wang_constant(n=41)
+    under, over = (_bumped(sol, times * TOL_SOLVE) for times in (10.0, 40.0))
     assert under.residual_norm == pytest.approx(10.0 * TOL_SOLVE, rel=1e-3)
     assert over.residual_norm == pytest.approx(40.0 * TOL_SOLVE, rel=1e-3)
     dev.blaschke_curvature(under)
@@ -149,6 +154,29 @@ def test_develop_constant_is_machine_flat():
     assert surf.imag_max <= 1e-8
     assert surf.holonomy_defect <= 1e-11
     assert np.abs(surf.metric - sol.w)[1:-1, 1:-1].max() <= 1e-8
+
+
+@pytest.mark.parametrize("times", [10.0, 40.0, 90.0])
+def test_develop_and_curvature_refuse_the_same_fields(times):
+    # one gate on a solved field: both develop paths accept and refuse what
+    # the Blaschke cross-check does, 20 * TOL_SOLVE; 40 and 90 TOL_SOLVE lie
+    # between that bound and 1e-7
+    prob = dev.geometric_problem(EntireFunction(p=(1.0,)), HARMONIC, GridDomain(1.0, 41))
+    wang = _bumped(_exact_wang_constant(n=41)[0], times * TOL_SOLVE)
+    cmc = _bumped(dev.normalize(prob.profile(), prob, HARMONIC), times * TOL_SOLVE)
+    for sol in (wang, cmc):
+        assert sol.residual_norm == pytest.approx(times * TOL_SOLVE, rel=1e-3)
+    verdicts = []
+    for gate, sol in ((dev.blaschke_curvature, wang), (dev.develop_affine_sphere, wang),
+                      (dev.develop_cmc, cmc)):
+        try:
+            gate(sol)
+            verdicts.append("accepted")
+        except ValueError as exc:
+            verdicts.append(str(exc).replace("%.3e" % sol.residual_norm, "r"))
+    want = "accepted" if times <= 20.0 else ("algebraic and stencil curvature disagree: "
+                                             "residual r, w is not converged")
+    assert verdicts == [want] * 3
 
 
 def test_develop_gate_refuses_unconverged_fields():

@@ -1,5 +1,7 @@
 """Entire functions P(z) e^{Q(z)}: evaluation, log-modulus, roots, the profile."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -93,6 +95,15 @@ def test_zeros_unresolved_is_a_precondition_error():
     f = EntireFunction(tuple(np.polynomial.polynomial.polyfromroots(range(1, 21))), q=(0.0, 1.0))
     with np.errstate(all="raise"), pytest.raises(ValueError, match="residual target"):
         f.zeros()
+
+
+def test_zeros_past_the_square_root_of_the_largest_double():
+    # z (z + 1e300): the residual bound (1 + |z|)^2 of the root -1e300 is
+    # past the largest double, and rounds to +inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zs = EntireFunction(p=(0.0, 1e300, 1.0)).zeros()
+    assert set(zs.tolist()) == {0j, -1e300 + 0j}
 
 
 def test_zeros_of_constant_is_empty():

@@ -74,6 +74,19 @@ def test_laplacian_second_order_refinement():
     assert np.all(orders >= 1.8) and np.all(orders <= 2.2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([5, 7, 13, 41, 131]),
+       R=st.floats(1e-3, 1e3), data=st.data())
+def test_row_block_stencil_is_the_laplacian(seed, n, R, data):
+    # the one 5-point stencil: any block of rows r0 <= i < r1 gives those
+    # rows of the full Laplacian, bit for bit
+    dom = GridDomain(R, n)
+    w = np.random.default_rng(seed).standard_normal((n, n))
+    r0 = data.draw(st.integers(1, n - 2), label="r0")
+    r1 = data.draw(st.integers(r0 + 1, n - 1), label="r1")
+    assert np.array_equal(dom.laplacian_rows(w, r0, r1), dom.laplacian(w)[r0:r1, 1:-1])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from([0.5, 1.0, 2.0, -1.5]),
        st.sampled_from([1.0, -0.25, 3.0]))

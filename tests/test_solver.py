@@ -12,7 +12,7 @@ from vortexlab.entire import EntireFunction
 from vortexlab.grid import GridDomain, VortexProblem, interior_max_norm
 from vortexlab import solve, surfaces
 
-from conftest import EXP_Z, shared_nodes
+from conftest import EXP_Z, ring_values, shared_nodes
 
 F_Z = EntireFunction(p=(0.0, 1.0))
 
@@ -20,18 +20,16 @@ F_Z = EntireFunction(p=(0.0, 1.0))
 def test_subsolution_boundary_is_profile_on_ring():
     prob = VortexProblem(EXP_Z, 3, GridDomain(6.0, 41))
     vals = solve.make_boundary_subsolution(prob)
-    ring = prob.domain.ring_mask()
-    assert np.allclose(vals[ring], prob.profile()[ring], atol=0)
+    assert np.allclose(ring_values(vals), ring_values(prob.profile()), atol=0)
     assert vals[-1, 20] == pytest.approx(4.0, abs=1e-12)  # (2/3) x at x = 6
 
 
 def test_complete_boundary_caps_profile_and_lifts():
     # a rung's Dirichlet data are the ring of its start, bit for bit
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 1.0)), 3, GridDomain(8.0, 41))
-    ring = prob.domain.ring_mask()
     for M in (0.0, 4.0, 24.0):
         expect = np.maximum(prob.profile(), 0.0) + M
-        assert np.array_equal(solve._rung_start(prob, M)[ring], expect[ring])
+        assert np.array_equal(ring_values(solve._rung_start(prob, M)), ring_values(expect))
 
 
 def test_newton_at_exact_constant_takes_no_steps():
@@ -152,6 +150,18 @@ def test_pcg_solves_to_its_tolerance(n):
     r = b - solve._apply(D + 4.0 / h**2, h, x, np.zeros_like(x))
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
     assert np.all(x[0] == 0) and np.all(x[:, -1] == 0)
+
+
+@pytest.mark.parametrize("e", [-900, -3, 0, 200, 900])
+def test_pcg_is_exact_under_power_of_two_scaling(e):
+    # PCG solves for b scaled to max |b| in [1/2, 1), so b 2^e gives x 2^e
+    # bit for bit, and a right-hand side whose square no double holds
+    # (|b| up to 2^900) overflows no dot product
+    D, h, b = _newton_system(45)
+    mg = solve._Multigrid(D, h)
+    x, its = solve._pcg(mg, b, 1e-10)
+    y, its_y = solve._pcg(mg, np.ldexp(b, e), 1e-10)
+    assert its_y == its and np.array_equal(y, np.ldexp(x, e))
 
 
 def test_pcg_solves_one_unknown_exactly():
