@@ -211,7 +211,9 @@ def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
     broadcast to one (rows, cols) grid (a 1-d column is one grid row), whose
     entries are written in C order, one ``write`` per grid row.  A column of
     shape (rows, 1) is formatted once per grid row, one of shape (1, cols)
-    once per table, and only full columns per entry.  The CSV artifacts end
+    once per table, and the rest of a grid row with one % call: the row's
+    format, repeated cols times, applied to one flat tuple that interleaves
+    the row's shared strings and full-column values.  The CSV artifacts end
     their lines in CRLF, the default; mode "a" appends to the same file.
 
     The grid rows are formatted in ``parts`` of at least _PART_ENTRIES
@@ -239,8 +241,10 @@ def write_table(path, header, fmt, columns, newline="\r\n", mode="w") -> None:
                     varying.append(shared[k])
                 else:
                     varying.append(c[r].tolist())
-            row_fmt = "".join(line)
-            fh.write("".join(map(row_fmt.__mod__, zip(*varying))) if varying else row_fmt)
+            flat = [None] * (width * len(varying))
+            for k, values in enumerate(varying):
+                flat[k::len(varying)] = values
+            fh.write("".join(line) * width % tuple(flat))
         fh.flush()  # a worker ends in os._exit, which flushes nothing
 
     bounds = parts(rows, -(-_PART_ENTRIES // width))

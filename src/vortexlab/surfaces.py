@@ -363,9 +363,12 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
     central node, built from a cut of the fields to that column.  Each block
     then forms the fields of its rows and of the row after it (the far side
     of its plaquettes) and their y-transfers, and develops its rows along y
-    from the central column into a block-local frame buffer; for HARMONIC_K2
-    it scales the tangent rows back to f_x = e^w e1, f_y = e^w e2.  It
-    refuses frames that are not finite, writes its rows of the positions,
+    from the central column into a block-local frame buffer.  The buffer is
+    column-major, (n, d, 3, rows) for d frame vectors in R^3, so each step
+    of the y-sweep multiplies one contiguous (d, 3, rows) slab; the rest of
+    the pass reads it through the (rows, n, d, 3) view.  For HARMONIC_K2
+    the block scales the tangent rows back to f_x = e^w e1, f_y = e^w e2.
+    It refuses frames that are not finite, writes its rows of the positions,
     of the metric (``DevelopedSurface.metric``) and, for HARMONIC_K2, of the
     normals, and reduces its plaquettes to their per-node ratio a few rows
     at a time, each chunk building its own x-transfers.  The plaquette loops
@@ -414,7 +417,7 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
         # chunk's x-transfers, refilled by every block and chunk: arrays freed
         # and allocated anew per block let the allocator hand their pages back
         # and fault them in again
-        frames = np.empty((min(_ROWS, n), n) + s0.shape, dtype)
+        frames = np.empty((n,) + s0.shape + (min(_ROWS, n),), dtype)
         ty_buf = np.empty((2, d, d, min(_ROWS + 1, n), n - 1), dtype)
         loop_buf = ty_buf if loops is sol else np.empty_like(ty_buf)
         tx_buf = np.empty((2, d, d, step, n), dtype)
@@ -424,13 +427,13 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
             node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
             ty, ty_rev = ty_buf[:, :, :, :mid_y[0].shape[0]]
             _transfers(sol, node, mid_y, 1, ty, ty_rev)
-            F = frames[:r1 - r0]
-            F[:, c] = column[r0:r1]
-            S = F.transpose(2, 3, 0, 1)
+            G = frames[..., :r1 - r0]
+            G[c] = column[r0:r1].transpose(1, 2, 0)
             for j in range(c, n - 1):
-                S[..., j + 1] = _mul(ty[:, :, :r1 - r0, j], S[..., j])
+                G[j + 1] = _mul(ty[:, :, :r1 - r0, j], G[j])
             for j in range(c - 1, -1, -1):
-                S[..., j] = _mul(ty_rev[:, :, :r1 - r0, j], S[..., j + 1])
+                G[j] = _mul(ty_rev[:, :, :r1 - r0, j], G[j + 1])
+            F = G.transpose(3, 0, 1, 2)
             if cmc:
                 F[:, :, 1:3] *= np.exp(sol.w[r0:r1])[:, :, None, None]
             if not np.all(np.isfinite(F)):

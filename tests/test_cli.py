@@ -209,6 +209,25 @@ def test_dichotomy_run_reports_divergent_ray(tmp_path):
     assert abs(left[0]["limit_estimate"] - 3.0) <= 0.02
 
 
+def test_verify_evaluates_each_branch_residual_once(tmp_path, monkeypatch):
+    # the curvature check and the identity both read the one residual that
+    # verify forms per branch
+    calls, stage, residual = [], cli._Run.verify, grid.VortexProblem.residual
+
+    def counted_verify(run):
+        monkeypatch.setattr(grid.VortexProblem, "residual",
+                            lambda prob, w: calls.append(1) or residual(prob, w))
+        try:
+            stage(run)
+        finally:
+            monkeypatch.setattr(grid.VortexProblem, "residual", residual)
+
+    monkeypatch.setattr(cli._Run, "verify", counted_verify)
+    cfg = make_cfg(tmp_path, n=41, pipeline=("two-solutions", "verify"), **EXP_Z_KW)
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    assert len(calls) == 2
+
+
 def test_report_counts_residual_evaluations(tmp_path):
     # a Newton solve evaluates the residual at its start and once per trial
     # point: each accepted step and each backtrack

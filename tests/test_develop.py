@@ -269,10 +269,11 @@ def test_development_never_holds_the_full_transfer_stacks(use_parts):
 def test_development_holds_the_frames_and_one_block(mode, bound, use_parts):
     # the frames of one block of rows, not of the grid: beside the outputs,
     # which live in shared memory, which tracemalloc does not see, the pass
-    # keeps the two gradient planes, one block's frames, fields and
-    # y-transfers and one chunk's x-transfers, about 1.0 (WANG) and 1.3 (CMC)
-    # times the bytes of a full-grid frame stack here, where a full-grid
-    # frame stack on the heap in place of the block's would take it to about 1.8 and 2.1.
+    # keeps the two gradient planes, one block's frames (one column-major
+    # (n, d, 3, rows) buffer), fields and y-transfers and one chunk's
+    # x-transfers, about 1.0 (WANG) and 1.3 (CMC) times the bytes of a
+    # full-grid (n, n, d, 3) frame stack here, where a full-grid frame stack
+    # on the heap in place of the block's would take it to about 1.8 and 2.1.
     # One process runs every block: tracemalloc sees this process only
     use_parts(1)
     diff = EntireFunction(p=(1.0,), q=(0.0, 1.0))  # U = e^z, whose profile is exact

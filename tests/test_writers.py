@@ -2,14 +2,16 @@
 
 The reference below formats every entry of every column with fmt % row and
 ends each line with the newline, which is what the artifacts held before
-write_table formatted shared columns once; broadcast columns, one write per
-grid row and the split of the grid rows over 1, 2 or 3 processes must not
-change a byte of it.
+write_table formatted shared columns once; broadcast columns, one % call and
+one write per grid row and the split of the grid rows over 1, 2 or 3
+processes must not change a byte of it.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vortexlab import grid, surfaces as dev
 from vortexlab.grid import GridDomain, write_field_csv, write_table
@@ -95,6 +97,35 @@ def test_short_tables_and_appends(tmp_path, use_parts, monkeypatch):
         write_table(path, "row", "%.17g", (vals[1],), "\n", mode="a")
         assert path.read_bytes() == want
         assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
+
+
+# any double but NaN, with signed zeros and infinities drawn often
+_VALUES = st.one_of(st.floats(allow_nan=False), st.sampled_from((0.0, -0.0, np.inf, -np.inf)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 40), width=st.integers(1, 40), data=st.data())
+def test_any_table_matches_the_reference(tmp_path, use_parts, monkeypatch, rows, width, data):
+    # columns of every broadcast shape and the artifacts' conversions, with a
+    # part of one entry forked
+    monkeypatch.setattr(grid, "_PART_ENTRIES", 1)
+    convs, columns = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        conv = data.draw(st.sampled_from(("%.17g", "%.9g", "%d")))
+        shape = data.draw(st.sampled_from(((rows, 1), (1, width), (1, 1), (rows, width))))
+        columns.append(data.draw(arrays(np.int64, shape) if conv == "%d"
+                                 else arrays(np.float64, shape, elements=_VALUES)))
+        convs.append(conv)
+    fmt = data.draw(st.sampled_from((",", ";", " "))).join(convs)
+    header = data.draw(st.sampled_from((None, "head")))
+    newline = data.draw(st.sampled_from(("\r\n", "\n")))
+    want = _reference(header, fmt, np.broadcast_arrays(*columns), newline)
+    path = tmp_path / "table.csv"
+    for count in PARTS:
+        use_parts(count)
+        write_table(path, header, fmt, columns, newline)
+        assert path.read_bytes() == want
 
 
 def test_small_tables_are_written_in_one_process(tmp_path, use_parts, monkeypatch):
