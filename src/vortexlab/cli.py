@@ -26,10 +26,11 @@ A config is a single JSON document:
       "tolerances": {"develop_restrict": 1}
     }
 
-Unknown keys, also in "phi" and "tolerances", integers past a double's range
-and a stage named twice are refused.  So is a pipeline that solves the
-incomplete branch, whose ring data are (2/k) log|phi|, if phi has a zero
-within 4h of the ring or unresolved roots.
+Stage "two-solutions" is "solve-complete" then "solve-incomplete": SOLVES
+lists the branches of each solve stage.  Unknown keys, also in "phi" and
+"tolerances", integers past a double's range and a stage named twice are
+refused.  So is a pipeline that solves the incomplete branch, whose ring data
+are (2/k) log|phi|, if phi has a zero within 4h of the ring or unresolved roots.
 Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 (WANG_K3, HARMONIC_K2) "phi" holds the differential (U resp. q) and the
 solver runs on the matching base-equation problem.  Determinism: identical
@@ -69,19 +70,14 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
-STAGES = (
-    "solve-complete",
-    "solve-incomplete",
-    "two-solutions",
-    "verify",
-    "develop",
-    "export",
-)
-SOLVE_STAGES = ("solve-complete", "solve-incomplete", "two-solutions")
+# the branches each solve stage solves, in order
+SOLVES = {"solve-complete": ("complete",), "solve-incomplete": ("incomplete",),
+          "two-solutions": ("complete", "incomplete")}
+STAGES = tuple(SOLVES) + ("verify", "develop", "export")
 # what a stage needs earlier in the pipeline, and the refusal when it is missing
 NEEDS = {
-    "verify": (SOLVE_STAGES, "stage 'verify' needs a solve stage earlier in the pipeline"),
-    "develop": (SOLVE_STAGES, "stage 'develop' needs a solve stage earlier in the pipeline"),
+    "verify": (SOLVES, "stage 'verify' needs a solve stage earlier in the pipeline"),
+    "develop": (SOLVES, "stage 'develop' needs a solve stage earlier in the pipeline"),
     "export": (("develop",), "stage export needs develop earlier in the pipeline"),
 }
 MODES = ("EQ1", "WANG_K3", "HARMONIC_K2")
@@ -201,7 +197,7 @@ def load_config(path: str) -> Config:
             develop_domain = develop_domain.half()
     except ValueError as exc:
         raise ConfigError("develop_restrict %d: %s" % (restrict, exc))
-    if {"solve-incomplete", "two-solutions"} & set(stages):
+    if any("incomplete" in SOLVES.get(st, ()) for st in stages):
         # the incomplete branch hugs (2/k) log|phi|, which is -inf at a zero
         try:
             zs = phi.zeros()
@@ -276,7 +272,8 @@ def _blas_threads() -> int | None:
 
 
 class _Run:
-    """State threaded through the stages of one `run`; stage "a-b" is method a_b.
+    """State threaded through the stages of one `run`: a solve stage calls
+    `solve` for each of its branches, any other stage is the method of its name.
     `fields` maps each solved branch to its field; later stages read it in
     sorted order, so "complete" comes first whichever branch was solved first."""
 
@@ -297,23 +294,19 @@ class _Run:
     def failures(self) -> list:
         return sorted(check["name"] for check in self.checks if not check["passed"])
 
-    def _keep(self, branch: str, w: np.ndarray, rep) -> None:
-        """Record a solved branch: its field in `fields`, its report, w_<branch>.csv."""
+    # stages -----------------------------------------------------------
+    def solve(self, branch: str) -> None:
+        """Solve a branch and record its field in `fields`, its report and
+        w_<branch>.csv; a failed solve's report is recorded under it too."""
+        try:
+            w, rep = solver.solve_branch(self.problem, branch)
+        except solver.ConvergenceError as exc:
+            if exc.report is not None:
+                self.reports[branch] = _solve_report_json(exc.report)
+            raise
         self.fields[branch] = w
         self.reports[branch] = _solve_report_json(rep)
         write_field_csv(self.path("w_%s.csv" % branch), self.problem.domain, w)
-
-    # stages -----------------------------------------------------------
-    def solve_complete(self) -> None:
-        self._keep("complete", *solver.solve_complete(self.problem))
-
-    def solve_incomplete(self) -> None:
-        profile = solver.make_boundary_subsolution(self.problem)
-        self._keep("incomplete", *solver.solve_newton(self.problem, profile))
-
-    def two_solutions(self) -> None:
-        for branch, (w, rep) in solver.two_solutions(self.problem).items():
-            self._keep(branch, w, rep)
 
     def verify(self) -> None:
         prob = self.problem
@@ -430,24 +423,19 @@ def run(cfg: Config) -> int:
         for stage in cfg.stages:
             t_stage = time.perf_counter()
             try:
-                getattr(state, stage.replace("-", "_"))()
+                if stage in SOLVES:
+                    for branch in SOLVES[stage]:
+                        state.solve(branch)
+                else:
+                    getattr(state, stage)()
             finally:
                 state.stage_seconds.append(
                     {"stage": stage, "seconds": time.perf_counter() - t_stage})
         if state.failures:
             status = EXIT_INVARIANT
             error = "invariant checks failed: %s" % ", ".join(state.failures)
-    except solver.ConvergenceError as exc:
-        status, error = EXIT_SOLVER, str(exc)
-        if exc.complete is not None:
-            state.reports["complete"] = _solve_report_json(exc.complete)
-        if exc.report is not None:
-            # what the failed solve did, under its branch: the ladder is the
-            # complete one
-            ladder = isinstance(exc.report, solver.ContinuationReport)
-            state.reports["complete" if ladder else "incomplete"] = _solve_report_json(exc.report)
-    except MemoryError as exc:
-        # a grid too large for this machine: the solve, not the config, failed
+    except (solver.ConvergenceError, MemoryError) as exc:
+        # the solve, not the config, failed: also for a grid too large for this machine
         status, error = EXIT_SOLVER, str(exc) or type(exc).__name__
     except (ValueError, ArithmeticError, OSError) as exc:
         # preconditions load cannot check (normalization residual, Gauss map,
@@ -476,7 +464,7 @@ def compare(cfg_a: Config, cfg_b: Config) -> int:
         status = run(cfg)
         if status != EXIT_OK:
             return status
-        solved = {"solve-complete", "two-solutions"} & set(cfg.stages)
+        solved = any("complete" in SOLVES.get(st, ()) for st in cfg.stages)
         branches.append("complete" if solved else "incomplete")
         w = np.loadtxt(os.path.join(cfg.output_dir, "w_%s.csv" % branches[-1]), delimiter=",",
                        skiprows=1, usecols=2).reshape(cfg.domain.n, cfg.domain.n)

@@ -50,14 +50,11 @@ DEFAULT_M_VALUES = tuple(range(4, 25, 2))
 class ConvergenceError(RuntimeError):
     """A solve that stopped short of its tolerance; report is what it did, or
     None: a NewtonReport, or for the ladder a ContinuationReport of the rungs
-    tried whose newton is the failing solve's.  complete is the finished
-    ladder's ContinuationReport when the incomplete branch of
-    ``two_solutions`` failed after it, else None."""
+    tried whose newton is the failing solve's."""
 
-    def __init__(self, message: str, report=None, complete=None):
+    def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-        self.complete = complete
 
 
 def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
@@ -572,21 +569,22 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
 # the dichotomy: one solution or two
 
 
+def solve_branch(problem: VortexProblem, branch: str) -> tuple:
+    """(w, report) of one branch: "complete" from the ladder, "incomplete" hugging
+    the barrier, Newton started on the clipped profile with its ring as data."""
+    if branch == "complete":
+        return solve_complete(problem)
+    return solve_newton(problem, make_boundary_subsolution(problem))
+
+
 def two_solutions(problem: VortexProblem) -> dict:
     """Two distinct solutions for non-polynomial phi, keyed by branch name:
     {"complete": (w, ContinuationReport), "incomplete": (w, NewtonReport)}.
 
-    The complete one is the ladder's; the incomplete one hugs the barrier:
-    Newton started on the clipped profile, with the profile as ring data.
     For polynomial phi the complete solution is the only one: refused.
     """
     if problem.phi.is_polynomial():
         raise ValueError(
             "phi is a polynomial: the complete solution is unique, there is no second one"
         )
-    complete = solve_complete(problem)
-    profile = make_boundary_subsolution(problem)
-    try:
-        return {"complete": complete, "incomplete": solve_newton(problem, profile)}
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), exc.report, complete[1]) from None
+    return {branch: solve_branch(problem, branch) for branch in ("complete", "incomplete")}

@@ -955,20 +955,43 @@ def test_unconverged_pcg_is_a_solver_failure(tmp_path, monkeypatch):
 
 def test_failed_incomplete_branch_keeps_the_finished_ladder(tmp_path, monkeypatch):
     # two-solutions runs the ladder, then the incomplete branch, whose ring
-    # data are no rung's; when that one fails, the report keeps the finished
-    # ladder under "complete", as a run without the failure writes it
-    cfg = make_cfg(tmp_path, p=((0.5, 0.0), (1.0, 0.0)), q=((0.0, 0.0), (1.0, 0.0)), k=3,
-                   R=4.0, pipeline=("two-solutions",))
-    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    # data are no rung's; when that one fails, the run keeps the finished
+    # ladder's report and w_complete.csv, as a run without the failure writes
+    # them, and writes no w_incomplete.csv
+    kw = dict(p=((0.5, 0.0), (1.0, 0.0)), q=((0.0, 0.0), (1.0, 0.0)), k=3, R=4.0,
+              pipeline=("two-solutions",))
+    assert cli.main(["run", make_cfg(tmp_path, **kw)]) == cli.EXIT_OK
     finished = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
     calls = _fail_rungs(monkeypatch, lambda M: M is None)
-    assert cli.main(["run", cfg]) == cli.EXIT_SOLVER
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert cli.main(["run", make_cfg(tmp_path, "fail.json", out="fail", **kw)]) == cli.EXIT_SOLVER
+    failed = tmp_path / "fail"
+    report = json.loads((failed / "report.json").read_text())
     assert calls[-1] is None and "PCG did not reach" in report["error"]
     assert report["reports"]["complete"] == finished["complete"]
+    assert sorted(path.name for path in failed.iterdir()) == [
+        "invariants.json", "report.json", "w_complete.csv"]
+    assert (failed / "w_complete.csv").read_bytes() == (
+        tmp_path / "out" / "w_complete.csv").read_bytes()
     incomplete = report["reports"]["incomplete"]
     assert incomplete["boundary_kind"] == "SUBSOLUTION_PROFILE"
     assert incomplete["final_residual"] > solver.TOL_NEWTON
+
+
+def test_two_solutions_stage_agrees_with_the_library_composition(tmp_path):
+    # the CLI solves each branch through solve_branch, not two_solutions;
+    # both routes give the same bits and the same report
+    cfg = make_cfg(tmp_path, **EXP_Z_KW, pipeline=("two-solutions",))
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    loaded = cli.load_config(cfg)
+    branches = solver.two_solutions(grid.VortexProblem(loaded.phi, loaded.k, loaded.domain))
+    assert sorted(branches) == sorted(reports) == ["complete", "incomplete"]
+    for branch, (w, rep) in branches.items():
+        # %.17g values round-trip exactly
+        written = np.loadtxt(out / ("w_%s.csv" % branch), delimiter=",", skiprows=1, usecols=2)
+        assert np.array_equal(written.reshape(w.shape), w)
+        assert cli._solve_report_json(rep) == reports[branch]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -28,6 +28,41 @@ def _exact_cmc_exponential(R=1.0, n=161):
     return dev.normalize(prob.profile(), prob, HARMONIC)
 
 
+def _start_frame(mode, w):
+    """The initial frame of the develop pass at the central node: that of
+    develop_affine_sphere resp. of develop_cmc."""
+    if mode is WANG:
+        c = (len(w) - 1) // 2
+        a = np.exp(0.5 * w[c, c])
+        return np.array([[0.0, 0.0, 1.0], [0.5 * a, -0.5j * a, 0.0], [0.5 * a, 0.5j * a, 0.0]])
+    return np.eye(4, 3, k=-1)
+
+
+def _expm(a):
+    """exp of each matrix of a stack (..., d, d), by scaling and squaring
+    with a Taylor sum: right for a defective matrix too, which an
+    eigendecomposition is not."""
+    squarings = max(0, int(np.ceil(np.log2(max(np.max(np.sum(np.abs(a), axis=-1)), 1e-300)))) + 1)
+    a = a / 2.0 ** squarings  # every row sum at most 1/2
+    term = out = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)
+    for k in range(1, 20):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _exact_constant_frames(sol):
+    """exp(y M_y) exp(x M_x) S0 at every node, (n, n, d, 3), for a constant
+    w and differential: the coefficients are then constant and commute."""
+    mats = dev._wang_mats if sol.mode is WANG else dev._cmc_mats
+    w, val = sol.w[0, 0], complex(sol.differential.eval(0j))
+    mx, my = (mats(w, 0.0, 0.0, val, axis=axis) for axis in (0, 1))
+    t = sol.domain.axis[:, None, None]
+    return np.einsum("jab,ibc,cd->ijad", _expm(t * my), _expm(t * mx), _start_frame(sol.mode, sol.w))
+
+
 def test_geometric_problem_embeds_the_differential():
     diff = EntireFunction(p=(0.0, 1.0))
     pw = dev.geometric_problem(diff, WANG, GridDomain(2.0, 41))
@@ -154,6 +189,27 @@ def test_develop_constant_is_machine_flat():
     assert surf.imag_max <= 1e-8
     assert surf.holonomy_defect <= 1e-11
     assert np.abs(surf.metric - sol.w)[1:-1, 1:-1].max() <= 1e-8
+
+
+@pytest.mark.parametrize("mode, differential, bound", [
+    (WANG, EntireFunction(p=(1.0,)), 3.3e-7),  # U = 1: the Titeica surface
+    (HARMONIC, EntireFunction(p=(1.0,)), 2.0e-6),  # q = 1: M_y is defective
+])
+def test_developed_positions_converge_to_the_closed_form(mode, differential, bound):
+    # for a constant differential the exact solution is the constant profile,
+    # and the exact frames are exp(y M_y) exp(x M_x) S0.  One RK4 step per
+    # edge: the error falls by 2^4 per halving of h; at n = 161 it was
+    # measured at 3.3e-8 (U = 1) and 2.0e-7 (q = 1), a tenth of the bound
+    errors = []
+    for n in (81, 161, 321):
+        prob = dev.geometric_problem(differential, mode, GridDomain(2.0, n))
+        sol = dev.normalize(prob.profile(), prob, mode)
+        surf = (dev.develop_affine_sphere if mode is WANG else dev.develop_cmc)(sol)
+        exact = _exact_constant_frames(sol)[:, :, 0, :].real
+        errors.append(np.max(np.abs(surf.positions - exact)) / np.max(np.abs(exact)))
+    orders = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all((3.8 <= orders) & (orders <= 4.2)), (errors, orders)
+    assert errors[1] <= bound, errors
 
 
 @pytest.mark.parametrize("times", [10.0, 40.0, 90.0])
@@ -450,12 +506,7 @@ def test_blocked_transfers_equal_full_stacks(mode, block, monkeypatch, use_parts
     sol = dev.NormalizedSolution(mode, diff, dom, w)
     other = dev.NormalizedSolution(mode, diff, dom, w + 0.05 * np.cos(3.0 * zz.real))
     full = _full_stack_transfers(sol)
-    if mode is WANG:  # the initial frame of develop_affine_sphere
-        a = np.exp(0.5 * w[6, 6])
-        s0 = np.array([[0.0, 0.0, 1.0], [0.5 * a, -0.5j * a, 0.0], [0.5 * a, 0.5j * a, 0.0]])
-    else:
-        s0 = np.eye(4, 3, k=-1)
-    frames = _full_stack_sweep(full, s0, dom.n)
+    frames = _full_stack_sweep(full, _start_frame(mode, w), dom.n)
     scaled = {id(sol): frames, id(other): frames}
     if mode is HARMONIC:  # the pass hands back f_x = e^w e1, and measures on e1
         frames[:, :, 1:3] *= np.exp(w)[:, :, None, None]

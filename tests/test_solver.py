@@ -522,6 +522,41 @@ def test_two_solutions_with_zero_factor_split_widely():
     assert gap[inner, inner].min() > 0.0
 
 
+def _turned(phi: EntireFunction, m: int) -> EntireFunction:
+    """phi(i^m z): the coefficient of z^k times i^{mk}, exactly."""
+    turn = lambda coeffs: tuple(c * (1, 1j, -1, -1j)[m * k % 4] for k, c in enumerate(coeffs))
+    return EntireFunction(turn(phi.p), turn(phi.q))
+
+
+def _mirrored(phi: EntireFunction) -> EntireFunction:
+    """conj(phi(conj z)): the conjugate coefficients."""
+    return EntireFunction(tuple(np.conj(phi.p)), tuple(np.conj(phi.q)))
+
+
+def _assert_equivariant(phi: EntireFunction, solve_both) -> None:
+    # w_m(z) = w(i^m z) is w turned by -m quarter turns on the grid, whose
+    # first index is x, and the solution for conj(phi(conj z)) is w(conj z),
+    # w mirrored in y; each branch to 1e-12 (4e-15 measured)
+    dom = GridDomain(4.0, 41)
+    base = solve_both(VortexProblem(phi, 3, dom))
+    expected = [(_turned(phi, m), lambda w, m=m: np.rot90(w, -m)) for m in (1, 2, 3)]
+    for other, move in expected + [(_mirrored(phi), lambda w: w[:, ::-1])]:
+        branches = solve_both(VortexProblem(other, 3, dom))
+        for branch, (w, _) in base.items():
+            assert np.max(np.abs(branches[branch][0] - move(w))) <= 1e-12
+
+
+def test_two_solutions_turn_and_mirror_with_phi():
+    _assert_equivariant(EXP_Z, solve.two_solutions)
+
+
+def test_both_branches_of_a_polynomial_turn_and_mirror_with_phi():
+    # zeros at 1 + 0.5i and -0.7 + 1.2i, on neither axis nor diagonal
+    phi = EntireFunction(p=(-1.3 + 0.85j, -0.3 - 1.7j, 1.0))
+    _assert_equivariant(phi, lambda prob: {branch: solve.solve_branch(prob, branch)
+                                           for branch in ("complete", "incomplete")})
+
+
 def test_dichotomy_pair_ordered_and_converged(ez_pair):
     (w_top, _), (w_low, report_low) = ez_pair.branches["complete"], ez_pair.branches["incomplete"]
     assert report_low.residual <= solve.TOL_NEWTON
