@@ -181,9 +181,6 @@ def load_config(path: str) -> Config:
             raise ConfigError(refusal)
     if "develop" in stages and mode == "EQ1":
         raise ConfigError("stage develop needs a geometric mode")
-    if "two-solutions" in stages and phi.is_polynomial():
-        raise ConfigError("phi is a polynomial: the complete solution is unique, "
-                          "there is no second one")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object")

@@ -49,10 +49,6 @@ class EntireFunction:
     def degree(self) -> int:
         return len(self.p) - 1
 
-    def is_polynomial(self) -> bool:
-        """True when the exponent is constant, i.e. phi is a polynomial up to scale."""
-        return len(self.q) <= 1
-
     def eval(self, z):
         """phi(z) itself.  Raises OverflowError instead of returning inf;
         use log_abs for anything that has to survive large Re Q."""

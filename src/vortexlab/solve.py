@@ -578,13 +578,6 @@ def solve_branch(problem: VortexProblem, branch: str) -> tuple:
 
 
 def two_solutions(problem: VortexProblem) -> dict:
-    """Two distinct solutions for non-polynomial phi, keyed by branch name:
-    {"complete": (w, ContinuationReport), "incomplete": (w, NewtonReport)}.
-
-    For polynomial phi the complete solution is the only one: refused.
-    """
-    if problem.phi.is_polynomial():
-        raise ValueError(
-            "phi is a polynomial: the complete solution is unique, there is no second one"
-        )
+    """Both branches, keyed by name: {"complete": (w, ContinuationReport),
+    "incomplete": (w, NewtonReport)}; for polynomial phi they coincide as R grows."""
     return {branch: solve_branch(problem, branch) for branch in ("complete", "incomplete")}

@@ -55,6 +55,8 @@ def make_cfg(tmp_path, name="cfg.json", *, p=((2.0, 0.0),), q=None, k=2, R=4.0,
 
 
 EXP_Z_KW = dict(p=((1.0, 0.0),), q=((0.0, 0.0), (1.0, 0.0)), k=3, mode="EQ1")
+# a polynomial phi, whose two branches coincide as R grows
+Z2_MINUS_1_KW = dict(p=((-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)), k=3, mode="EQ1")
 # a value make_cfg writes where a refusal case puts raw JSON text instead
 RAW = 0.123456789
 HUGE = "9" * 401  # an integer past the range of a double, as JSON text
@@ -299,32 +301,19 @@ def test_bad_tolerances_refused_before_any_artifact(tmp_path, capsys, tol, messa
     assert default.develop_domain == default.domain
 
 
-def test_two_solutions_refused_for_polynomial(tmp_path, capsys):
-    # one test id, both pipelines: a solve stage ahead of two-solutions must
-    # not get to write its field either
-    for i, pipeline in enumerate([("two-solutions",), ("solve-complete", "two-solutions")]):
-        out = "out%d" % i
-        cfg = make_cfg(tmp_path, "cfg%d.json" % i, p=((0.0, 0.0), (1.0, 0.0)),
-                       pipeline=pipeline, out=out)
-        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG, pipeline
-        # precondition failures are refused before any artifact is written
-        assert not (tmp_path / out).exists() or not any((tmp_path / out).iterdir()), pipeline
-        assert "polynomial" in capsys.readouterr().err
-
-
 def test_branch_order_does_not_follow_the_pipeline(tmp_path):
     # the incomplete branch solved first is still checked, probed and
-    # compared second, as two-solutions has it
-    files = []
-    for i, pipeline in enumerate([("solve-incomplete", "solve-complete", "verify"),
-                                  ("two-solutions", "verify")]):
-        out = "out%d" % i
-        cfg = make_cfg(tmp_path, "cfg%d.json" % i, **EXP_Z_KW,
-                       pipeline=pipeline, out=out)
-        assert cli.main(["run", cfg]) == cli.EXIT_OK, pipeline
-        files.append({name: (tmp_path / out / name).read_bytes() for name in (
-            "invariants.json", "rays.csv", "w_complete.csv", "w_incomplete.csv")})
-    assert files[0] == files[1]
+    # compared second, as two-solutions has it; for a polynomial too
+    for i, kw in enumerate((EXP_Z_KW, Z2_MINUS_1_KW)):
+        files = []
+        for j, pipeline in enumerate([("solve-incomplete", "solve-complete", "verify"),
+                                      ("two-solutions", "verify")]):
+            out = tmp_path / ("out%d%d" % (i, j))
+            cfg = make_cfg(tmp_path, **kw, pipeline=pipeline, out=out.name)
+            assert cli.main(["run", cfg]) == cli.EXIT_OK, (kw, pipeline)
+            files.append({name: (out / name).read_bytes() for name in (
+                "invariants.json", "rays.csv", "w_complete.csv", "w_incomplete.csv")})
+        assert files[0] == files[1], kw
 
 
 def test_unresolvable_roots_exit_config_without_traceback(tmp_path):
@@ -979,19 +968,44 @@ def test_failed_incomplete_branch_keeps_the_finished_ladder(tmp_path, monkeypatc
 
 def test_two_solutions_stage_agrees_with_the_library_composition(tmp_path):
     # the CLI solves each branch through solve_branch, not two_solutions;
-    # both routes give the same bits and the same report
-    cfg = make_cfg(tmp_path, **EXP_Z_KW, pipeline=("two-solutions",))
-    assert cli.main(["run", cfg]) == cli.EXIT_OK
-    out = tmp_path / "out"
-    reports = json.loads((out / "report.json").read_text())["reports"]
-    loaded = cli.load_config(cfg)
-    branches = solver.two_solutions(grid.VortexProblem(loaded.phi, loaded.k, loaded.domain))
-    assert sorted(branches) == sorted(reports) == ["complete", "incomplete"]
-    for branch, (w, rep) in branches.items():
-        # %.17g values round-trip exactly
-        written = np.loadtxt(out / ("w_%s.csv" % branch), delimiter=",", skiprows=1, usecols=2)
-        assert np.array_equal(written.reshape(w.shape), w)
-        assert cli._solve_report_json(rep) == reports[branch]
+    # both routes give the same bits and the same report, for e^z and for a
+    # polynomial, whose two branches coincide
+    for i, kw in enumerate((EXP_Z_KW, Z2_MINUS_1_KW)):
+        out = tmp_path / ("out%d" % i)
+        cfg = make_cfg(tmp_path, "cfg%d.json" % i, **kw, pipeline=("two-solutions",),
+                       out=out.name)
+        assert cli.main(["run", cfg]) == cli.EXIT_OK, kw
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        loaded = cli.load_config(cfg)
+        branches = solver.two_solutions(grid.VortexProblem(loaded.phi, loaded.k, loaded.domain))
+        assert sorted(branches) == sorted(reports) == ["complete", "incomplete"]
+        for branch, (w, rep) in branches.items():
+            # %.17g values round-trip exactly
+            written = np.loadtxt(out / ("w_%s.csv" % branch), delimiter=",", skiprows=1,
+                                 usecols=2)
+            assert np.array_equal(written.reshape(w.shape), w), (kw, branch)
+            assert cli._solve_report_json(rep) == reports[branch], (kw, branch)
+
+
+def test_dichotomy_reads_from_the_written_fields(tmp_path):
+    # the paper's dichotomy, from the artifacts alone: for polynomial phi the
+    # two branches tend to one solution, so their gap on the inner square is
+    # the ring's screened influence and falls at least 100x from (R, n) =
+    # (4, 81) to (6, 121) at h = 0.1; for e^z the branches are two solutions
+    # and the gap stays above 1 at both sizes
+    gaps = {}
+    for name, kw in (("poly", Z2_MINUS_1_KW), ("exp", EXP_Z_KW)):
+        for R, n in ((4.0, 81), (6.0, 121)):
+            out = tmp_path / ("%s%d" % (name, n))
+            cfg = make_cfg(tmp_path, "%s%d.json" % (name, n), **kw, R=R, n=n,
+                           pipeline=("two-solutions", "verify"), out=out.name)
+            assert cli.main(["run", cfg]) == cli.EXIT_OK, (name, R, n)
+            dom = GridDomain(R, n)
+            w = {b: np.loadtxt(out / ("w_%s.csv" % b), delimiter=",", skiprows=1,
+                               usecols=2).reshape(n, n) for b in ("complete", "incomplete")}
+            gaps[name, n] = float(np.max((w["complete"] - w["incomplete"])[dom.inner, dom.inner]))
+    assert gaps["poly", 121] <= gaps["poly", 81] / 100.0, gaps
+    assert gaps["exp", 81] > 1.0 and gaps["exp", 121] > 1.0, gaps
 
 
 def test_cli_import_leaves_scipy_unloaded():

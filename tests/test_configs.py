@@ -16,6 +16,7 @@ ARTIFACTS = {
     "dichotomy": {"w_complete.csv", "w_incomplete.csv"},
     "affine_sphere": {"w_incomplete.csv", "surface.obj"},
     "cmc_gauss": {"w_complete.csv", "surface.obj", "gauss.csv"},
+    "uniqueness": {"w_complete.csv", "w_incomplete.csv"},
 }
 
 

@@ -110,17 +110,9 @@ def test_zeros_of_constant_is_empty():
     assert len(EntireFunction(p=(3.0,)).zeros()) == 0
 
 
-def test_is_polynomial_classification():
-    assert EntireFunction(p=(0, 0, 0, 0, 0, 3.0)).is_polynomial()
-    assert not EntireFunction(p=(1.0,), q=(0.0, 1.0)).is_polynomial()
-    assert not EntireFunction(p=(-1.0, 1.0), q=(0.0, 2.0)).is_polynomial()
-    # a constant exponent is only a scale factor, still a polynomial
-    assert EntireFunction(p=(0.0, 1.0), q=(0.7,)).is_polynomial()
-
-
 def test_trailing_zero_exponent_coefficients_are_trimmed():
     f = EntireFunction(p=(0.0, 1.0), q=(0.3, 0.0, 0.0))
-    assert f.is_polynomial()
+    assert f.q == (0.3 + 0j,)
 
 
 def test_degree():

@@ -506,12 +506,6 @@ def test_forcing_term_of_each_step_follows_its_residual(monkeypatch, use_parts):
     assert max(tols) == solve.ETA_NEWTON and min(tols) < 1e-6
 
 
-def test_two_solutions_requires_transcendental_phi():
-    prob = VortexProblem(F_Z, 2, GridDomain(4.0, 41))
-    with pytest.raises(ValueError):
-        solve.two_solutions(prob)
-
-
 def test_two_solutions_with_zero_factor_split_widely():
     # z e^z mixes a root with exponential growth; the branches stay apart
     prob = VortexProblem(EntireFunction(p=(0.0, 1.0), q=(0.0, 1.0)), 3, GridDomain(6.0, 121))
