@@ -27,10 +27,10 @@ A config is a single JSON document:
     }
 
 Stage "two-solutions" is "solve-complete" then "solve-incomplete": SOLVES
-lists the branches of each solve stage.  Unknown keys, also in "phi" and
-"tolerances", integers past a double's range and a stage named twice are
-refused.  So is a pipeline that solves the incomplete branch, whose ring data
-are (2/k) log|phi|, if phi has a zero within 4h of the ring or unresolved roots.
+lists the branches of each solve stage.  Refused: unknown keys, also in "phi"
+and "tolerances", integers past a double's range, a stage named twice or a
+branch solved twice, and a pipeline solving the incomplete branch (ring data
+(2/k) log|phi|) if phi has a zero within 4h of the ring or unresolved roots.
 Coefficients are [re, im] pairs, ascending degree.  In the geometric modes
 (WANG_K3, HARMONIC_K2) "phi" holds the differential (U resp. q) and the
 solver runs on the matching base-equation problem.  Determinism: identical
@@ -171,11 +171,16 @@ def load_config(path: str) -> Config:
     stages = raw["pipeline"]
     if not isinstance(stages, list) or not stages:
         raise ConfigError("pipeline must be a non-empty list of stages")
+    solved = []  # the branches the stages so far solve
     for i, st in enumerate(stages):
         if st not in STAGES:
             raise ConfigError("unknown stage %r (choose from %s)" % (st, STAGES))
         if st in stages[:i]:
             raise ConfigError("stage %r appears twice in the pipeline" % st)
+        for branch in SOLVES.get(st, ()):
+            if branch in solved:
+                raise ConfigError("branch %r is solved twice in the pipeline" % branch)
+            solved.append(branch)
         needed, refusal = NEEDS.get(st, (None, None))
         if needed and not set(needed) & set(stages[:i]):
             raise ConfigError(refusal)
@@ -194,7 +199,7 @@ def load_config(path: str) -> Config:
             develop_domain = develop_domain.half()
     except ValueError as exc:
         raise ConfigError("develop_restrict %d: %s" % (restrict, exc))
-    if any("incomplete" in SOLVES.get(st, ()) for st in stages):
+    if "incomplete" in solved:
         # the incomplete branch hugs (2/k) log|phi|, which is -inf at a zero
         try:
             zs = phi.zeros()

@@ -7,8 +7,8 @@ Conventions used everywhere in the package:
 * fields are (n, n) arrays indexed [i, j] with i along x and j along y,
   so values[i, j] approximates w(x_i, y_j) and z = x[:, None] + 1j * y[None, :];
 * n is odd, the origin is the center node, h = 2 R / (n - 1);
-* the Laplacian is the standard 5-point stencil, defined on the interior,
-  returned as a full array with zeros on the boundary ring;
+* the Laplacian is the 5-point stencil on interior rows and columns
+  (``laplacian_rows``); residuals are full arrays, zero on the ring;
 * norms and residuals are taken over interior nodes only, since the ring
   carries Dirichlet data.
 """
@@ -174,14 +174,6 @@ class GridDomain:
         return (v[r0 + 1:r1 + 1, 1:-1] + v[r0 - 1:r1 - 1, 1:-1] + v[r0:r1, 2:] + v[r0:r1, :-2]
                 - 4.0 * v[r0:r1, 1:-1]) / self.h**2
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.n, self.n):
-            raise ValueError("field shape does not match the grid")
-        lap = np.zeros_like(v)
-        lap[1:-1, 1:-1] = self.laplacian_rows(v, 1, self.n - 1)
-        return lap
-
     def half(self) -> "GridDomain":
         """The grid of the nodes ``window(R/2)``, same spacing: needs (n - 1)
         divisible by 4, so its rim lands on nodes, and n >= 9."""
@@ -299,9 +291,10 @@ class VortexProblem:
 
     def residual(self, w: np.ndarray) -> np.ndarray:
         """Laplacian(w) - F(w), F(w) = e^w - |phi|^2 e^{-(k-1) w}, inside; zeros on the ring."""
-        r = self.domain.laplacian(w) - (np.exp(w) - np.exp(self.a2 - (self.k - 1) * w))
-        r[0, :] = r[-1, :] = 0.0
-        r[:, 0] = r[:, -1] = 0.0
+        n, v = self.domain.n, w[1:-1, 1:-1]
+        r = np.zeros_like(w)
+        r[1:-1, 1:-1] = self.domain.laplacian_rows(w, 1, n - 1) - (
+            np.exp(v) - np.exp(self.a2[1:-1, 1:-1] - (self.k - 1) * v))
         return r
 
     def residual_norm(self, w: np.ndarray) -> float:

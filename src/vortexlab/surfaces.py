@@ -62,6 +62,8 @@ class SurfaceMode(str, enum.Enum):
 
 
 _FACTOR = {SurfaceMode.WANG_K3: 4.0, SurfaceMode.HARMONIC_K2: 2.0}
+# w = s (w_eq1 - log 2) for the mode's scale s
+_SCALE = {SurfaceMode.WANG_K3: 1.0, SurfaceMode.HARMONIC_K2: 0.5}
 MODE_K = {SurfaceMode.WANG_K3: 3, SurfaceMode.HARMONIC_K2: 2}
 
 
@@ -116,16 +118,12 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     mode = SurfaceMode(mode)
     if problem.k != MODE_K[mode]:
         raise ValueError("mode %s needs k = %d" % (mode.value, MODE_K[mode]))
-    c = _FACTOR[mode]
+    c, s = _FACTOR[mode], _SCALE[mode]
     diff = EntireFunction(tuple(a / c for a in problem.phi.p), problem.phi.q)
-    if mode is SurfaceMode.WANG_K3:
-        w = w_eq1 - WANG_SHIFT
-    else:
-        w = 0.5 * w_eq1 - 0.5 * WANG_SHIFT
-    sol = NormalizedSolution(mode, diff, problem.domain, w)
+    sol = NormalizedSolution(mode, diff, problem.domain, s * (w_eq1 - WANG_SHIFT))
     base = problem.residual_norm(w_eq1)
     res = sol.residual_norm
-    expected = base if mode is SurfaceMode.WANG_K3 else 0.5 * base
+    expected = s * base
     # a residual that is not finite is refused: inf would pass against an inf base
     if not (np.isfinite(res) and res <= max(10.0 * 1e-9, 2.0 * expected + 1e-12)):
         raise ValueError(
@@ -159,20 +157,6 @@ def jacobian_field(sol: NormalizedSolution) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # derivative fields and edge transfer matrices
-
-
-def _grad(domain: GridDomain, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal gradient: centered interior, one-sided second order on the rim."""
-    h = domain.h
-    wx = np.empty_like(w)
-    wx[1:-1, :] = (w[2:, :] - w[:-2, :]) / (2 * h)
-    wx[0, :] = (-3 * w[0, :] + 4 * w[1, :] - w[2, :]) / (2 * h)
-    wx[-1, :] = (3 * w[-1, :] - 4 * w[-2, :] + w[-3, :]) / (2 * h)
-    wy = np.empty_like(w)
-    wy[:, 1:-1] = (w[:, 2:] - w[:, :-2]) / (2 * h)
-    wy[:, 0] = (-3 * w[:, 0] + 4 * w[:, 1] - w[:, 2]) / (2 * h)
-    wy[:, -1] = (3 * w[:, -1] - 4 * w[:, -2] + w[:, -3]) / (2 * h)
-    return wx, wy
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,8 +269,8 @@ def _cmc_mats(w, wx, wy, qval, axis: int) -> np.ndarray:
 def _fields(sol: NormalizedSolution, grad, rows: slice, cols: slice):
     """w, its gradient and the differential at a cut of the nodes, at the
     midpoints of the cut's x-edges and at those of its y-edges: the
-    (node, mid_x, mid_y) inputs of the coefficient planes.  grad is
-    ``_grad`` of sol.w over the whole grid."""
+    (node, mid_x, mid_y) inputs of the coefficient planes.  grad is sol.w's
+    ``np.gradient`` (second order on the rim too) over the whole grid."""
     h = sol.domain.h
     zz = sol.domain.zz(rows, cols)
     ev = sol.differential.eval
@@ -395,8 +379,8 @@ def _develop_pass(sol: NormalizedSolution, loops: NormalizedSolution | None = No
         a = np.exp(0.5 * sol.w[c, c])
         s0 = np.array([[0.0, 0.0, 1.0], [0.5 * a, -0.5j * a, 0.0], [0.5 * a, 0.5j * a, 0.0]])
     d, dtype = s0.shape[0], s0.dtype
-    grad = _grad(sol.domain, sol.w)
-    loop_grad = grad if loops is sol else _grad(loops.domain, loops.w)
+    grad = tuple(np.gradient(sol.w, sol.domain.h, edge_order=2))
+    loop_grad = grad if loops is sol else tuple(np.gradient(loops.w, loops.domain.h, edge_order=2))
     node, mid_x, _ = _fields(sol, grad, slice(None), slice(c, c + 1))
     tx, tx_rev = np.empty((2, d, d, n - 1, 1), dtype)
     _transfers(sol, node, mid_x, 0, tx, tx_rev)

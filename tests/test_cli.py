@@ -98,13 +98,21 @@ def test_config_rejects_export_without_develop(tmp_path):
                                  pipeline=("solve-complete", "export")))
 
 
-def test_config_rejects_unknown_stage(tmp_path):
+def test_config_rejects_unknown_stage(tmp_path, capsys):
     with pytest.raises(cli.ConfigError):
         cli.load_config(make_cfg(tmp_path, pipeline=("solve-complete", "plot")))
     # a repeated stage would list its checks twice, or rerun a whole solve
     with pytest.raises(cli.ConfigError, match="'verify' appears twice"):
         cli.load_config(make_cfg(tmp_path, p=((0.0, 0.0), (1.0, 0.0)),
                                  pipeline=("solve-complete", "verify", "verify")))
+    # so would a branch that two solve stages both solve
+    for pipeline, branch in ((("two-solutions", "solve-complete"), "complete"),
+                             (("solve-incomplete", "two-solutions"), "incomplete")):
+        cfg = make_cfg(tmp_path, **EXP_Z_KW, pipeline=pipeline + ("verify",))
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "branch %r is solved twice in the pipeline" % branch in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

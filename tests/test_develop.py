@@ -376,7 +376,7 @@ def test_residual_in_blocks_equals_the_full_grid(mode, monkeypatch):
         f = 2.0 * np.exp(w) - 4.0 * np.exp(la - 2.0 * w)
     else:
         f = np.exp(2.0 * w) - np.exp(la - 2.0 * w)
-    want = float(np.max(np.abs((dom.laplacian(w) - f)[1:-1, 1:-1])))
+    want = float(np.max(np.abs(dom.laplacian_rows(w, 1, dom.n - 1) - f[1:-1, 1:-1])))
     for rows in (1, 4, 6, 64):
         monkeypatch.setattr(dev, "_ROWS", rows)
         assert dev.NormalizedSolution(mode, diff, dom, w).residual_norm == want
@@ -415,7 +415,7 @@ def _small_grid_mats(mode):
     dom = GridDomain(1.0, 9)
     zz = dom.zz()
     w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
-    wx, wy = dev._grad(dom, w)
+    wx, wy = np.gradient(w, dom.h, edge_order=2)
     val = (0.5 + 0.25j) + zz * (1.0 - 0.5j)
     mats = dev._wang_mats if mode is WANG else dev._cmc_mats
     return dom.h, (mats(w, wx, wy, val, axis=0), mats(w, wx, wy, val, axis=1))
@@ -441,7 +441,7 @@ def _full_stack_transfers(sol):
     dom, h = sol.domain, sol.domain.h
     zz, ev = dom.zz(), sol.differential.eval
     mats = dev._wang_mats if sol.mode is WANG else dev._cmc_mats
-    fields = (sol.w,) + dev._grad(dom, sol.w)
+    fields = (sol.w,) + tuple(np.gradient(sol.w, h, edge_order=2))
     mx, my = (mats(*fields, ev(zz), axis=a) for a in (0, 1))
     mmx = mats(*(0.5 * (f[:-1, :] + f[1:, :]) for f in fields), ev(zz[:-1, :] + 0.5 * h), axis=0)
     mmy = mats(*(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields), ev(zz[:, :-1] + 0.5j * h), axis=1)

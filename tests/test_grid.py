@@ -48,19 +48,19 @@ def test_laplacian_kills_affine_functions():
     dom = GridDomain(2.0, 81)
     zz = dom.zz()
     u = 2.0 + 3.0 * zz.real - zz.imag
-    assert interior_max_norm(dom.laplacian(u)) <= 1e-11
+    assert np.max(np.abs(dom.laplacian_rows(u, 1, dom.n - 1))) <= 1e-11
 
 
 def test_laplacian_of_x_squared_is_two():
     dom = GridDomain(2.0, 81)
     u = dom.zz().real ** 2
-    assert interior_max_norm(dom.laplacian(u) - 2.0) <= 1e-11
+    assert np.max(np.abs(dom.laplacian_rows(u, 1, dom.n - 1) - 2.0)) <= 1e-11
 
 
 def test_laplacian_sine_truncation():
     dom = GridDomain(1.0, 41)
-    x = dom.zz().real
-    err = interior_max_norm(dom.laplacian(np.sin(x)) + np.sin(x))
+    s = np.sin(dom.zz().real)
+    err = np.max(np.abs(dom.laplacian_rows(s, 1, dom.n - 1) + s[1:-1, 1:-1]))
     assert err <= 2.1e-4
 
 
@@ -68,8 +68,8 @@ def test_laplacian_second_order_refinement():
     errs = []
     for n in (51, 101, 201):
         dom = GridDomain(1.0, n)
-        x = dom.zz().real
-        errs.append(interior_max_norm(dom.laplacian(np.sin(x)) + np.sin(x)))
+        s = np.sin(dom.zz().real)
+        errs.append(np.max(np.abs(dom.laplacian_rows(s, 1, n - 1) + s[1:-1, 1:-1])))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.8) and np.all(orders <= 2.2)
 
@@ -79,12 +79,13 @@ def test_laplacian_second_order_refinement():
        R=st.floats(1e-3, 1e3), data=st.data())
 def test_row_block_stencil_is_the_laplacian(seed, n, R, data):
     # the one 5-point stencil: any block of rows r0 <= i < r1 gives those
-    # rows of the full Laplacian, bit for bit
+    # rows of the whole-interior call, bit for bit
     dom = GridDomain(R, n)
     w = np.random.default_rng(seed).standard_normal((n, n))
     r0 = data.draw(st.integers(1, n - 2), label="r0")
     r1 = data.draw(st.integers(r0 + 1, n - 1), label="r1")
-    assert np.array_equal(dom.laplacian_rows(w, r0, r1), dom.laplacian(w)[r0:r1, 1:-1])
+    assert np.array_equal(dom.laplacian_rows(w, r0, r1),
+                          dom.laplacian_rows(w, 1, n - 1)[r0 - 1:r1 - 1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,9 +96,9 @@ def test_laplacian_linearity(seed, a, b):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((41, 41))
     v = rng.standard_normal((41, 41))
-    lhs = dom.laplacian(a * u + b * v)
-    rhs = a * dom.laplacian(u) + b * dom.laplacian(v)
-    assert interior_max_norm(lhs - rhs) <= 1e-10
+    lhs = dom.laplacian_rows(a * u + b * v, 1, 40)
+    rhs = a * dom.laplacian_rows(u, 1, 40) + b * dom.laplacian_rows(v, 1, 40)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,8 +109,8 @@ def test_stencil_is_negative_semidefinite(seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((41, 41))
     u[0, :] = u[-1, :] = u[:, 0] = u[:, -1] = 0.0
-    lap = dom.laplacian(u)
-    assert float(np.sum(u[1:-1, 1:-1] * lap[1:-1, 1:-1])) <= 1e-12
+    lap = dom.laplacian_rows(u, 1, 40)
+    assert float(np.sum(u[1:-1, 1:-1] * lap)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,6 +193,22 @@ def test_coefficient_built_in_row_blocks_has_the_full_grid_bits():
     full = 2.0 * phi.log_abs(dom.zz())
     assert np.sum(np.isneginf(full)) == 2
     assert VortexProblem(phi, 2, dom).a2.tobytes() == full.tobytes()
+
+
+def test_residual_is_the_stencil_minus_the_right_hand_side_inside_and_zero_on_the_ring():
+    # phi = z^2 - 1 at h = 0.05: a2 = -inf at two interior nodes, where
+    # e^{a2 - (k-1) v} is an exact 0
+    phi = EntireFunction(p=(-1.0, 0.0, 1.0))
+    dom, k = GridDomain(2.5, 101), 3
+    w = np.random.default_rng(0).standard_normal((dom.n, dom.n))
+    r = VortexProblem(phi, k, dom).residual(w)
+    v, a2 = w[1:-1, 1:-1], 2.0 * phi.log_abs(dom.zz())[1:-1, 1:-1]
+    want = dom.laplacian_rows(w, 1, dom.n - 1) - (np.exp(v) - np.exp(a2 - (k - 1) * v))
+    assert np.sum(np.isneginf(a2)) == 2
+    assert r[1:-1, 1:-1].tobytes() == want.tobytes()
+    ring = np.ones((dom.n, dom.n), bool)
+    ring[1:-1, 1:-1] = False
+    assert r[ring].tobytes() == np.zeros(np.sum(ring)).tobytes()
 
 
 def test_building_a_large_problem_keeps_the_peak_low():

@@ -350,9 +350,9 @@ def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
     # phi = 100 at n = 41 stabilizes at M = 12 after four rounds of two
     # rungs, whose parts return their fields.  When the ladder returns, three
     # of the eight fields solved are alive: the last pair's and the returned
-    # one.  Numpy then holds those, the inner square (a quarter of the grid)
-    # of rung 14, the rung walked last, and the inner mask: 3.39 fields'
-    # bytes, where all eight fields were held before
+    # one.  Numpy then holds those and the inner square (a quarter of the
+    # grid) of rung 14, the rung walked last: 3.26 fields' bytes, where all
+    # eight fields were held before
     use_parts(1)
     prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
     solved, seen = [], []
