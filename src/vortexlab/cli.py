@@ -83,7 +83,6 @@ NEEDS = {
 MODES = ("EQ1", "WANG_K3", "HARMONIC_K2")
 REQUIRED = ("phi", "k", "R", "n", "mode", "pipeline", "output_dir")
 KEYS = REQUIRED + ("tolerances",)
-RAY_ANGLES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 # the counts of a NewtonReport, as report.json names them
 COUNTS = ("iterations", "cg_iterations", "backtracks", "residual_evaluations")
 
@@ -326,7 +325,7 @@ class _Run:
                 self.checks.append({"name": "curvature_" + tag, "passed": True})
             residual, passed = verify.diagnostics(w, prob, r)
             self.checks.append({"name": "identity_" + tag, "passed": passed, "residual": residual})
-            profiles[tag] = verify.completeness_probe(dom, w, thetas=RAY_ANGLES)
+            profiles[tag] = verify.completeness_probe(dom, w)
             self.rays[tag] = [
                 {
                     "theta": p.theta,
@@ -340,7 +339,8 @@ class _Run:
             self.checks.append(
                 verify.no_gap_check(self.fields["complete"], prob, verify.NO_GAP_DELTA).to_dict())
         if len(fields) == 2:
-            self.checks.append(verify.ordering_check(fields[0][1], fields[1][1], dom).to_dict())
+            tol = verify.TOL_ORDERING if len(prob.phi.q) == 1 else 0.0  # polynomial phi
+            self.checks.append(verify.ordering_check(fields[0][1], fields[1][1], dom, tol).to_dict())
         # rays.csv holds the rays of the primary (complete if solved) field
         verify.write_rays_csv(self.path("rays.csv"), profiles[fields[0][0]])
 

@@ -19,6 +19,9 @@ import numpy as np
 from .grid import GridDomain, VortexProblem, write_table
 
 TOL_SUBUNITY = 1e-6
+# polynomial phi's branches meet as R grows, and their gap rounds to either sign:
+# z^2 - 1 (k 3, R 10) measured margins from -1.78e-15 to -7.27e-15 at n 201 to 401
+TOL_ORDERING = 1e-12
 TOL_SOLVE = 1e-9  # the solver residual a curvature cross-check allows for
 TOL_IDENTITY = 1e-6
 NO_GAP_DELTA = 0.5  # the bound max h must exceed on the complete branch
@@ -93,14 +96,15 @@ def curvature_field(w: np.ndarray, problem: VortexProblem) -> np.ndarray:
     return 0.5 * (h_field(w, problem) - 1.0)
 
 
-def ordering_check(w1: np.ndarray, w2: np.ndarray, domain: GridDomain) -> InvariantReport:
-    """Strict ordering w1 > w2 on the inner half-square (margin = min gap)."""
+def ordering_check(w1: np.ndarray, w2: np.ndarray, domain: GridDomain,
+                   tolerance: float = 0.0) -> InvariantReport:
+    """Ordering w1 > w2 - tolerance on the inner half-square (margin = min gap)."""
     margin, witness = _extreme(domain, w1 - w2, np.argmin)
     return InvariantReport(
         name="ordering",
-        passed=margin > 0.0,
+        passed=margin > -tolerance,
         margin=margin,
-        tolerance=0.0,
+        tolerance=tolerance,
         witness=witness,
     )
 
@@ -149,23 +153,6 @@ def diagnostics(w: np.ndarray, problem: VortexProblem, r: np.ndarray) -> tuple[f
 # completeness probes along rays
 
 
-def _bilinear(domain: GridDomain, values: np.ndarray, xs, ys) -> np.ndarray:
-    """Bilinear interpolation of a nodal field at points inside the square."""
-    gx = (np.asarray(xs, dtype=float) + domain.R) / domain.h
-    gy = (np.asarray(ys, dtype=float) + domain.R) / domain.h
-    i0 = np.clip(np.floor(gx).astype(int), 0, domain.n - 2)
-    j0 = np.clip(np.floor(gy).astype(int), 0, domain.n - 2)
-    t = gx - i0
-    u = gy - j0
-    v = values
-    return (
-        (1 - t) * (1 - u) * v[i0, j0]
-        + t * (1 - u) * v[i0 + 1, j0]
-        + (1 - t) * u * v[i0, j0 + 1]
-        + t * u * v[i0 + 1, j0 + 1]
-    )
-
-
 @dataclass
 class RayProfile:
     theta: float
@@ -179,15 +166,15 @@ class RayProfile:
         return float(self.length[-1])
 
 
-def completeness_probe(domain: GridDomain, w: np.ndarray, thetas) -> list[RayProfile]:
-    """Metric length L(r) = int_0^r e^{w/2} ds along rays from the origin.
-
-    Samples at step h/2 out to the inscribed radius R with bilinear
-    interpolation and cumulative trapezoids.  Verdicts from the dyadic tail:
+def completeness_probe(domain: GridDomain, w: np.ndarray) -> list[RayProfile]:
+    """Metric length L(r) = int_0^r e^{w/2} ds along the four half-axes from
+    the center node, theta = m pi/2 for m = 0, 1, 2, 3, sampled at step h/2
+    out to R: at the nodes and at the edge midpoints (the mean of the edge's
+    two ends), with cumulative trapezoids.  Verdicts from the dyadic tail:
     CONVERGENT when the last window [R/2, R] adds less than EPS_RAY;
     DIVERGENT when the window increments grow (ratio >= 1.25 and the last
-    adds at least 10 * EPS_RAY); INDETERMINATE otherwise.  For tails that decay
-    geometrically across the last three quarter-points an Aitken
+    adds at least 10 * EPS_RAY); INDETERMINATE otherwise.  For tails that
+    decay across the last three quarter-points by at least EPS_RAY an Aitken
     extrapolation of the full limit is attached; for the profile metrics of
     exponential type it recovers the infinite-ray length from a modest
     domain.
@@ -196,37 +183,39 @@ def completeness_probe(domain: GridDomain, w: np.ndarray, thetas) -> list[RayPro
     if not np.all(np.isfinite(w)):
         raise ValueError("field contains non-finite entries")
     n = domain.n
-    step = 0.5 * domain.h
-    r = step * np.arange(n)
-    out = []
-    j_half = (n - 1) // 2
+    c = (n - 1) // 2  # the center node, and the sample at r = R/2
     j_34 = (3 * (n - 1)) // 4
     j_quarter = (n - 1) // 4
-    for theta in thetas:
-        xs = r * np.cos(theta)
-        ys = r * np.sin(theta)
-        g = np.exp(0.5 * _bilinear(domain, w, xs, ys))
-        length = np.concatenate([[0.0], np.cumsum(0.5 * step * (g[1:] + g[:-1]))])
-        d_last = float(length[-1] - length[j_half])
-        d_prev = float(length[j_half] - length[j_quarter])
+    step = 0.5 * domain.h
+    r = step * np.arange(n)
+    nodes = np.stack([w[c:, c], w[c, c:], w[c::-1, c], w[c, c::-1]])  # +x, +y, -x, -y
+    samples = np.empty((4, n))
+    samples[:, 0::2] = nodes
+    samples[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+    g = np.exp(0.5 * samples)
+    lengths = np.zeros((4, n))
+    lengths[:, 1:] = np.cumsum(0.5 * step * (g[:, 1:] + g[:, :-1]), axis=1)
+    out = []
+    for m, length in enumerate(lengths):
+        d_last = float(length[-1] - length[c])
+        d_prev = float(length[c] - length[j_quarter])
         if d_last < EPS_RAY:
             verdict = "CONVERGENT"
         elif d_last >= 1.25 * d_prev and d_last >= 10.0 * EPS_RAY:
             verdict = "DIVERGENT"
         else:
             verdict = "INDETERMINATE"
-        i1 = float(length[j_34] - length[j_half])
+        i1 = float(length[j_34] - length[c])
         i2 = float(length[-1] - length[j_34])
         limit = None
-        if i1 > 0.0 and 0.0 < i2 < i1:
+        if 0.0 < i2 <= i1 - EPS_RAY:  # round-off alone cannot shrink the tail by EPS_RAY
             q = i2 / i1
             limit = float(length[-1] + i2 * q / (1.0 - q))
-        out.append(RayProfile(float(theta), r, length, verdict, limit))
+        out.append(RayProfile(m * 0.5 * np.pi, r, length, verdict, limit))
     return out
 
 
 def write_rays_csv(path, profiles: list[RayProfile]) -> None:
-    theta = np.repeat([p.theta for p in profiles], [p.r.size for p in profiles])
     write_table(path, "theta,r,length", "%.17g,%.17g,%.17g",
-                (theta, np.concatenate([p.r for p in profiles]),
-                 np.concatenate([p.length for p in profiles])))
+                (np.array([[p.theta] for p in profiles]), profiles[0].r,
+                 np.array([p.length for p in profiles])))

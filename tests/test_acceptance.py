@@ -137,8 +137,8 @@ def test_criterion_05_dichotomy_for_exp(ez_pair, criterion_log):
     fall = math.log(g0 / gx) if min(g0, gx) > 0.0 else float("nan")
     k, half = prob.k, ax[ix]
     fall_wkb = half / (2.0 * k) + k ** 1.5 * math.expm1(half / k)
-    ray_low = inv.completeness_probe(dom, w_low, [math.pi])[0]
-    ray_top = inv.completeness_probe(dom, w_top, [math.pi])[0]
+    ray_low = inv.completeness_probe(dom, w_low)[2]
+    ray_top = inv.completeness_probe(dom, w_top)[2]
     limit = ray_low.limit_estimate
     a_ok = slope_err <= 1e-8
     b1_ok = gap_strict > 0.0

@@ -213,10 +213,24 @@ def test_dichotomy_run_reports_divergent_ray(tmp_path):
     inv = json.loads((tmp_path / "out" / "invariants.json").read_text())
     names = {c["name"]: c for c in inv["checks"]}
     assert names["ordering"]["passed"] is True
+    assert names["ordering"]["tolerance"] == 0.0  # strict for a non-polynomial phi
     verdicts = {r["verdict"] for r in inv["rays"]["complete"]}
     assert "DIVERGENT" in verdicts
     left = [r for r in inv["rays"]["incomplete"] if abs(r["theta"] - np.pi) < 1e-9]
     assert abs(left[0]["limit_estimate"] - 3.0) <= 0.02
+
+
+def test_polynomial_branches_that_meet_at_round_off_pass_ordering(tmp_path):
+    # z^2 - 1 at R = 10: the two branches coincide on the inner square, and
+    # their gap rounds to either sign, so a polynomial phi is ordered within
+    # TOL_ORDERING
+    cfg = make_cfg(tmp_path, **Z2_MINUS_1_KW, R=10.0, n=301,
+                   pipeline=("two-solutions", "verify"))
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    inv = json.loads((tmp_path / "out" / "invariants.json").read_text())
+    ordering = {c["name"]: c for c in inv["checks"]}["ordering"]
+    assert ordering["passed"] is True and ordering["tolerance"] == 1e-12
+    assert abs(ordering["margin"]) <= 1e-12
 
 
 def test_verify_evaluates_each_branch_residual_once(tmp_path, monkeypatch):

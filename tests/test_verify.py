@@ -136,6 +136,12 @@ def test_ordering_check_strictness():
     assert not equal.passed and equal.margin == 0.0
     lifted = inv.ordering_check(w + 1.0, w, dom)
     assert lifted.passed and lifted.margin == pytest.approx(1.0)
+    assert equal.tolerance == 0.0
+    # a gap that rounds to either side of 0 passes within a tolerance, which
+    # is reported
+    below = inv.ordering_check(w - 1e-15, w, dom, inv.TOL_ORDERING)
+    assert below.passed and below.tolerance == inv.TOL_ORDERING
+    assert not inv.ordering_check(w - 2e-12, w, dom, inv.TOL_ORDERING).passed
 
 
 def test_ordering_of_dichotomy_pair(ez_pair):
@@ -232,7 +238,7 @@ def test_ray_analytic_left_integral():
     for R, n, verdict in ((18.0, 73, "INDETERMINATE"), (60.0, 121, "CONVERGENT")):
         dom = GridDomain(R, n)
         w = (2.0 / 3.0) * dom.zz().real
-        ray = inv.completeness_probe(dom, w, (np.pi,))[0]
+        ray = inv.completeness_probe(dom, w)[2]
         assert ray.verdict == verdict
         assert abs(ray.total - 3.0) <= 0.02
 
@@ -240,7 +246,7 @@ def test_ray_analytic_left_integral():
 def test_ray_limit_extrapolation_on_short_domain():
     dom = GridDomain(6.0, 201)
     w = (2.0 / 3.0) * dom.zz().real
-    ray = inv.completeness_probe(dom, w, (np.pi,))[0]
+    ray = inv.completeness_probe(dom, w)[2]
     assert ray.limit_estimate is not None
     assert abs(ray.limit_estimate - 3.0) <= 0.02
 
@@ -249,16 +255,46 @@ def test_ray_quadratic_growth_for_polynomial():
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 1.0)), 2, GridDomain(6.0, 121))
     profile = solve.make_boundary_subsolution(prob)
     w, _ = solve.solve_newton(prob, profile)
-    ray = inv.completeness_probe(prob.domain, w, (0.0,))[0]
+    ray = inv.completeness_probe(prob.domain, w)[0]
     pred = ray.r[-1] ** 2 / 2.0
     assert abs(ray.total - pred) <= 0.1 * pred
     assert ray.verdict == "DIVERGENT"
 
 
+def test_rays_run_along_the_four_half_axes():
+    # theta = m pi/2, and the samples at the nodes and edge midpoints of w = x
+    dom = GridDomain(2.0, 9)
+    w = dom.zz().real
+    rays = inv.completeness_probe(dom, w)
+    assert [p.theta for p in rays] == [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]
+    g = np.exp(0.5 * rays[0].r)
+    assert np.array_equal(rays[0].length[1:],
+                          np.cumsum(0.5 * (0.5 * dom.h) * (g[1:] + g[:-1])))
+
+
+def test_rays_of_a_quarter_turn_symmetric_field_are_equal():
+    # w = log(1 + x^2 + y^2), built from |i - c| h, is exactly invariant under
+    # quarter turns and mirrors, so its four rays are too, bit for bit
+    for R, n in ((6.0, 201), (2.0, 41), (4.0, 81)):
+        dom = GridDomain(R, n)
+        d = np.abs(np.arange(n) - (n - 1) // 2) * dom.h
+        w = np.log1p(d[:, None] ** 2 + d[None, :] ** 2)
+        rays = inv.completeness_probe(dom, w)
+        for p in rays[1:]:
+            assert np.array_equal(p.length, rays[0].length), (R, n, p.theta)
+            assert (p.verdict, p.limit_estimate) == (rays[0].verdict, rays[0].limit_estimate)
+
+
+def test_constant_field_gets_no_ray_limit():
+    # equal increments are no decaying tail, however round-off orders them
+    dom = GridDomain(2.0, 41)
+    for p in inv.completeness_probe(dom, np.full((41, 41), 0.4)):
+        assert p.limit_estimate is None, p.theta
+
+
 def test_ray_lengths_ordered_with_fields(ez_pair):
-    angles = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-    top = inv.completeness_probe(ez_pair.prob.domain, ez_pair.branches["complete"][0], angles)
-    low = inv.completeness_probe(ez_pair.prob.domain, ez_pair.branches["incomplete"][0], angles)
+    top = inv.completeness_probe(ez_pair.prob.domain, ez_pair.branches["complete"][0])
+    low = inv.completeness_probe(ez_pair.prob.domain, ez_pair.branches["incomplete"][0])
     for a, b in zip(top, low):
         assert np.all(a.length >= b.length - 1e-12)
     # the divergent branch dwarfs the profile branch leftward
@@ -268,7 +304,7 @@ def test_ray_lengths_ordered_with_fields(ez_pair):
 def test_rays_csv_round_trip(tmp_path):
     dom = GridDomain(6.0, 101)
     w = (2.0 / 3.0) * dom.zz().real
-    rays = inv.completeness_probe(dom, w, (0.0, np.pi))
+    rays = inv.completeness_probe(dom, w)
     path = tmp_path / "rays.csv"
     inv.write_rays_csv(path, rays)
     with open(path) as fh:
