@@ -125,8 +125,8 @@ def run_parts(bounds, part) -> list:
 class GridDomain:
     """Uniform grid on the square [-R, R]^2 with n nodes per side: n an odd
     integer >= 5, so the origin is a node, whose (n, n) array numpy can hold,
-    and R a finite real > 0, stored as a float (a bool is neither).  ``half``
-    states when a grid can be halved."""
+    and R a finite real > 0, stored as a float (a bool is neither), whose
+    h^2 and 1/h^2 are finite doubles.  ``half`` states when a grid halves."""
 
     R: float
     n: int
@@ -141,6 +141,10 @@ class GridDomain:
         if not isinstance(R, numbers.Real) or isinstance(R, bool) or not 0 < R < np.inf:
             raise ValueError("R must be a positive number")
         object.__setattr__(self, "R", float(R))
+        h2 = self.h * self.h
+        if not (0.0 < h2 < np.inf and 1.0 / h2 < np.inf):
+            raise ValueError("R = %g with n = %d gives h = %g, whose h^2 or 1/h^2 is not a "
+                             "finite double" % (self.R, n, self.h))
 
     @property
     def h(self) -> float:

@@ -142,8 +142,9 @@ def diagnostics(w: np.ndarray, problem: VortexProblem, r: np.ndarray) -> tuple[f
     resid = (problem.k * np.exp(-w) * np.abs(r))[1:-1, 1:-1]
     zs = problem.phi.zeros()
     if zs.size:
-        inside = slice(1, -1)
-        dist = np.min(np.abs(dom.zz(inside, inside)[..., None] - zs[None, None, :]), axis=-1)
+        z, dist = dom.zz(slice(1, -1), slice(1, -1)), np.inf
+        for root in zs:  # the distance to the nearest zero, one zero at a time
+            dist = np.minimum(dist, np.abs(z - root))
         resid = resid[dist > 2.0 * dom.h]
     residual = float(np.max(resid)) if resid.size else 0.0
     return residual, residual <= TOL_IDENTITY

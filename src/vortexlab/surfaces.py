@@ -132,29 +132,6 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     return sol
 
 
-def blaschke_curvature(sol: NormalizedSolution) -> np.ndarray:
-    """Curvature of the Blaschke metric, k_h = -1 + 2|U|^2 e^{-3w}.
-
-    It differs from the stencil curvature -(1/2) e^{-w} laplacian(w) by half
-    e^{-w} times the residual of Wang's equation, so it is cross-checked by
-    `invariants.check_converged` on the cached normalized residual.
-    """
-    if sol.mode is not SurfaceMode.WANG_K3:
-        raise ValueError("Blaschke curvature is defined for the k=3 normalization")
-    check_converged(sol.residual_norm)
-    la = 2.0 * sol.differential.log_abs(sol.domain.zz())
-    return -1.0 + 2.0 * np.exp(la - 3.0 * sol.w)
-
-
-def jacobian_field(sol: NormalizedSolution) -> np.ndarray:
-    """Gauss-map Jacobian J = e^{2w} - |q|^2 e^{-2w} (positive iff the map
-    is an orientation-preserving local diffeomorphism)."""
-    if sol.mode is not SurfaceMode.HARMONIC_K2:
-        raise ValueError("the Gauss-map Jacobian is defined for the k=2 normalization")
-    la = 2.0 * sol.differential.log_abs(sol.domain.zz())
-    return np.exp(2.0 * sol.w) - np.exp(la - 2.0 * sol.w)
-
-
 # ---------------------------------------------------------------------------
 # derivative fields and edge transfer matrices
 

@@ -12,6 +12,7 @@ import pytest
 
 from vortexlab.entire import EntireFunction
 from vortexlab.grid import GridDomain, VortexProblem
+from vortexlab.invariants import check_converged
 from vortexlab import solve
 from vortexlab import surfaces
 
@@ -22,6 +23,25 @@ def ring_values(a: np.ndarray) -> np.ndarray:
     """The entries of a grid field on its boundary ring, edge by edge (the
     corners twice)."""
     return np.concatenate((a[0], a[-1], a[:, 0], a[:, -1]))
+
+
+def blaschke_curvature(sol: surfaces.NormalizedSolution) -> np.ndarray:
+    """Curvature of the Blaschke metric of a WANG_K3 solution,
+    k_h = -1 + 2|U|^2 e^{-3w}, once the field passes `check_converged`: it
+    differs from the stencil curvature -(1/2) e^{-w} laplacian(w) by half
+    e^{-w} times the residual of Wang's equation."""
+    check_converged(sol.residual_norm)
+    la = 2.0 * sol.differential.log_abs(sol.domain.zz())
+    return -1.0 + 2.0 * np.exp(la - 3.0 * sol.w)
+
+
+def gauss_jacobian(sol: surfaces.NormalizedSolution) -> np.ndarray:
+    """Gauss-map Jacobian of a HARMONIC_K2 solution, J = e^{2w} - |q|^2 e^{-2w}
+    (positive iff the map is an orientation-preserving local diffeomorphism),
+    once the field passes `check_converged`."""
+    check_converged(sol.residual_norm)
+    la = 2.0 * sol.differential.log_abs(sol.domain.zz())
+    return np.exp(2.0 * sol.w) - np.exp(la - 2.0 * sol.w)
 
 
 _acceptance_log = []
@@ -76,6 +96,7 @@ def _wang_state(diff: EntireFunction, dom: GridDomain) -> SimpleNamespace:
     return SimpleNamespace(
         prob=prob,
         report=rep,
+        w=w,
         sol=sol,
         surface=surf,
         defect=surf.holonomy_defect,
@@ -130,12 +151,13 @@ def qz_state():
     prob = surfaces.geometric_problem(diff, surfaces.SurfaceMode.HARMONIC_K2, dom)
     w, rep = solve.solve_complete(prob)
     sol = surfaces.normalize(w, prob, surfaces.SurfaceMode.HARMONIC_K2)
-    jac = surfaces.jacobian_field(sol)
+    jac = gauss_jacobian(sol)
     inner = surfaces.normalize(*_restrict(prob, w, 3), surfaces.SurfaceMode.HARMONIC_K2)
     surf = surfaces.develop_cmc(inner)
     return SimpleNamespace(
         prob=prob,
         report=rep,
+        w=w,
         sol=sol,
         jac=jac,
         sol_inner=inner,

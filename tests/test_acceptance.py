@@ -22,7 +22,7 @@ from vortexlab import invariants as inv
 from vortexlab import solve
 from vortexlab import surfaces
 
-from conftest import EXP_Z, shared_nodes
+from conftest import EXP_Z, blaschke_curvature, gauss_jacobian, shared_nodes
 
 WANG = surfaces.SurfaceMode.WANG_K3
 HARMONIC = surfaces.SurfaceMode.HARMONIC_K2
@@ -172,12 +172,12 @@ def test_criterion_06_blaschke_curvature_signs(criterion_log):
         prob = surfaces.geometric_problem(fn, WANG, dom)
         w, _ = solve.solve_complete(prob)
         sol = surfaces.normalize(w, prob, WANG)
-        kh = surfaces.blaschke_curvature(sol)
+        kh = blaschke_curvature(sol)
         kh_max = max(kh_max, float(np.max(kh[dom.inner, dom.inner])))
     dom_e = GridDomain(6.0, 161)
     prob_e = surfaces.geometric_problem(EXP_Z, WANG, dom_e)
     sol_e = surfaces.normalize(prob_e.profile(), prob_e, WANG)
-    kh_e = surfaces.blaschke_curvature(sol_e)
+    kh_e = blaschke_curvature(sol_e)
     flat = float(np.max(np.abs(kh_e[dom_e.inner, dom_e.inner])))
     elapsed = time.perf_counter() - t0
     ok = kh_max < 0.0 and flat <= 1e-9 and elapsed < 60.0
@@ -231,7 +231,7 @@ def test_criterion_08_gauss_map_checks(qz_state, criterion_log):
     dom_d = GridDomain(1.0, 81)
     prob_d = surfaces.geometric_problem(diff, HARMONIC, dom_d)
     sol_d = surfaces.normalize(prob_d.profile(), prob_d, HARMONIC)
-    j_degen = float(np.max(np.abs(surfaces.jacobian_field(sol_d))))
+    j_degen = float(np.max(np.abs(gauss_jacobian(sol_d))))
     ok = drift <= 1e-6 and j_min > 0.0 and j_degen <= 1e-8
     criterion_log(8, "gauss map and immersion checks", ok,
                   "<N,N>+1 %.1e, J min %.2e, degenerate %.1e" %

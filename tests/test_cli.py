@@ -149,14 +149,19 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     (dict(R=float("inf")), "R must be a positive number"),
     ((dict(R=RAW), "1e400"), "R must be a positive number"),
     (dict(R=True), "R must be a positive number"),
+    # the stencil's h^2 overflows, or 1/h^2 does
+    (dict(EXP_Z_KW, R=1e160, n=21, pipeline=("two-solutions", "verify")),
+     "R = 1e+160 with n = 21 gives h = 1e+159, whose h^2 or 1/h^2 is not a finite double"),
+    (dict(p=((1.0, 0.0),), k=3, R=1e-300, n=21, pipeline=("two-solutions", "verify")),
+     "R = 1e-300 with n = 21 gives h = 1e-301, whose h^2 or 1/h^2 is not a finite double"),
     (dict(extra={"output_dir": 5}), "output_dir must be a string"),
     (dict(mode="EQ2"), "mode must be one of"),
     (dict(pipeline=()), "pipeline must be a non-empty list of stages"),
     (dict(tol=[0]), "tolerances must be an object"),
 ], ids=["p-empty", "p-not-pairs", "p-true", "p-string", "q-false", "p-zero", "not-object",
         "phi-without-p", "phi-unknown-key", "p-huge-int", "q-huge-int", "R-huge-int",
-        "n-huge-int", "k-huge-int", "n-too-large", "k", "R", "R-infinity", "R-1e400", "R-true", "output-dir",
-        "mode", "pipeline-empty", "tolerances"])
+        "n-huge-int", "k-huge-int", "n-too-large", "k", "R", "R-infinity", "R-1e400", "R-true",
+        "R-h2-overflow", "R-h2-underflow", "output-dir", "mode", "pipeline-empty", "tolerances"])
 def test_config_refusals_exit_before_any_output(tmp_path, capsys, cfg_kw, message):
     if cfg_kw is None:
         path = tmp_path / "cfg.json"

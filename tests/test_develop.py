@@ -8,9 +8,11 @@ import pytest
 
 from vortexlab.entire import EntireFunction
 from vortexlab.grid import GridDomain
-from vortexlab.invariants import TOL_SOLVE
+from vortexlab.invariants import TOL_SOLVE, check_converged, h_field
 from vortexlab import solve
 from vortexlab import surfaces as dev
+
+from conftest import blaschke_curvature, gauss_jacobian
 
 WANG = dev.SurfaceMode.WANG_K3
 HARMONIC = dev.SurfaceMode.HARMONIC_K2
@@ -147,7 +149,7 @@ def test_normalized_wang_solution_satisfies_its_equation(wang_z_family):
 
 def test_blaschke_curvature_flat_for_constant():
     sol, _ = _exact_wang_constant(n=41)
-    K = dev.blaschke_curvature(sol)
+    K = blaschke_curvature(sol)
     assert np.abs(K[1:-1, 1:-1]).max() <= 1e-10
 
 
@@ -162,22 +164,10 @@ def _bumped(sol, residual):
     return bumped(residual / (bumped(1e-6).residual_norm / 1e-6))
 
 
-def test_blaschke_curvature_refuses_an_unconverged_field():
-    # the Blaschke pair differs by (1/2) e^{-w} times the normalized residual,
-    # so a field whose residual exceeds 20 * TOL_SOLVE is refused
-    sol, _ = _exact_wang_constant(n=41)
-    under, over = (_bumped(sol, times * TOL_SOLVE) for times in (10.0, 40.0))
-    assert under.residual_norm == pytest.approx(10.0 * TOL_SOLVE, rel=1e-3)
-    assert over.residual_norm == pytest.approx(40.0 * TOL_SOLVE, rel=1e-3)
-    dev.blaschke_curvature(under)
-    with pytest.raises(ValueError):
-        dev.blaschke_curvature(over)
-
-
 def test_blaschke_curvature_nonpositive_on_solved_field(wang_z_family):
     # away from the lifted ring: the rim rows carry O(h^2) sign noise
     sol = wang_z_family[81].sol
-    K = dev.blaschke_curvature(sol)
+    K = blaschke_curvature(sol)
     inner = sol.domain.inner
     assert K[inner, inner].max() < 0.0
     assert K[inner, inner].min() < -1e-3
@@ -215,7 +205,7 @@ def test_developed_positions_converge_to_the_closed_form(mode, differential, bou
 @pytest.mark.parametrize("times", [10.0, 40.0, 90.0])
 def test_develop_and_curvature_refuse_the_same_fields(times):
     # one gate on a solved field: both develop paths accept and refuse what
-    # the Blaschke cross-check does, 20 * TOL_SOLVE; 40 and 90 TOL_SOLVE lie
+    # the curvature cross-check does, 20 * TOL_SOLVE; 40 and 90 TOL_SOLVE lie
     # between that bound and 1e-7
     prob = dev.geometric_problem(EntireFunction(p=(1.0,)), HARMONIC, GridDomain(1.0, 41))
     wang = _bumped(_exact_wang_constant(n=41)[0], times * TOL_SOLVE)
@@ -223,8 +213,8 @@ def test_develop_and_curvature_refuse_the_same_fields(times):
     for sol in (wang, cmc):
         assert sol.residual_norm == pytest.approx(times * TOL_SOLVE, rel=1e-3)
     verdicts = []
-    for gate, sol in ((dev.blaschke_curvature, wang), (dev.develop_affine_sphere, wang),
-                      (dev.develop_cmc, cmc)):
+    for gate, sol in ((lambda s: check_converged(s.residual_norm), wang),
+                      (dev.develop_affine_sphere, wang), (dev.develop_cmc, cmc)):
         try:
             gate(sol)
             verdicts.append("accepted")
@@ -575,6 +565,18 @@ def test_cmc_development_of_solved_field(qz_state):
 def test_jacobian_positive_for_solved_field(qz_state):
     inner = qz_state.prob.domain.inner
     assert qz_state.jac[inner, inner].min() > 0.0
+
+
+def test_curvature_and_jacobian_read_h(wang_z_family, qz_state):
+    # h = |phi|^2 e^{-kw} of the base field w_eq1, with phi = 4U and
+    # w = w_eq1 - log 2 (k = 3), phi = 2q and w = (w_eq1 - log 2)/2 (k = 2):
+    # k_h = h - 1 and J = (e^{w_eq1}/2)(1 - h), which pins both factors and
+    # the log 2 shift
+    wang, cmc = wang_z_family[161], qz_state
+    pairs = ((blaschke_curvature(wang.sol), h_field(wang.w, wang.prob) - 1.0),
+             (gauss_jacobian(cmc.sol), 0.5 * np.exp(cmc.w) * (1.0 - h_field(cmc.w, cmc.prob))))
+    for field, from_h in pairs:
+        assert np.max(np.abs(field - from_h)) <= 1e-13 * np.max(np.abs(field))
 
 
 def test_export_mesh_obj(tmp_path):

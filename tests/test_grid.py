@@ -1,6 +1,7 @@
 """Grid domain, five-point stencil, problem residuals, field CSV files."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,12 @@ def test_grid_validation():
             GridDomain(R, 41)
     with pytest.raises(ValueError, match="n must be an odd integer >= 5"):
         GridDomain(2.0, True)
+    # the 5-point stencil divides by h^2: it and 1/h^2 must be finite doubles
+    for R, h in ((1e160, "1e+159"), (1e-300, "1e-301")):
+        message = "R = %g with n = 21 gives h = %s, whose h^2 or 1/h^2 is not a finite double"
+        with pytest.raises(ValueError, match=re.escape(message % (R, h))):
+            GridDomain(R, 21)
+    assert GridDomain(1e155, 21).h == 1e154
     dom = GridDomain(np.float32(2.5), np.int64(41))
     assert type(dom.R) is float and dom.R == 2.5 and dom.n == 41
     assert type(GridDomain(2, 41).R) is float

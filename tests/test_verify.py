@@ -1,5 +1,7 @@
 """Pointwise invariants: subunity bound, curvature, ordering, ray lengths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,27 @@ def test_diagnostics_reports_the_scaled_residual(z_complete_small):
     far = (np.abs(dom.zz()) > 2.0 * dom.h)[1:-1, 1:-1]
     expected = np.max((prob.k * np.exp(-w) * np.abs(prob.residual(w)))[1:-1, 1:-1][far])
     assert inv.diagnostics(w, prob, prob.residual(w)) == (expected, True)
+
+
+def test_diagnostics_holds_a_few_planes_for_many_zeros():
+    # the distance to the nearest of the ten zeros of z^10 - 1 is a running
+    # minimum over the zeros: 7 interior grid planes at the peak, where an
+    # (n - 2, n - 2, 10) stack of distances took 31
+    prob = VortexProblem(EntireFunction(p=(-1.0,) + (0.0,) * 9 + (1.0,)), 3, GridDomain(2.0, 161))
+    dom = prob.domain
+    w = np.maximum(prob.profile(), 0.0)
+    r = prob.residual(w)
+    tracemalloc.start()
+    try:
+        got = inv.diagnostics(w, prob, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (dom.n - 2) ** 2 * 8
+    zz = dom.zz(slice(1, -1), slice(1, -1))
+    far = np.min(np.abs(zz[..., None] - prob.phi.zeros()), axis=-1) > 2.0 * dom.h
+    expected = float(np.max((prob.k * np.exp(-w) * np.abs(r))[1:-1, 1:-1][far]))
+    assert got == (expected, expected <= inv.TOL_IDENTITY)
 
 
 def test_ray_analytic_left_integral():
