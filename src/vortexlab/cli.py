@@ -10,8 +10,9 @@ nothing after it reads the JSON document, which report.json echoes as given.
 Exit codes: 0 all requested checks passed; 2 config or precondition error;
 3 solver non-convergence or out of memory in any stage, building the problem
 included; 4 invariant failure.  Every exit after the output directory is
-created writes report.json and invariants.json; only a config refused at load
-or an output directory that cannot be created exits 2 without them.
+created writes report.json and invariants.json; only a config refused at load,
+an output directory that cannot be created or a report that cannot be written
+exits 2 without them.
 
 A config is a single JSON document:
 
@@ -444,7 +445,11 @@ def run(cfg: Config) -> int:
         # develop measures, roots that verify cannot resolve) and artifacts
         # that cannot be written are config-class errors
         status, error = EXIT_CONFIG, str(exc)
-    state.report(status, error, time.perf_counter() - t0)
+    try:
+        state.report(status, error, time.perf_counter() - t0)
+    except OSError as exc:  # the run's own error, if any, is still printed below
+        print("vortexlab: cannot write %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
+        status = EXIT_CONFIG
     if error:
         print("vortexlab: %s" % error, file=sys.stderr)
     return status

@@ -25,7 +25,8 @@ TOL_ORDERING = 1e-12
 TOL_SOLVE = 1e-9  # the solver residual a curvature cross-check allows for
 TOL_IDENTITY = 1e-6
 NO_GAP_DELTA = 0.5  # the bound max h must exceed on the complete branch
-EPS_RAY = 1e-3
+# a ray's tail: the divergent ratio, the convergent ratio, the share q1 and q2 may differ by
+Q_DIVERGENT, Q_CONVERGENT, Q_GEOMETRIC = 0.99, 0.95, 0.05
 
 
 @dataclass
@@ -171,22 +172,21 @@ def completeness_probe(domain: GridDomain, w: np.ndarray) -> list[RayProfile]:
     """Metric length L(r) = int_0^r e^{w/2} ds along the four half-axes from
     the center node, theta = m pi/2 for m = 0, 1, 2, 3, sampled at step h/2
     out to R: at the nodes and at the edge midpoints (the mean of the edge's
-    two ends), with cumulative trapezoids.  Verdicts from the dyadic tail:
-    CONVERGENT when the last window [R/2, R] adds less than EPS_RAY;
-    DIVERGENT when the window increments grow (ratio >= 1.25 and the last
-    adds at least 10 * EPS_RAY); INDETERMINATE otherwise.  For tails that
-    decay across the last three quarter-points by at least EPS_RAY an Aitken
-    extrapolation of the full limit is attached; for the profile metrics of
-    exponential type it recovers the infinite-ray length from a modest
-    domain.
+    two ends), with cumulative trapezoids.  One tail rule gives each verdict
+    and limit: three windows of (n - 1)//4 samples that end at R (exactly
+    [R/4, R/2], [R/2, 3R/4] and [3R/4, R] when 4 divides n - 1) add i0, i1
+    and i2, with q1 = i1/i0 and q2 = i2/i1.  DIVERGENT if q2 >= Q_DIVERGENT;
+    CONVERGENT if the tail is geometric, q2 <= Q_CONVERGENT and
+    |q2 - q1| <= Q_GEOMETRIC q1, with the Aitken limit L(R) + i2 q2/(1 - q2);
+    INDETERMINATE otherwise, and when a window adds nothing because the
+    density underflows.  A density e^{-s/lambda} gives q1 = q2 = e^{-D/lambda}
+    exactly, D the windows' length, and a constant density exactly 1.
     """
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("field contains non-finite entries")
     n = domain.n
-    c = (n - 1) // 2  # the center node, and the sample at r = R/2
-    j_34 = (3 * (n - 1)) // 4
-    j_quarter = (n - 1) // 4
+    c, d = (n - 1) // 2, (n - 1) // 4  # the center node; the windows' samples
     step = 0.5 * domain.h
     r = step * np.arange(n)
     nodes = np.stack([w[c:, c], w[c, c:], w[c::-1, c], w[c, c::-1]])  # +x, +y, -x, -y
@@ -198,20 +198,15 @@ def completeness_probe(domain: GridDomain, w: np.ndarray) -> list[RayProfile]:
     lengths[:, 1:] = np.cumsum(0.5 * step * (g[:, 1:] + g[:, :-1]), axis=1)
     out = []
     for m, length in enumerate(lengths):
-        d_last = float(length[-1] - length[c])
-        d_prev = float(length[c] - length[j_quarter])
-        if d_last < EPS_RAY:
-            verdict = "CONVERGENT"
-        elif d_last >= 1.25 * d_prev and d_last >= 10.0 * EPS_RAY:
-            verdict = "DIVERGENT"
-        else:
-            verdict = "INDETERMINATE"
-        i1 = float(length[j_34] - length[c])
-        i2 = float(length[-1] - length[j_34])
-        limit = None
-        if 0.0 < i2 <= i1 - EPS_RAY:  # round-off alone cannot shrink the tail by EPS_RAY
-            q = i2 / i1
-            limit = float(length[-1] + i2 * q / (1.0 - q))
+        l0, l1, l2, l3 = (float(length[-1 - j * d]) for j in (3, 2, 1, 0))
+        i0, i1, i2 = l1 - l0, l2 - l1, l3 - l2
+        verdict, limit = "INDETERMINATE", None
+        if min(i0, i1, i2) > 0.0:
+            q1, q2 = i1 / i0, i2 / i1
+            if q2 >= Q_DIVERGENT:
+                verdict = "DIVERGENT"
+            elif q2 <= Q_CONVERGENT and abs(q2 - q1) <= Q_GEOMETRIC * q1:
+                verdict, limit = "CONVERGENT", l3 + i2 * q2 / (1.0 - q2)
         out.append(RayProfile(m * 0.5 * np.pi, r, length, verdict, limit))
     return out
 

@@ -44,7 +44,9 @@ TOL_CONT = 1e-6
 MAX_NEWTON = 100
 MAX_OUTER = 10000
 PROFILE_CLIP = -40.0
-DEFAULT_M_VALUES = tuple(range(4, 25, 2))
+# the ladder's rounds of rungs M: the top pair first, then upward in pairs to it again
+ROUNDS = ((22, 24), (4, 6), (8, 10), (12, 14), (16, 18), (20, 22, 24))
+DEFAULT_M_VALUES = tuple(sorted(set().union(*ROUNDS)))
 
 
 class ConvergenceError(RuntimeError):
@@ -489,27 +491,25 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     stabilization gate there would reject fields that are already within
     discretization error of the maximal solution.
 
-    F increases in w, so each rung has exactly one solution, and every rung
-    is solved from its own start (``_rung_start``), independently of the
-    others, two at a time on the ``run_parts`` workers.  The inner change is
-    assumed to fall with M, so the ladder can only stabilize if its last
-    pair does: that pair is solved first, and if its change exceeds TOL_CONT
-    its top rung is returned unstabilized.  Otherwise the rungs are solved
-    upward in pairs until the first M whose change from M - 2 is at most
-    TOL_CONT, which is returned.  Each round walks its rungs in ascending M,
-    and a rung's inner change is taken from the inner square of the rung
-    walked before it, when that is M - 2; the round that solves M = 20 walks
-    on to rung 22, kept from the first round.  The trace lists every rung
-    tried: every rung of a round is tried whatever the others do, so the
-    trace does not depend on how the rungs were split, and a failed rung is
-    listed with its failed solve's report and no inner change.  A rung whose
-    solve fails raises ConvergenceError with that trace and the failed
-    solve's report (the lowest failing M's).  Each part returns its rungs'
-    fields; the ladder keeps those of the last pair and the one it returns,
-    and the inner square of the rung walked last.
+    F increases in w, so each rung has exactly one solution, and every rung is
+    solved from its own start (``_rung_start``), independently of the others,
+    round by round (ROUNDS) on the ``run_parts`` workers.  The inner change is
+    assumed to fall with M, so the ladder can only stabilize if its last pair
+    does: that pair is the first round, and if its change exceeds TOL_CONT its
+    top rung is returned unstabilized.  Otherwise the rounds go upward until
+    the first M whose change from M - 2 is at most TOL_CONT, which is
+    returned: the last round walks the top pair again, so it finds one.  A
+    round solves the rungs it has not kept and walks them with its kept ones
+    in ascending M; a rung's inner change is taken from the inner square of
+    the rung walked before it, when that is M - 2.  The trace lists every rung
+    tried: every rung of a round is tried whatever the others do, so the trace
+    does not depend on how the rungs were split, and a failed rung is listed
+    with its failed solve's report and no inner change.  A rung whose solve
+    fails raises ConvergenceError with that trace and the failed solve's
+    report (the lowest failing M's).  The ladder keeps the fields of the first
+    round and the one it returns, and the inner square of the last rung walked.
     """
     inner = problem.domain.inner
-    ms = DEFAULT_M_VALUES
     tried, fields = {}, {}  # M: (NewtonReport, inner change or None); M: a field kept
     last = (None, None)  # (M, inner square) of the rung walked last
 
@@ -520,22 +520,21 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     def solve(rungs):
         # one round; returns the first rung walked whose change settles, if any
         nonlocal last
+        new = [M for M in rungs if M not in fields]
 
         def solve_part(k, start, stop):
             # (M, field, NewtonReport), or (M, None, ConvergenceError), per rung
             outcomes = []
-            for M in rungs[start:stop]:
+            for M in new[start:stop]:
                 try:
                     outcomes.append((M, *solve_newton(problem, _rung_start(problem, M))))
                 except ConvergenceError as exc:
                     outcomes.append((M, None, exc))
             return outcomes
 
-        outcomes = sum(run_parts(parts(len(rungs)), solve_part), [])
-        walk = [outcome for outcome in outcomes if outcome[1] is not None]
-        if walk and walk[-1][0] + 2 in fields:  # M = 20 walks on to rung 22, kept
-            M = walk[-1][0] + 2
-            walk.append((M, fields[M], tried[M][0]))
+        outcomes = sum(run_parts(parts(len(new)), solve_part), [])
+        kept = [(M, fields[M], tried[M][0]) for M in rungs if M in fields]
+        walk = sorted(kept + [o for o in outcomes if o[1] is not None], key=lambda o: o[0])
         for M, w_M, rep in walk:
             inside = w_M[inner, inner].copy()  # keeps no rung's field alive
             change = float(np.max(np.abs(inside - last[1]))) if last[0] == M - 2 else None
@@ -548,21 +547,20 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
         stop = next((M for M, _, _ in walk
                      if tried[M][1] is not None and tried[M][1] <= TOL_CONT), None)
         for M, w_M, _ in walk:
-            if M in ms[-2:] or M == stop:
+            if M in ROUNDS[0] or M == stop:
                 fields[M] = w_M
         return stop
 
-    solve(ms[-2:])
-    top, change = tried[ms[-1]]
-    if change > TOL_CONT:
-        warning = "inner field still moving %.3e after M=%s; domain likely too small" % (
-            change, ms[-1])
-        return fields[ms[-1]], report(top, False, warning)
-    for i in range(0, len(ms) - 2, 2):
-        stop = solve(ms[:-2][i : i + 2])
+    solve(ROUNDS[0])
+    M = ROUNDS[0][-1]
+    top, change = tried[M]
+    if not change <= TOL_CONT:
+        return fields[M], report(top, False, "inner field still moving %.3e after M=%s; "
+                                 "domain likely too small" % (change, M))
+    for rungs in ROUNDS[1:]:  # the last round finds a stop
+        stop = solve(rungs)
         if stop is not None:
             return fields[stop], report(tried[stop][0], True)
-    return fields[ms[-1]], report(top, True)
 
 
 # ---------------------------------------------------------------------------

@@ -219,9 +219,9 @@ def test_dichotomy_run_reports_divergent_ray(tmp_path):
     names = {c["name"]: c for c in inv["checks"]}
     assert names["ordering"]["passed"] is True
     assert names["ordering"]["tolerance"] == 0.0  # strict for a non-polynomial phi
-    verdicts = {r["verdict"] for r in inv["rays"]["complete"]}
-    assert "DIVERGENT" in verdicts
+    assert [r["verdict"] for r in inv["rays"]["complete"]] == ["DIVERGENT"] * 4
     left = [r for r in inv["rays"]["incomplete"] if abs(r["theta"] - np.pi) < 1e-9]
+    assert left[0]["verdict"] == "CONVERGENT"
     assert abs(left[0]["limit_estimate"] - 3.0) <= 0.02
 
 
@@ -439,6 +439,19 @@ def test_unwritable_artifact_exits_config_with_report(tmp_path):
     assert report["exit_status"] == cli.EXIT_CONFIG
     assert "w_complete.csv" in report["error"]
     assert (tmp_path / "out" / "invariants.json").exists()
+
+
+@pytest.mark.parametrize("name", ["report.json", "invariants.json"])
+def test_unwritable_report_exits_config_without_traceback(tmp_path, name):
+    # a directory where a JSON report goes: nothing is left to write the
+    # failure into, so the run says so on stderr and exits 2
+    (tmp_path / "out" / name).mkdir(parents=True)
+    cfg = make_cfg(tmp_path, p=((1.0, 0.0),), R=2.0, n=21, pipeline=("solve-incomplete",))
+    proc = subprocess.run([sys.executable, "-m", "vortexlab.cli", "run", cfg],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "vortexlab: cannot write %s: " % (tmp_path / "out" / name) in proc.stderr
 
 
 def test_failed_invariants_exit_with_the_failed_checks(tmp_path, monkeypatch, capsys):
@@ -1019,8 +1032,10 @@ def test_dichotomy_reads_from_the_written_fields(tmp_path):
     # two branches tend to one solution, so their gap on the inner square is
     # the ring's screened influence and falls at least 100x from (R, n) =
     # (4, 81) to (6, 121) at h = 0.1; for e^z the branches are two solutions
-    # and the gap stays above 1 at both sizes
-    gaps = {}
+    # and the gap stays above 1 at both sizes.  The verdicts say the same:
+    # the polynomial's eight rays diverge, and one ray of e^z's incomplete
+    # branch has a finite length
+    gaps, verdicts = {}, {}
     for name, kw in (("poly", Z2_MINUS_1_KW), ("exp", EXP_Z_KW)):
         for R, n in ((4.0, 81), (6.0, 121)):
             out = tmp_path / ("%s%d" % (name, n))
@@ -1031,8 +1046,13 @@ def test_dichotomy_reads_from_the_written_fields(tmp_path):
             w = {b: np.loadtxt(out / ("w_%s.csv" % b), delimiter=",", skiprows=1,
                                usecols=2).reshape(n, n) for b in ("complete", "incomplete")}
             gaps[name, n] = float(np.max((w["complete"] - w["incomplete"])[dom.inner, dom.inner]))
+            rays = json.loads((out / "invariants.json").read_text())["rays"]
+            verdicts[name, n] = sorted(r["verdict"] for b in rays for r in rays[b])
     assert gaps["poly", 121] <= gaps["poly", 81] / 100.0, gaps
     assert gaps["exp", 81] > 1.0 and gaps["exp", 121] > 1.0, gaps
+    assert verdicts["poly", 81] == verdicts["poly", 121] == ["DIVERGENT"] * 8, verdicts
+    assert (verdicts["exp", 81] == verdicts["exp", 121]
+            == ["CONVERGENT"] + ["DIVERGENT"] * 7), verdicts
 
 
 def test_cli_import_leaves_scipy_unloaded():

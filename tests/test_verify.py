@@ -1,6 +1,7 @@
 """Pointwise invariants: subunity bound, curvature, ordering, ray lengths."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from vortexlab.entire import EntireFunction
 from vortexlab.grid import GridDomain, VortexProblem
 from vortexlab import invariants as inv
-from vortexlab import solve
+from vortexlab import solve, surfaces
 
 from conftest import EXP_Z
 
@@ -255,15 +256,25 @@ def test_diagnostics_holds_a_few_planes_for_many_zeros():
     assert got == (expected, expected <= inv.TOL_IDENTITY)
 
 
-def test_ray_analytic_left_integral():
-    # w = (2/3) x along theta = pi: the length tends to 3, and at R = 60 the
-    # last window [R/2, R] adds less than EPS_RAY
-    for R, n, verdict in ((18.0, 73, "INDETERMINATE"), (60.0, 121, "CONVERGENT")):
+def test_ray_analytic_left_integral_converges_to_its_limit():
+    # w = (2/3) x along theta = pi: density e^{-s/3}, so the length tends to 3
+    # and the three equal windows shrink by one ratio, at every R
+    for R, n in ((6.0, 201), (18.0, 73), (60.0, 121)):
         dom = GridDomain(R, n)
         w = (2.0 / 3.0) * dom.zz().real
         ray = inv.completeness_probe(dom, w)[2]
-        assert ray.verdict == verdict
-        assert abs(ray.total - 3.0) <= 0.02
+        assert ray.verdict == "CONVERGENT", (R, n)
+        assert abs(ray.limit_estimate - 3.0) <= 0.02, (R, n)
+
+
+def test_ray_tail_windows_are_equal_at_any_n():
+    # 4 does not divide n - 1 at n = 43 and 203, yet the three windows stay
+    # equal and the limit of the same ray stays on 3
+    for n in (43, 203):
+        dom = GridDomain(6.0, n)
+        ray = inv.completeness_probe(dom, (2.0 / 3.0) * dom.zz().real)[2]
+        assert ray.verdict == "CONVERGENT", n
+        assert abs(ray.limit_estimate - 3.0) <= 1e-3, n
 
 
 def test_ray_limit_extrapolation_on_short_domain():
@@ -272,6 +283,16 @@ def test_ray_limit_extrapolation_on_short_domain():
     ray = inv.completeness_probe(dom, w)[2]
     assert ray.limit_estimate is not None
     assert abs(ray.limit_estimate - 3.0) <= 0.02
+
+
+def test_affine_profile_ray_reads_its_finite_length():
+    # U = e^z on WANG_K3: leftward the incomplete branch's density decays
+    # geometrically and its length tends to 3 * 4^(1/3); the other rays diverge
+    prob = surfaces.geometric_problem(EXP_Z, "WANG_K3", GridDomain(2.0, 161))
+    w, _ = solve.solve_branch(prob, "incomplete")
+    rays = inv.completeness_probe(prob.domain, w)
+    assert [p.verdict for p in rays] == ["DIVERGENT", "DIVERGENT", "CONVERGENT", "DIVERGENT"]
+    assert abs(rays[2].limit_estimate - 3.0 * 4.0 ** (1.0 / 3.0)) <= 1e-4
 
 
 def test_ray_quadratic_growth_for_polynomial():
@@ -312,7 +333,13 @@ def test_constant_field_gets_no_ray_limit():
     # equal increments are no decaying tail, however round-off orders them
     dom = GridDomain(2.0, 41)
     for p in inv.completeness_probe(dom, np.full((41, 41), 0.4)):
-        assert p.limit_estimate is None, p.theta
+        assert (p.verdict, p.limit_estimate) == ("DIVERGENT", None), p.theta
+    # a density that underflows adds nothing, and that is read without dividing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rays = inv.completeness_probe(dom, np.full((41, 41), -1600.0))
+    for p in rays:
+        assert (p.verdict, p.limit_estimate) == ("INDETERMINATE", None), p.theta
 
 
 def test_ray_lengths_ordered_with_fields(ez_pair):
