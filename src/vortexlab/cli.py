@@ -330,7 +330,7 @@ class _Run:
             self.rays[tag] = [
                 {
                     "theta": p.theta,
-                    "length": p.total,
+                    "length": p.total if np.isfinite(p.total) else None,
                     "verdict": p.verdict,
                     "limit_estimate": p.limit_estimate,
                 }

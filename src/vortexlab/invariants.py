@@ -179,7 +179,8 @@ def completeness_probe(domain: GridDomain, w: np.ndarray) -> list[RayProfile]:
     CONVERGENT if the tail is geometric, q2 <= Q_CONVERGENT and
     |q2 - q1| <= Q_GEOMETRIC q1, with the Aitken limit L(R) + i2 q2/(1 - q2);
     INDETERMINATE otherwise, and when a window adds nothing because the
-    density underflows.  A density e^{-s/lambda} gives q1 = q2 = e^{-D/lambda}
+    density underflows.  A length that overflows to +inf reads DIVERGENT,
+    with no limit.  A density e^{-s/lambda} gives q1 = q2 = e^{-D/lambda}
     exactly, D the windows' length, and a constant density exactly 1.
     """
     w = np.asarray(w, dtype=float)
@@ -193,15 +194,18 @@ def completeness_probe(domain: GridDomain, w: np.ndarray) -> list[RayProfile]:
     samples = np.empty((4, n))
     samples[:, 0::2] = nodes
     samples[:, 1::2] = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-    g = np.exp(0.5 * samples)
     lengths = np.zeros((4, n))
-    lengths[:, 1:] = np.cumsum(0.5 * step * (g[:, 1:] + g[:, :-1]), axis=1)
+    with np.errstate(over="ignore"):  # an overflowing density gives the length +inf
+        g = np.exp(0.5 * samples)
+        lengths[:, 1:] = np.cumsum(0.5 * step * (g[:, 1:] + g[:, :-1]), axis=1)
     out = []
     for m, length in enumerate(lengths):
         l0, l1, l2, l3 = (float(length[-1 - j * d]) for j in (3, 2, 1, 0))
         i0, i1, i2 = l1 - l0, l2 - l1, l3 - l2
         verdict, limit = "INDETERMINATE", None
-        if min(i0, i1, i2) > 0.0:
+        if l3 == np.inf:
+            verdict = "DIVERGENT"
+        elif min(i0, i1, i2) > 0.0:
             q1, q2 = i1 / i0, i2 / i1
             if q2 >= Q_DIVERGENT:
                 verdict = "DIVERGENT"

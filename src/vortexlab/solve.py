@@ -60,9 +60,10 @@ class ConvergenceError(RuntimeError):
 
 
 def make_boundary_subsolution(problem: VortexProblem) -> np.ndarray:
-    """(2/k) log|phi|, clipped at PROFILE_CLIP: the incomplete branch's start,
-    whose ring is its Dirichlet data."""
-    vals = np.maximum(problem.profile(), PROFILE_CLIP)
+    """(2/k) log|phi| with its -inf, the zeros of phi, set to PROFILE_CLIP: the
+    incomplete branch's start, whose ring is its Dirichlet data."""
+    vals = problem.profile()
+    vals[vals == -np.inf] = PROFILE_CLIP
     if not (np.all(np.isfinite(vals[[0, -1]])) and np.all(np.isfinite(vals[:, [0, -1]]))):
         raise ValueError("profile boundary is not finite on the ring")
     return vals
@@ -477,6 +478,15 @@ def _rung_start(problem: VortexProblem, M: float) -> np.ndarray:
     return _set_ring(start, ring)
 
 
+def _solve_rung(problem: VortexProblem, M: int) -> tuple:
+    """(M, field, NewtonReport) of rung M solved from its own start, or
+    (M, None, ConvergenceError) when that solve fails."""
+    try:
+        return (M, *solve_newton(problem, _rung_start(problem, M)))
+    except ConvergenceError as exc:
+        return M, None, exc
+
+
 def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationReport]:
     """Approximate the complete (maximal) solution by raising the ring.
 
@@ -494,73 +504,49 @@ def solve_complete(problem: VortexProblem) -> tuple[np.ndarray, ContinuationRepo
     F increases in w, so each rung has exactly one solution, and every rung is
     solved from its own start (``_rung_start``), independently of the others,
     round by round (ROUNDS) on the ``run_parts`` workers.  The inner change is
-    assumed to fall with M, so the ladder can only stabilize if its last pair
+    assumed to fall with M, so the ladder can only stabilize if its top pair
     does: that pair is the first round, and if its change exceeds TOL_CONT its
-    top rung is returned unstabilized.  Otherwise the rounds go upward until
-    the first M whose change from M - 2 is at most TOL_CONT, which is
-    returned: the last round walks the top pair again, so it finds one.  A
-    round solves the rungs it has not kept and walks them with its kept ones
-    in ascending M; a rung's inner change is taken from the inner square of
-    the rung walked before it, when that is M - 2.  The trace lists every rung
-    tried: every rung of a round is tried whatever the others do, so the trace
-    does not depend on how the rungs were split, and a failed rung is listed
-    with its failed solve's report and no inner change.  A rung whose solve
-    fails raises ConvergenceError with that trace and the failed solve's
-    report (the lowest failing M's).  The ladder keeps the fields of the first
-    round and the one it returns, and the inner square of the last rung walked.
+    top rung is returned unstabilized.  Otherwise the rounds go upward and the
+    first rung whose change from M - 2 is at most TOL_CONT is returned; the
+    last round solves the top pair again, so it finds one.  A round walks its
+    rungs in ascending M, a rung's inner change taken from the inner square of
+    the rung walked before it when that is M - 2, and then drops its fields:
+    only that inner square outlives the round.  The trace lists each rung
+    tried once, every rung of a round whatever the others do, so it does not
+    depend on how the rungs were split; a failed rung is listed with its
+    failed solve's report and no inner change, and raises ConvergenceError
+    with that trace and the failed solve's report (the lowest failing M's).
     """
     inner = problem.domain.inner
-    tried, fields = {}, {}  # M: (NewtonReport, inner change or None); M: a field kept
+    tried = {}  # M: (NewtonReport, inner change or None)
     last = (None, None)  # (M, inner square) of the rung walked last
-
-    def report(newton, stabilized, warning=None):
-        trace = [(float(M), rep, change) for M, (rep, change) in sorted(tried.items())]
-        return ContinuationReport(trace, stabilized, newton, warning)
-
-    def solve(rungs):
-        # one round; returns the first rung walked whose change settles, if any
-        nonlocal last
-        new = [M for M in rungs if M not in fields]
-
-        def solve_part(k, start, stop):
-            # (M, field, NewtonReport), or (M, None, ConvergenceError), per rung
-            outcomes = []
-            for M in new[start:stop]:
-                try:
-                    outcomes.append((M, *solve_newton(problem, _rung_start(problem, M))))
-                except ConvergenceError as exc:
-                    outcomes.append((M, None, exc))
-            return outcomes
-
-        outcomes = sum(run_parts(parts(len(new)), solve_part), [])
-        kept = [(M, fields[M], tried[M][0]) for M in rungs if M in fields]
-        walk = sorted(kept + [o for o in outcomes if o[1] is not None], key=lambda o: o[0])
-        for M, w_M, rep in walk:
+    for rungs in ROUNDS:
+        outcomes = sum(run_parts(parts(len(rungs)), lambda k, start, stop: [
+            _solve_rung(problem, M) for M in rungs[start:stop]]), [])
+        for M, w_M, rep in outcomes:  # ascending M
+            if w_M is None:
+                tried[M] = (rep.report, None)
+                continue
             inside = w_M[inner, inner].copy()  # keeps no rung's field alive
             change = float(np.max(np.abs(inside - last[1]))) if last[0] == M - 2 else None
             tried[M], last = (rep, change), (M, inside)
-        failed = [(M, exc) for M, w_M, exc in outcomes if w_M is None]
-        tried.update((M, (exc.report, None)) for M, exc in failed)
+        trace = [(float(M), rep, change) for M, (rep, change) in sorted(tried.items())]
+        failed = [exc for _, w_M, exc in outcomes if w_M is None]
         if failed:
-            exc = failed[0][1]
-            raise ConvergenceError(str(exc), report(exc.report, False))
-        stop = next((M for M, _, _ in walk
-                     if tried[M][1] is not None and tried[M][1] <= TOL_CONT), None)
-        for M, w_M, _ in walk:
-            if M in ROUNDS[0] or M == stop:
-                fields[M] = w_M
-        return stop
-
-    solve(ROUNDS[0])
-    M = ROUNDS[0][-1]
-    top, change = tried[M]
-    if not change <= TOL_CONT:
-        return fields[M], report(top, False, "inner field still moving %.3e after M=%s; "
-                                 "domain likely too small" % (change, M))
-    for rungs in ROUNDS[1:]:  # the last round finds a stop
-        stop = solve(rungs)
-        if stop is not None:
-            return fields[stop], report(tried[stop][0], True)
+            raise ConvergenceError(str(failed[0]), ContinuationReport(trace, False,
+                                                                      failed[0].report))
+        if rungs is ROUNDS[0]:
+            M, w_M, rep = outcomes[-1]
+            change = tried[M][1]
+            if not change <= TOL_CONT:
+                return w_M, ContinuationReport(trace, False, rep, "inner field still moving "
+                                               "%.3e after M=%s; domain likely too small"
+                                               % (change, M))
+        else:
+            for M, w_M, rep in outcomes:
+                if tried[M][1] is not None and tried[M][1] <= TOL_CONT:
+                    return w_M, ContinuationReport(trace, True, rep)
+        del outcomes, w_M  # no field outlives its round
 
 
 # ---------------------------------------------------------------------------

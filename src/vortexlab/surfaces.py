@@ -51,7 +51,7 @@ import numpy as np
 
 from .entire import EntireFunction
 from .grid import GridDomain, VortexProblem, parts, run_parts, shared_array, write_table
-from .invariants import check_converged
+from .invariants import TOL_SOLVE, check_converged
 
 WANG_SHIFT = np.log(2.0)
 
@@ -125,7 +125,7 @@ def normalize(w_eq1: np.ndarray, problem: VortexProblem, mode: SurfaceMode) -> N
     res = sol.residual_norm
     expected = s * base
     # a residual that is not finite is refused: inf would pass against an inf base
-    if not (np.isfinite(res) and res <= max(10.0 * 1e-9, 2.0 * expected + 1e-12)):
+    if not (np.isfinite(res) and res <= max(10.0 * TOL_SOLVE, 2.0 * expected + 1e-12)):
         raise ValueError(
             "normalization failed its residual lock: %.3e vs base %.3e" % (res, base)
         )

@@ -257,6 +257,21 @@ def test_verify_evaluates_each_branch_residual_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_writes_an_overflowing_ray_length_as_null(tmp_path):
+    # a ray whose length overflows to +inf is written as null, so the rays
+    # are strict JSON; the other checks of such a field are not asserted here
+    cfg = cli.load_config(make_cfg(tmp_path, R=2.0, n=41))
+    os.makedirs(cfg.output_dir)
+    state = cli._Run(cfg)
+    state.problem = grid.VortexProblem(cfg.phi, cfg.k, cfg.domain)
+    state.fields["complete"] = np.full((41, 41), 1500.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.verify()
+    rays = json.loads(json.dumps(state.rays, allow_nan=False))["complete"]
+    assert [(ray["length"], ray["verdict"], ray["limit_estimate"]) for ray in rays] == \
+        [(None, "DIVERGENT", None)] * 4
+
+
 def test_report_counts_residual_evaluations(tmp_path):
     # a Newton solve evaluates the residual at its start and once per trial
     # point: each accepted step and each backtrack

@@ -24,6 +24,16 @@ def test_subsolution_boundary_is_profile_on_ring():
     assert vals[-1, 20] == pytest.approx(4.0, abs=1e-12)  # (2/3) x at x = 6
 
 
+def test_subsolution_clips_only_the_zeros_of_phi():
+    # e^{z^2} at R = 8 reaches (2/3)(x^2 - y^2) = -42.67 on the ring, finite
+    # and kept; phi = z is -inf at the origin, which takes PROFILE_CLIP
+    prob = VortexProblem(EntireFunction(p=(1.0,), q=(0.0, 0.0, 1.0)), 3, GridDomain(8.0, 41))
+    assert prob.profile().min() < solve.PROFILE_CLIP
+    assert np.array_equal(solve.make_boundary_subsolution(prob), prob.profile())
+    vals = solve.make_boundary_subsolution(VortexProblem(F_Z, 3, GridDomain(8.0, 41)))
+    assert vals[20, 20] == solve.PROFILE_CLIP and np.all(np.isfinite(vals))
+
+
 def test_complete_boundary_caps_profile_and_lifts():
     # a rung's Dirichlet data are the ring of its start, bit for bit
     prob = VortexProblem(EntireFunction(p=(0.0, 0.0, 1.0)), 3, GridDomain(8.0, 41))
@@ -348,17 +358,22 @@ def test_ladder_trace_matches_m_schedule():
 
 def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
     # phi = 100 at n = 41 stabilizes at M = 12 after four rounds of two
-    # rungs, whose parts return their fields.  When the ladder returns, three
-    # of the eight fields solved are alive: the last pair's and the returned
-    # one.  Numpy then holds those and the inner square (a quarter of the
-    # grid) of rung 14, the rung walked last: 3.26 fields' bytes, where all
-    # eight fields were held before
+    # rungs, whose parts return their fields.  No field outlives its round:
+    # before each rung's solve, only the fields solved earlier in its round
+    # are alive.  When the ladder returns, two of the eight fields solved are:
+    # its last round's.  Numpy then holds those and the inner square (a
+    # quarter of the grid) of rung 14, the rung walked last: 2.26 fields'
+    # bytes
     use_parts(1)
     prob = VortexProblem(EntireFunction(p=(100.0,)), 3, GridDomain(4.0, 41))
-    solved, seen = [], []
+    solved, before, seen = [], [], []
     real_newton, real_report = solve.solve_newton, solve.ContinuationReport
 
+    def alive():
+        return sum(ref() is not None for ref in solved)
+
     def solve_newton(*args):
+        before.append(alive())
         w, rep = real_newton(*args)
         solved.append(weakref.ref(w))
         return w, rep
@@ -366,8 +381,7 @@ def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
     def report(*args):
         held = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-        seen.append((sum(ref() is not None for ref in solved),
-                     sum(trace.size for trace in held.traces)))
+        seen.append((alive(), sum(trace.size for trace in held.traces)))
         return real_report(*args)
 
     monkeypatch.setattr(solve, "solve_newton", solve_newton)
@@ -378,9 +392,26 @@ def test_a_stabilizing_ladder_ends_holding_few_fields(monkeypatch, use_parts):
     finally:
         tracemalloc.stop()
     assert rep.stabilized and _stop(rep) == 12.0 and len(solved) == 8
-    (alive, held), = seen
-    assert alive == 3
-    assert held < 4 * w.nbytes
+    assert before == [0, 1] * 4
+    (alive_at_report, held), = seen
+    assert alive_at_report == 2
+    assert held < 3 * w.nbytes
+
+
+def test_the_last_round_solves_the_top_pair_again_alike_in_any_parts(use_parts):
+    # qz-61 stops at M = 24, in the last round, which solves 22 and 24 again
+    # from their own starts: the field and the trace are the same bits however
+    # the rungs are split, and each M is listed once
+    results = []
+    for count in (1, 2, 3):
+        use_parts(count)
+        results.append(solve.solve_complete(LADDER_PROBLEMS["qz-61"]()))
+    (w, rep), others = results[0], results[1:]
+    assert rep.stabilized and _stop(rep) == 24.0
+    assert [M for M, _, _ in rep.trace] == [float(M) for M in solve.DEFAULT_M_VALUES]
+    for w_other, rep_other in others:
+        assert np.array_equal(w_other, w)
+        assert rep_other.trace == rep.trace and rep_other.newton == rep.newton
 
 
 def _warm_start_ladder(problem):

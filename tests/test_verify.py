@@ -334,12 +334,19 @@ def test_constant_field_gets_no_ray_limit():
     dom = GridDomain(2.0, 41)
     for p in inv.completeness_probe(dom, np.full((41, 41), 0.4)):
         assert (p.verdict, p.limit_estimate) == ("DIVERGENT", None), p.theta
-    # a density that underflows adds nothing, and that is read without dividing
+    # a density that underflows adds nothing, and that is read without
+    # dividing; e^{w/2} overflows above w = 1419, and a length of +inf reads
+    # DIVERGENT without a warning (w = 1400 stays finite, at 2.03e304)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rays = inv.completeness_probe(dom, np.full((41, 41), -1600.0))
+        over = inv.completeness_probe(dom, np.full((41, 41), 1500.0))
     for p in rays:
         assert (p.verdict, p.limit_estimate) == ("INDETERMINATE", None), p.theta
+    for p in over:
+        assert (p.verdict, p.limit_estimate, p.total) == ("DIVERGENT", None, np.inf), p.theta
+    for p in inv.completeness_probe(dom, np.full((41, 41), 1400.0)):
+        assert p.verdict == "DIVERGENT" and np.isfinite(p.total), p.theta
 
 
 def test_ray_lengths_ordered_with_fields(ez_pair):
