@@ -325,7 +325,8 @@ class _Run:
             else:
                 self.checks.append({"name": "curvature_" + tag, "passed": True})
             residual, passed = verify.diagnostics(w, prob, r)
-            self.checks.append({"name": "identity_" + tag, "passed": passed, "residual": residual})
+            self.checks.append({"name": "identity_" + tag, "passed": passed,
+                                "residual": residual if np.isfinite(residual) else None})
             profiles[tag] = verify.completeness_probe(dom, w)
             self.rays[tag] = [
                 {

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 TOL_ROOTS = 1e-10
 
@@ -54,7 +53,7 @@ class EntireFunction:
         use log_abs for anything that has to survive large Re Q."""
         z = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = npoly.polyval(z, np.asarray(self.p)) * np.exp(npoly.polyval(z, np.asarray(self.q)))
+            out = np.polyval(self.p[::-1], z) * np.exp(np.polyval(self.q[::-1], z))
         if not np.all(np.isfinite(out)):
             raise OverflowError("phi overflows here; work with log_abs instead")
         return out
@@ -62,9 +61,9 @@ class EntireFunction:
     def log_abs(self, z):
         """log|phi(z)| = log|P(z)| + Re Q(z), exactly -inf at zeros of P."""
         z = np.asarray(z, dtype=complex)
-        pz = npoly.polyval(z, np.asarray(self.p))
+        pz = np.polyval(self.p[::-1], z)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(pz)) + np.real(npoly.polyval(z, np.asarray(self.q)))
+            return np.log(np.abs(pz)) + np.real(np.polyval(self.q[::-1], z))
 
     def zeros(self) -> np.ndarray:
         """All roots of the polynomial part: the eigenvalues of its companion
@@ -84,6 +83,6 @@ class EntireFunction:
         monic = np.asarray(self.p, dtype=complex) / self.p[-1]
         z = np.roots(monic[::-1]).astype(complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.abs(npoly.polyval(z, monic)) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d):
+            if not np.all(np.abs(np.polyval(monic[::-1], z)) <= TOL_ROOTS * (1.0 + np.abs(z)) ** d):
                 raise ValueError("the computed roots do not reach the residual target")
         return z

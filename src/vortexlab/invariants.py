@@ -140,7 +140,8 @@ def diagnostics(w: np.ndarray, problem: VortexProblem, r: np.ndarray) -> tuple[f
     O(h^2) truncation noise three orders above the tolerance.)
     """
     dom = problem.domain
-    resid = (problem.k * np.exp(-w) * np.abs(r))[1:-1, 1:-1]
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which fails below
+        resid = (problem.k * np.exp(-w) * np.abs(r))[1:-1, 1:-1]
     zs = problem.phi.zeros()
     if zs.size:
         z, dist = dom.zz(slice(1, -1), slice(1, -1)), np.inf

@@ -272,6 +272,25 @@ def test_verify_writes_an_overflowing_ray_length_as_null(tmp_path):
         [(None, "DIVERGENT", None)] * 4
 
 
+def test_verify_writes_an_unreadable_identity_residual_as_null(tmp_path):
+    # e^{-w} underflows to 0 where the residual overflows to inf, so the
+    # identity's residual k e^{-w} |r| is NaN: it fails without an "invalid
+    # value" warning and is written as null, so the checks are strict JSON
+    cfg = cli.load_config(make_cfg(tmp_path, R=2.0, n=41))
+    os.makedirs(cfg.output_dir)
+    state = cli._Run(cfg)
+    state.problem = grid.VortexProblem(cfg.phi, cfg.k, cfg.domain)
+    w = np.full((41, 41), 1500.0)
+    with np.errstate(over="ignore"):
+        r = state.problem.residual(w)
+        residual, passed = verify.diagnostics(w, state.problem, r)
+        state.fields["complete"] = w
+        state.verify()
+    assert np.isnan(residual) and not passed
+    checks = json.loads(json.dumps(state.checks, allow_nan=False))
+    assert {"name": "identity_complete", "passed": False, "residual": None} in checks
+
+
 def test_report_counts_residual_evaluations(tmp_path):
     # a Newton solve evaluates the residual at its start and once per trial
     # point: each accepted step and each backtrack

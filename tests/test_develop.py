@@ -486,25 +486,28 @@ def test_blocked_transfers_equal_full_stacks(mode, block, monkeypatch, use_parts
     # of a block built 3 (block 40) or 5 (block 65) rows at a time; the
     # blocks run in 1, 2 or 3 processes (one when there is one block).  What
     # the blocks reduce their frames to equals what the frames swept from
-    # full transfer stacks give, and so do the defect, also when the loops
-    # are closed with another solution's transfers, as holonomy_defect does,
-    # and the metric round-trip error, max |metric - w| resp. |metric - 2 w|
+    # full transfer stacks give, and so do the defect and the metric
+    # round-trip error, max |metric - w| resp. |metric - 2 w|; holonomy_defect
+    # of another solution is that solution's own full-stack defect
     dom = GridDomain(0.6, 13)
     zz = dom.zz()
     w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
     diff = EntireFunction(p=(0.5 + 0.25j, 1.0 - 0.5j), q=(0.0, 0.3))
     sol = dev.NormalizedSolution(mode, diff, dom, w)
     other = dev.NormalizedSolution(mode, diff, dom, w + 0.05 * np.cos(3.0 * zz.real))
-    full = _full_stack_transfers(sol)
-    frames = _full_stack_sweep(full, _start_frame(mode, w), dom.n)
-    scaled = {id(sol): frames, id(other): frames}
-    if mode is HARMONIC:  # the pass hands back f_x = e^w e1, and measures on e1
-        frames[:, :, 1:3] *= np.exp(w)[:, :, None, None]
-        for loops in (sol, other):
-            scaled[id(loops)] = frames.copy()
-            scaled[id(loops)][:, :, 1:3] *= np.exp(-loops.w)[:, :, None, None]
-    defect = _full_stack_defect(full, scaled[id(sol)])
-    other_defect = _full_stack_defect(_full_stack_transfers(other), scaled[id(other)])
+
+    def developed(s):
+        full = _full_stack_transfers(s)
+        frames = _full_stack_sweep(full, _start_frame(mode, s.w), dom.n)
+        measured = frames
+        if mode is HARMONIC:  # the pass hands back f_x = e^w e1, and measures on e1
+            frames[:, :, 1:3] *= np.exp(s.w)[:, :, None, None]
+            measured = frames.copy()
+            measured[:, :, 1:3] *= np.exp(-s.w)[:, :, None, None]
+        return frames, _full_stack_defect(full, measured)
+
+    frames, defect = developed(sol)
+    other_defect = developed(other)[1]
     positions, metric, normals, maxima = _full_stack_outputs(mode, frames)
     roundtrip = float(np.max(np.abs(metric - (w if mode is WANG else 2.0 * w))))
     monkeypatch.setattr(dev, "_BLOCK", block)

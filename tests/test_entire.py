@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import assume, example, given, settings, strategies as st
 
 from vortexlab.entire import EntireFunction
@@ -40,6 +41,33 @@ def test_log_abs_agrees_with_eval(pc, qc, z):
 def test_log_abs_is_minus_inf_at_exact_zero():
     f = EntireFunction(p=(0.0, 1.0))
     assert f.log_abs(0.0 + 0.0j) == -np.inf
+
+
+def _bits(a):
+    """The raw bits of a float or complex array: signed zeros and infinities
+    compare as themselves."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(finite_complex, min_size=1, max_size=6),
+    st.lists(finite_complex, min_size=1, max_size=4),
+    st.lists(points, min_size=1, max_size=8),
+)
+@example(pc=[-0.0j, -0.0 - 1.0j], qc=[-0.0 + 0.0j], zs=[-0.0 - 0.0j, 0j, -0.0 + 1.5j])
+def test_horner_rule_is_numpy_polynomial_bit_for_bit(pc, qc, zs):
+    # eval and log_abs run numpy's core Horner rule on the reversed
+    # coefficients; every bit, signed zeros included, is that of
+    # numpy.polynomial's ascending-order polyval
+    assume(any(c != 0 for c in pc))
+    f = EntireFunction(p=tuple(pc), q=tuple(qc))
+    z = np.asarray(zs, dtype=complex)
+    P = npoly.polyval(z, np.asarray(f.p))
+    Q = npoly.polyval(z, np.asarray(f.q))
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(_bits(f.log_abs(z)), _bits(np.log(np.abs(P)) + np.real(Q)))
+    assert np.array_equal(_bits(f.eval(z)), _bits(P * np.exp(Q)))
 
 
 def _sorted(vals):
