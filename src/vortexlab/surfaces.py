@@ -29,9 +29,10 @@ of grid planes, and multiplied by ``_mul``, which sums plane products.  No
 full-grid transfer stack, coefficient field or frame field exists:
 development is one pass over blocks of ``_ROWS`` grid rows, whose steps
 ``_develop_pass`` states, split over one process per usable CPU
-(``grid.run_parts``); only the gradient of w is formed for the whole grid,
-and each block forms only the coefficient planes its edges need, ``_BLOCK``
-matrices at a time.  A pass develops one solution and returns a
+(``grid.run_parts``); only the gradient of w is formed for the whole grid.
+``_transfers``, the one place that computes edge transfers, takes a cut of
+the grid and forms the node, midpoint and coefficient planes of its edges
+``_BLOCK`` matrices at a time.  A pass develops one solution and returns a
 ``DevelopedSurface`` that carries the outputs and every measure: the frame
 checks, the holonomy defect and the metric round-trip error.
 ``holonomy_defect`` runs the same pass on the solution it is given.
@@ -159,7 +160,7 @@ def _shift(k: np.ndarray, c: float) -> np.ndarray:
 
 # matrices per block of grid rows: the temporaries of one block stay in cache
 _BLOCK = 4096
-# grid rows per block of the development pass: the fields and y-transfers of
+# grid rows per block of the development pass: the frames and y-transfers of
 # this many rows are alive at once, and each frame step along y covers all of them
 _ROWS = 64
 
@@ -242,42 +243,37 @@ def _cmc_mats(w, wx, wy, qval, axis: int) -> np.ndarray:
     return _stack(rows, float)
 
 
-def _fields(sol: NormalizedSolution, grad, rows: slice, cols: slice):
-    """w, its gradient and the differential at a cut of the nodes, at the
-    midpoints of the cut's x-edges and at those of its y-edges: the
-    (node, mid_x, mid_y) inputs of the coefficient planes.  grad is sol.w's
-    ``np.gradient`` (second order on the rim too) over the whole grid."""
-    h = sol.domain.h
-    zz = sol.domain.zz(rows, cols)
-    ev = sol.differential.eval
-    fields = tuple(f[rows, cols] for f in (sol.w,) + grad)
-    node = fields + (ev(zz),)
-    mid_x = tuple(0.5 * (f[:-1, :] + f[1:, :]) for f in fields) + (ev(zz[:-1, :] + 0.5 * h),)
-    mid_y = tuple(0.5 * (f[:, :-1] + f[:, 1:]) for f in fields) + (ev(zz[:, :-1] + 0.5j * h),)
-    return node, mid_x, mid_y
-
-
-def _transfers(sol: NormalizedSolution, node, mid, axis: int, t, t_rev) -> None:
+def _transfers(sol: NormalizedSolution, grad, rows: slice, cols: slice, axis: int,
+               t, t_rev) -> None:
     """Forward and reverse RK4 transfers of the edges along axis 0 (x) or
-    1 (y) between the node planes, mid the planes at their midpoints.
+    1 (y) between the nodes of the cut (rows, cols) of sol's grid; grad is
+    sol.w's ``np.gradient`` (second order on the rim too) over the whole grid.
 
-    They are written into t and t_rev, (d, d) + mid's shape: edge (i, j) ->
-    (i+1, j) resp. (i, j+1) and back.  The d/dx resp. d/dy coefficient
-    planes are formed _BLOCK matrices at a time, so the temporaries stay in
-    cache.
+    They are written into t and t_rev, (d, d) + the edges' shape: edge
+    (i, j) -> (i+1, j) resp. (i, j+1) of the cut and back.  _BLOCK matrices
+    at a time, the cut's rows form their node planes (w, its gradient and
+    the differential), those at their edges' midpoints (endpoint averages
+    of w and its gradient, the differential's exact value) and the d/dx
+    resp. d/dy coefficient planes, so the temporaries stay in cache.
     """
     h = sol.domain.h
     mats = _wang_mats if sol.mode is SurfaceMode.WANG_K3 else _cmc_mats
-    rows = mid[0].shape[0]
-    step = max(1, _BLOCK // node[0].shape[1])
-    for r in range(0, rows, step):
-        s = min(r + step, rows)
-        m = mats(*(f[r:s + 1 - axis] for f in node), axis=axis)
-        mm = mats(*(f[r:s] for f in mid), axis=axis)
+    ev = sol.differential.eval
+    zz = sol.domain.zz(rows, cols)
+    fields = tuple(f[rows, cols] for f in (sol.w,) + grad)
+    edge_rows = zz.shape[0] - 1 + axis
+    step = max(1, _BLOCK // zz.shape[1])
+    for r in range(0, edge_rows, step):
+        s = min(r + step, edge_rows)
+        node = tuple(f[r:s + 1 - axis] for f in fields)
+        m = mats(*node, ev(zz[r:s + 1 - axis]), axis=axis)
         if axis == 0:
+            mid = tuple(0.5 * (f[:-1] + f[1:]) for f in node) + (ev(zz[r:s] + 0.5 * h),)
             ma, mb = m[:, :, :-1], m[:, :, 1:]
         else:
+            mid = tuple(0.5 * (f[:, :-1] + f[:, 1:]) for f in node) + (ev(zz[r:s, :-1] + 0.5j * h),)
             ma, mb = m[..., :-1], m[..., 1:]
+        mm = mats(*mid, axis=axis)
         t[:, :, r:s] = _rk4_transfer(ma, mm, mb, h)
         t_rev[:, :, r:s] = _rk4_transfer(mb, mm, ma, -h)
 
@@ -320,10 +316,9 @@ def _develop_pass(sol: NormalizedSolution):
     of _ROWS grid rows, to positions, metric, normals and maxima.
 
     The pass first walks the central column's x-edges from the frame at the
-    central node, built from a cut of the fields to that column.  Each block
-    then forms the fields of its rows and of the row after it (the far side
-    of its plaquettes) and their y-transfers, and develops its rows along y
-    from the central column into a block-local frame buffer.  The buffer is
+    central node.  Each block then forms the y-transfers of its rows and the
+    next (the far side of its plaquettes) and develops its rows along y from
+    the central column into a block-local frame buffer.  The buffer is
     column-major, (n, d, 3, rows) for d frame vectors in R^3, so each step
     of the y-sweep multiplies one contiguous (d, 3, rows) slab; the rest of
     the pass reads it through the (rows, n, d, 3) view.  For HARMONIC_K2
@@ -331,10 +326,11 @@ def _develop_pass(sol: NormalizedSolution):
     It refuses frames that are not finite, writes its rows of the positions,
     of the metric (``DevelopedSurface.metric``) and, for HARMONIC_K2, of the
     normals, and reduces its plaquettes to their per-node ratio a few rows
-    at a time, each chunk building its own x-transfers from the block's
-    fields, so every plaquette closes with the transfers that swept its
-    frames.  Beside the outputs, only the gradient planes, one block's frames,
-    fields and y-transfers and one chunk's x-transfers are alive per process.
+    at a time, each chunk building the x-transfers of the cut to its rows,
+    so every plaquette closes with the transfers that swept its frames.
+    Beside the outputs, only the gradient planes, one block's frames and
+    y-transfers, one chunk's x-transfers and the planes of one ``_BLOCK`` of
+    edges are alive per process.
 
     The blocks run in ``parts``, one process each (``run_parts``): the
     outputs live in shared memory, and each part returns its maxima through
@@ -354,9 +350,8 @@ def _develop_pass(sol: NormalizedSolution):
         s0 = np.array([[0.0, 0.0, 1.0], [0.5 * a, -0.5j * a, 0.0], [0.5 * a, 0.5j * a, 0.0]])
     d, dtype = s0.shape[0], s0.dtype
     grad = tuple(np.gradient(sol.w, sol.domain.h, edge_order=2))
-    node, mid_x, _ = _fields(sol, grad, slice(None), slice(c, c + 1))
     tx, tx_rev = np.empty((2, d, d, n - 1, 1), dtype)
-    _transfers(sol, node, mid_x, 0, tx, tx_rev)
+    _transfers(sol, grad, slice(None), slice(c, c + 1), 0, tx, tx_rev)
     column = np.empty((n,) + s0.shape, dtype)
     column[c] = s0
     for i in range(c, n - 1):
@@ -366,7 +361,7 @@ def _develop_pass(sol: NormalizedSolution):
     positions = shared_array((n, n, 3), float)
     metric = shared_array((n, n), float)
     normals = shared_array((n, n, 3), float) if cmc else None
-    step = max(1, _BLOCK // (n - 1))
+    step = max(1, _BLOCK // n)  # chunk rows: what _transfers forms at once on a full-width cut
 
     def develop_blocks(_, b0, b1):
         # one buffer each for a block's frames and y-transfers and for a
@@ -379,9 +374,9 @@ def _develop_pass(sol: NormalizedSolution):
         top = np.zeros(5)  # the maxima, in DevelopedSurface's order
         for r0 in range(b0 * _ROWS, min(b1 * _ROWS, n), _ROWS):
             r1 = min(r0 + _ROWS, n)
-            node, mid_x, mid_y = _fields(sol, grad, slice(r0, r1 + 1), slice(None))
-            ty, ty_rev = ty_buf[:, :, :, :mid_y[0].shape[0]]
-            _transfers(sol, node, mid_y, 1, ty, ty_rev)
+            k = min(r1, n - 1) - r0  # the block's plaquette rows
+            ty, ty_rev = ty_buf[:, :, :, :k + 1]
+            _transfers(sol, grad, slice(r0, r1 + 1), slice(None), 1, ty, ty_rev)
             G = frames[..., :r1 - r0]
             G[c] = column[r0:r1].transpose(1, 2, 0)
             for j in range(c, n - 1):
@@ -411,12 +406,10 @@ def _develop_pass(sol: NormalizedSolution):
                 np.maximum(top[:2], (np.max(np.abs(F[:, :, 0, :].imag)),
                                      np.max(np.abs(F[:, :, 2, :] - np.conj(F[:, :, 1, :])))),
                            out=top[:2])
-            k = mid_x[0].shape[0]  # the block's plaquette rows
             for p in range(0, k, step):
                 q = min(p + step, k)
                 tx, tx_rev = tx_buf[:, :, :, :q - p]
-                _transfers(sol, tuple(f[p:q + 1] for f in node), tuple(f[p:q] for f in mid_x),
-                           0, tx, tx_rev)
+                _transfers(sol, grad, slice(r0 + p, r0 + q + 1), slice(None), 0, tx, tx_rev)
                 C = F[p:q, :-1]
                 if cmc:  # the transfers act on the rescaled frame
                     C = C.copy()
@@ -427,7 +420,6 @@ def _develop_pass(sol: NormalizedSolution):
                 lo, hi = max(0, 1 - r0 - p), min(q - p, n - 2 - r0 - p)
                 if lo < hi:
                     top[3] = np.maximum(top[3], np.max(rel[lo:hi, 1:-1]))
-            del node, mid_x, mid_y
         return top
 
     top = np.max(run_parts(parts(-(-n // _ROWS)), develop_blocks), axis=0)

@@ -284,11 +284,12 @@ def test_development_never_holds_the_full_transfer_stacks(use_parts):
     # 9 * 16 n^2 bytes, 59 MB at n = 641, and the four transfer stacks four
     # times that.  Each block reduces its own frames to its rows of the
     # positions and the metric, so develop adds to a process's peak its
-    # outputs, the gradient planes and one block's buffers: 43 MB in a fresh
-    # process, where the full frame stack took it to 84 MB.  The outputs live
-    # in shared memory, which tracemalloc does not see, so a forked child,
-    # whose VmHWM starts at the resident size it was forked with, measures
-    # its own peak across the call.  One process runs every block.
+    # outputs, the gradient planes and one block's buffers: 45 MB when this
+    # test runs alone, where the full frame stack took it to 84 MB.  The
+    # outputs live in shared memory, which tracemalloc does not see, so a
+    # forked child, whose VmHWM starts at the resident size it was forked
+    # with, measures its own peak across the call.  One process runs every
+    # block.
     use_parts(1)
     diff = EntireFunction(p=(1.0,), q=(0.0, 1.0))  # U = e^z, whose profile is exact
     prob = dev.geometric_problem(diff, WANG, GridDomain(2.0, 641))
@@ -311,14 +312,15 @@ def test_development_never_holds_the_full_transfer_stacks(use_parts):
     assert int(rise) * 1024 < 9 * 16 * n * n
 
 
-@pytest.mark.parametrize("mode, bound", [(WANG, 1.3), (HARMONIC, 2.0)])
+@pytest.mark.parametrize("mode, bound", [(WANG, 0.95), (HARMONIC, 1.25)])
 def test_development_holds_the_frames_and_one_block(mode, bound, use_parts):
     # the frames of one block of rows, not of the grid: beside the outputs,
     # which live in shared memory, which tracemalloc does not see, the pass
     # keeps the two gradient planes, one block's frames (one column-major
-    # (n, d, 3, rows) buffer), fields and y-transfers and one chunk's
-    # x-transfers, about 1.0 (WANG) and 1.3 (CMC) times the bytes of a
-    # full-grid (n, n, d, 3) frame stack here, where a full-grid frame stack
+    # (n, d, 3, rows) buffer) and y-transfers, one chunk's x-transfers and
+    # the planes of one _BLOCK of edges, about 0.89 (WANG) and 1.17 (CMC)
+    # times the bytes of a full-grid (n, n, d, 3) frame stack here, where
+    # the block's fields took it to 0.98 and 1.33 and a full-grid frame stack
     # on the heap in place of the block's would take it to about 1.8 and 2.1.
     # One process runs every block: tracemalloc sees this process only
     use_parts(1)
@@ -476,6 +478,34 @@ def _full_stack_outputs(mode, frames):
     fx, fy, N = frames[:, :, 1, :], frames[:, :, 2, :], frames[:, :, 3, :]
     return (frames[:, :, 0, :], np.log(0.5 * (dev.mdot(fx, fx) + dev.mdot(fy, fy))), N,
             [0.0, 0.0, float(np.max(np.abs(dev.mdot(N, N) + 1.0)))])
+
+
+@pytest.mark.parametrize("block", [40, 4096])
+@pytest.mark.parametrize("mode", [WANG, HARMONIC])
+def test_transfers_of_a_cut_are_slices_of_the_full_stacks(mode, block, monkeypatch):
+    # the field of test_blocked_transfers_equal_full_stacks; at block 40 a
+    # full-width cut forms its planes 3 rows at a time, at 4096 in one piece.
+    # The edges of a cut are the full stacks' edges between its nodes
+    dom = GridDomain(0.6, 13)
+    zz = dom.zz()
+    w = 0.3 * np.cos(2.0 * zz.real) * np.sin(3.0 * zz.imag) + 0.1 * zz.real
+    diff = EntireFunction(p=(0.5 + 0.25j, 1.0 - 0.5j), q=(0.0, 0.3))
+    sol = dev.NormalizedSolution(mode, diff, dom, w)
+    grad = tuple(np.gradient(w, dom.h, edge_order=2))
+    tx, tx_rev, ty, ty_rev = _full_stack_transfers(sol)
+    c = (dom.n - 1) // 2
+    monkeypatch.setattr(dev, "_BLOCK", block)
+    for rows, cols, axis, edges in (
+        (slice(3, 10), slice(None), 0, np.s_[3:9, :]),
+        (slice(3, 10), slice(None), 1, np.s_[3:10, :]),
+        (slice(None), slice(c, c + 1), 0, np.s_[:, c:c + 1]),
+        (slice(12, 13), slice(None), 1, np.s_[12:13, :]),
+    ):
+        want = np.stack([t[(slice(None), slice(None)) + edges]
+                         for t in ((tx, tx_rev), (ty, ty_rev))[axis]])
+        got = np.empty_like(want)
+        dev._transfers(sol, grad, rows, cols, axis, *got)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", [40, 65])
